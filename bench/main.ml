@@ -167,15 +167,15 @@ let substrate_tests () =
            done));
     Test.make ~name:"rbtree-extent-mixed-512"
       (Staged.stage (fun () ->
-           let t = Repro_rbtree.Extent_tree_ref.create () in
-           Repro_rbtree.Extent_tree_ref.insert_free t ~off:0 ~len:(64 * Units.mib);
+           let t = Repro_oracle.Extent_tree_ref.create () in
+           Repro_oracle.Extent_tree_ref.insert_free t ~off:0 ~len:(64 * Units.mib);
            for i = 1 to 512 do
              match
-               Repro_rbtree.Extent_tree_ref.alloc_best_fit t
+               Repro_oracle.Extent_tree_ref.alloc_best_fit t
                  ~len:(Units.base_page * (1 + (i mod 7)))
              with
              | Some off when i land 3 = 0 ->
-                 Repro_rbtree.Extent_tree_ref.insert_free t ~off
+                 Repro_oracle.Extent_tree_ref.insert_free t ~off
                    ~len:(Units.base_page * (1 + (i mod 7)))
              | _ -> ()
            done));

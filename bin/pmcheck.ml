@@ -1,41 +1,15 @@
-(* pmcheck — concurrency + persistence checkers over the simulated PM stack.
-
-   The default command is the persistence-ordering lint: it runs the ACE
-   workload corpus (and a micro-workload suite) against WineFS with the
-   durability sanitizer attached, and reports every flush/fence-ordering
-   violation with the site that caused it.
-
-   `pmcheck racecheck` runs the data-race detector over the concurrency
-   scenario suite, exploring seeded thread schedules.
-
-   `pmcheck faultcheck` runs the media-fault campaign: seeded bit flips,
-   poisoned lines and torn words planted in WineFS images, verifying each
-   one is repaired or safely refused — never silently absorbed.
-
-   `pmcheck srccheck` runs the AST-based static analyzer over this
-   repository's own sources (all six rules), plus a dynamic probe that
-   replays the scenario suite and cross-checks the observed lock order
-   against the static graph.
-
-   `pmcheck flowcheck` runs just the two flow-sensitive dataflow rules
-   (persist-order, determinism), plus the flow containment probe that
-   replays the paired crash-consistency scenarios and requires the
-   static analysis to subsume everything the dynamic sanitizer catches.
-
-   Examples:
-     pmcheck                       # all ACE workloads + micro suite, report
-     pmcheck --seq 2               # only two-op ACE sequences
-     pmcheck --strict              # exit at the first violation
-     pmcheck --rules R1,R4        # check a subset of the rules
-     pmcheck racecheck             # explore 50 schedules per scenario
-     pmcheck racecheck --seed 7    # replay the single schedule seed 7 picks
-     pmcheck faultcheck            # fault campaign over the ACE seq-1 corpus
-     pmcheck faultcheck --seed 9   # replay the campaign seed 9 determines
-     pmcheck srccheck lib bin      # static rules + dynamic lock-order probe
-     pmcheck flowcheck --format=json   # dataflow rules, machine-readable *)
+(* pmcheck — every checking campaign over the simulated PM stack, behind
+   one driver (`pmcheck --help` lists them; the default is the
+   durability lint).  A campaign is its arguments (a cmdliner Term that
+   validates them), one call into lib/ that generates and judges the
+   cases, and its row formatting; [exec] owns the rest: --format
+   human|json, --verbose, usage errors, printing and the exit code (0
+   clean, 1 findings, 2 usage error, 124 cmdliner parse error). *)
 
 open Cmdliner
+module Json = Repro_stats.Json
 module Ace = Repro_crashcheck.Ace
+module Checker = Repro_crashcheck.Checker
 module Faultcheck = Repro_crashcheck.Faultcheck
 module Torturecheck = Repro_crashcheck.Torturecheck
 module Fsck_scenarios = Repro_fsck.Fsck_scenarios
@@ -50,578 +24,554 @@ module Lint_source = Repro_lint.Source
 module Lint_diag = Repro_lint.Diag
 module Probe = Repro_lint.Probe
 
-let parse_rules s =
-  let name_of = function
-    | "R1" -> Some Sanitizer.R1_missing_flush
-    | "R2" -> Some Sanitizer.R2_missing_fence
-    | "R3" -> Some Sanitizer.R3_redundant_flush
-    | "R4" -> Some Sanitizer.R4_undo_protocol
-    | "R5" -> Some Sanitizer.R5_commit_order
-    | _ -> None
-  in
-  String.split_on_char ',' s
-  |> List.map (fun r ->
-         match name_of (String.trim r) with
-         | Some rule -> rule
-         | None ->
-             Printf.eprintf "unknown rule %S (expected R1..R5)\n" r;
-             exit 2)
+let sprintf = Printf.sprintf
 
-let run_lint seq strict no_micro relaxed rules verbose =
-  let rules = match rules with "" -> Sanitizer.all_rules | s -> parse_rules s in
-  let workloads =
-    match seq with
+type report = {
+  lines : string list;  (** always printed, after the header *)
+  findings : string list;  (** per-case detail: printed when verbose or failing *)
+  summary : string list;
+  ok : bool;  (** exit 0, else 1 *)
+  json : (string * Json.t) list;  (** the --format=json object *)
+}
+
+type 'args campaign = {
+  name : string;
+  doc : string;
+  args : 'args Term.t;  (** validated: a bad value never reaches [run] *)
+  header : 'args -> string;  (** printed and flushed before [run] starts *)
+  run : 'args -> report;
+}
+
+(* The one usage-error exit: every argument check funnels here. *)
+let usage fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
+
+let exec c =
+  let format = Arg.(value & opt string "human" & info [ "format" ] ~doc:"human or json") in
+  let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Per-case detail when clean") in
+  let go format verbose args =
+    let json =
+      match format with
+      | "human" -> false
+      | "json" -> true
+      | f -> usage "--format must be human or json (got %s)" f
+    in
+    if not json then Printf.printf "%s\n%!" (c.header args);
+    let r = c.run args in
+    if json then print_endline (Json.to_string ~indent:true (Json.Obj r.json))
+    else
+      List.iter print_endline
+        (r.lines @ (if verbose || not r.ok then r.findings else []) @ r.summary);
+    if r.ok then 0 else 1
+  in
+  Term.(const go $ format $ verbose $ c.args)
+
+let cmd c = Cmd.v (Cmd.info c.name ~doc:c.doc) (exec c)
+
+(* The one --seq parser; each campaign keeps its own default. *)
+let workloads_arg ~default =
+  let pick = function
     | 0 -> Ace.all
     | 1 -> Ace.seq1
     | 2 -> Ace.seq2
     | 3 -> Ace.seq3
-    | n ->
-        Printf.eprintf "--seq must be 1, 2, 3, or 0 for all (got %d)\n" n;
-        exit 2
+    | n -> usage "--seq must be 1, 2, 3, or 0 for all (got %d)" n
   in
-  let mode = if relaxed then Repro_vfs.Types.Relaxed else Repro_vfs.Types.Strict in
-  Printf.printf "pmcheck: %d ACE workloads%s, %s mode%s\n%!" (List.length workloads)
-    (if no_micro then "" else " + micro suite")
-    (if relaxed then "relaxed" else "strict")
-    (if strict then ", stopping at the first violation" else "");
-  match
-    let ace = Sanitize.run_ace ~strict ~rules ~mode workloads in
-    let micro = if no_micro then [] else Sanitize.run_micro ~strict ~rules () in
-    ace @ micro
-  with
-  | exception Sanitizer.Violation d ->
-      Printf.printf "VIOLATION: %s\n" (Sanitizer.diag_to_string d);
-      1
-  | reports ->
-      let table =
-        Table.create ~title:"Durability violations"
-          ~columns:[ "workload"; "rule"; "severity"; "site"; "cacheline"; "count"; "detail" ]
-      in
-      let rows = ref 0 in
-      List.iter
-        (fun (r : Sanitize.report) ->
-          List.iter
-            (fun (d : Sanitizer.diag) ->
-              incr rows;
-              Table.add_row table
-                [
-                  r.name;
-                  Sanitizer.rule_name d.rule;
-                  (match d.severity with Sanitizer.Error -> "error" | Warning -> "warning");
-                  Repro_pmem.Site.to_string d.site;
-                  Printf.sprintf "%d (0x%x)" d.line (Sanitizer.diag_offset d);
-                  string_of_int d.count;
-                  d.detail;
-                ])
-            r.diags)
-        reports;
-      if verbose then
-        List.iter
-          (fun (r : Sanitize.report) ->
-            Printf.printf "  %-28s %s\n" r.name
-              (if r.diags = [] then "clean"
-               else Printf.sprintf "%d diagnostic(s)" (List.length r.diags)))
-          reports;
-      if !rows > 0 then Table.print table;
-      let errors = Sanitize.total_errors reports in
-      Printf.printf "\npmcheck: %d workloads, %d diagnostics (%d errors)\n"
-        (List.length reports) !rows errors;
-      if errors = 0 then begin
-        print_endline "No persistence-ordering violations.";
-        0
-      end
-      else 1
+  let doc = "ACE workload length (1-3; 0 = all)" in
+  Term.(const pick $ Arg.(value & opt int default & info [ "seq" ] ~doc))
 
-(* racecheck: run every scenario under the detector.  Clean scenarios must
-   stay silent across all explored schedules; planted-bug scenarios must
-   be flagged.  Exit 0 only when both hold, so the runtest alias catches a
-   detector that goes blind as loudly as a discipline regression. *)
-let run_racecheck schedules base_seed replay_seed scenario_filter verbose =
-  let scenarios =
-    match scenario_filter with
+let int_arg ~min name default doc =
+  let check n = if n < min then usage "--%s must be at least %d (got %d)" name min n else n in
+  let arg = Arg.(value & opt int default & info [ name ] ~doc) in
+  Term.(const check $ arg)
+
+let seed_arg =
+  Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Campaign seed (printed in every report)")
+
+let ints = List.map (fun (k, v) -> (k, Json.Int v))
+let strings l = Json.List (List.map (fun s -> Json.String s) l)
+let objs f l = Json.List (List.map (fun x -> Json.Obj (f x)) l)
+let when_ok ok line = if ok then [ line ] else []
+
+(* ------------------------------------------------------------------ *)
+
+type lint_args =
+  { workloads : Ace.workload list; strict : bool; no_micro : bool; relaxed : bool;
+    rules : Sanitizer.rule list }
+
+let parse_rules = function
+  | "" -> Sanitizer.all_rules
+  | s ->
+      String.split_on_char ',' s
+      |> List.map (fun r ->
+             match String.trim r with
+             | "R1" -> Sanitizer.R1_missing_flush
+             | "R2" -> Sanitizer.R2_missing_fence
+             | "R3" -> Sanitizer.R3_redundant_flush
+             | "R4" -> Sanitizer.R4_undo_protocol
+             | "R5" -> Sanitizer.R5_commit_order
+             | _ -> usage "unknown rule %S (expected R1..R5)" r)
+
+let lint_report reports =
+  let table =
+    Table.create ~title:"Durability violations"
+      ~columns:[ "workload"; "rule"; "severity"; "site"; "cacheline"; "count"; "detail" ]
+  in
+  List.iter
+    (fun (r : Sanitize.report) ->
+      List.iter
+        (fun (d : Sanitizer.diag) ->
+          Table.add_row table
+            [ r.name; Sanitizer.rule_name d.rule;
+              (match d.severity with Sanitizer.Error -> "error" | Warning -> "warning");
+              Repro_pmem.Site.to_string d.site;
+              sprintf "%d (0x%x)" d.line (Sanitizer.diag_offset d);
+              string_of_int d.count; d.detail ])
+        r.diags)
+    reports;
+  let rows = List.length (Table.rows table) and errors = Sanitize.total_errors reports in
+  let rendered = Table.render table in
+  let diags (r : Sanitize.report) =
+    List.map (fun d -> r.name ^ ": " ^ Sanitizer.diag_to_string d) r.diags
+  in
+  let status (r : Sanitize.report) =
+    sprintf "  %-28s %s" r.name
+      (if r.diags = [] then "clean" else sprintf "%d diagnostic(s)" (List.length r.diags))
+  in
+  {
+    lines = (if rows = 0 then [] else [ String.sub rendered 0 (String.length rendered - 1) ]);
+    findings = List.map status reports;
+    summary =
+      [ "";
+        sprintf "pmcheck: %d workloads, %d diagnostics (%d errors)" (List.length reports) rows
+          errors ]
+      @ when_ok (errors = 0) "No persistence-ordering violations.";
+    ok = errors = 0;
+    json =
+      ints [ ("workloads", List.length reports); ("diagnostics", rows); ("errors", errors) ]
+      @ [ ("diags", strings (List.concat_map diags reports)) ];
+  }
+
+let lint =
+  let switch name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let rules =
+    Arg.(value & opt string "" & info [ "rules" ] ~doc:"Comma-separated rule subset (R1..R5)")
+  in
+  {
+    name = "pmcheck";
+    doc = "Concurrency and persistence checkers for the WineFS PM stack";
+    args =
+      Term.(
+        const (fun workloads strict no_micro relaxed rules ->
+            { workloads; strict; no_micro; relaxed; rules = parse_rules rules })
+        $ workloads_arg ~default:0
+        $ switch "strict" "Raise at the first violating access"
+        $ switch "no-micro" "Skip the micro-workload suite"
+        $ switch "relaxed" "Run the file system in relaxed mode"
+        $ rules);
+    header =
+      (fun a ->
+        sprintf "pmcheck: %d ACE workloads%s, %s mode%s" (List.length a.workloads)
+          (if a.no_micro then "" else " + micro suite")
+          (if a.relaxed then "relaxed" else "strict")
+          (if a.strict then ", stopping at the first violation" else ""));
+    run =
+      (fun a ->
+        let mode = if a.relaxed then Repro_vfs.Types.Relaxed else Repro_vfs.Types.Strict in
+        let strict = a.strict and rules = a.rules in
+        match
+          Sanitize.run_ace ~strict ~rules ~mode a.workloads
+          @ if a.no_micro then [] else Sanitize.run_micro ~strict ~rules ()
+        with
+        | exception Sanitizer.Violation d ->
+            let v = "VIOLATION: " ^ Sanitizer.diag_to_string d in
+            { lines = [ v ]; findings = []; summary = []; ok = false;
+              json = [ ("violation", Json.String v) ] }
+        | reports -> lint_report reports);
+  }
+
+let crashcheck =
+  {
+    name = "crashcheck";
+    doc = "Crash-consistency campaign: every crash state must recover to one side of its op";
+    args = workloads_arg ~default:0;
+    header =
+      (fun ws ->
+        sprintf "Running %d ACE workloads against WineFS (strict mode)..." (List.length ws));
+    run =
+      (fun ws ->
+        let rs =
+          List.map (fun (w : Ace.workload) -> (w.w_name, Checker.run ~workloads:[ w ] ())) ws
+        in
+        let sum f = List.fold_left (fun acc (_, r) -> acc + f r) 0 rs in
+        let points = sum (fun r -> r.Checker.crash_points) in
+        let states = sum (fun r -> r.Checker.states_checked) in
+        let failures =
+          List.concat_map (fun (w, r) -> List.map (fun (_, d) -> w ^ ": " ^ d) r.Checker.failures)
+            rs
+        in
+        let row (w, (r : Checker.result)) =
+          sprintf "  %-28s %4d crash points %6d states %s" w r.crash_points r.states_checked
+            (if r.failures = [] then "ok" else "FAILED")
+          :: List.map (fun (_, d) -> "      " ^ d) r.failures
+        in
+        {
+          lines = [];
+          findings = List.concat_map row rs;
+          summary =
+            [ "";
+              sprintf "campaign: %d workloads, %d crash points, %d crash states, %d inconsistencies"
+                (List.length ws) points states (List.length failures) ]
+            @ when_ok (failures = [])
+                "WineFS recovered to a consistent state from every crash state.";
+          ok = failures = [];
+          json =
+            ints [ ("workloads", List.length ws); ("crash_points", points); ("states", states) ]
+            @ [ ("failures", strings failures) ];
+        });
+  }
+
+(* Clean scenarios must stay silent across every explored schedule and
+   planted-bug scenarios must be flagged, so a detector that goes blind
+   fails as loudly as a discipline regression. *)
+let racecheck =
+  let scenarios = function
     | "" -> Scenarios.all
     | name -> (
         match Scenarios.find name with
         | Some s -> [ s ]
         | None ->
-            Printf.eprintf "unknown scenario %S (have: %s)\n" name
-              (String.concat ", " (List.map (fun s -> s.Race.sc_name) Scenarios.all));
-            exit 2)
+            usage "unknown scenario %S (have: %s)" name
+              (String.concat ", " (List.map (fun s -> s.Race.sc_name) Scenarios.all)))
   in
-  let expect_racy s = List.exists (fun r -> r.Race.sc_name = s.Race.sc_name) Scenarios.racy in
-  (match replay_seed with
-  | Some s -> Printf.printf "pmcheck racecheck: replaying schedule seed %d\n%!" s
-  | None ->
-      Printf.printf "pmcheck racecheck: %d scenarios x %d schedules (base seed %d)\n%!"
-        (List.length scenarios) schedules base_seed);
-  Sched.Lock_order.reset ();
-  let failures = ref 0 in
-  List.iter
-    (fun sc ->
-      let races, explored =
-        match replay_seed with
-        | Some seed -> (Race.check ~seed sc, 1)
+  let base = Arg.(value & opt int 42 & info [ "base-seed" ] ~doc:"Seed deriving the schedules") in
+  let replay =
+    Arg.(value & opt (some int) None & info [ "seed" ] ~doc:"Replay the schedule this seed picks")
+  in
+  let only = Arg.(value & opt string "" & info [ "scenario" ] ~doc:"Run only the named scenario") in
+  {
+    name = "racecheck";
+    doc = "Data-race detector over the concurrency scenario suite";
+    args =
+      Term.(
+        const (fun schedules base replay only -> (scenarios only, schedules, base, replay))
+        $ int_arg ~min:0 "schedules" 50 "Seeded schedules to explore per scenario"
+        $ base $ replay $ only);
+    header =
+      (fun (scs, schedules, base, replay) ->
+        match replay with
+        | Some s -> sprintf "pmcheck racecheck: replaying schedule seed %d" s
         | None ->
-            let o = Race.explore ~schedules ~seed:base_seed sc in
-            (o.o_races, o.o_schedules)
-      in
-      let racy = expect_racy sc in
-      let ok = if racy then races <> [] else races = [] in
-      if not ok then incr failures;
-      Printf.printf "  %-16s %-8s %d race(s) over %d schedule(s)%s\n" sc.Race.sc_name
-        (if racy then "[racy]" else "[clean]")
-        (List.length races) explored
-        (if ok then "" else "  <-- UNEXPECTED");
-      if verbose || not ok then
-        List.iter (fun r -> Printf.printf "      %s\n" (Race.race_to_string r)) races)
-    scenarios;
-  (* The recorder accumulated every acquisition across all explored
-     schedules; a cycle in that union is a potential ABBA deadlock even
-     though no single schedule deadlocked. *)
-  (match Sched.Lock_order.cycle () with
-  | Some labels ->
-      incr failures;
-      Printf.printf "  lock-order: observed acquired-before cycle {%s}  <-- UNEXPECTED\n"
-        (String.concat ", " labels)
-  | None ->
-      Printf.printf "  lock-order: %d acquisition(s), %d distinct edge(s), acyclic\n"
-        (Sched.Lock_order.acquisitions ())
-        (List.length (Sched.Lock_order.edges ())));
-  if !failures = 0 then begin
-    print_endline "racecheck: all scenarios behaved as expected.";
-    0
-  end
-  else begin
-    Printf.printf "racecheck: %d check(s) misbehaved.\n" !failures;
-    1
-  end
+            sprintf "pmcheck racecheck: %d scenarios x %d schedules (base seed %d)"
+              (List.length scs) schedules base);
+    run =
+      (fun (scs, schedules, base, replay) ->
+        Sched.Lock_order.reset ();
+        let check sc =
+          let races, explored =
+            match replay with
+            | Some seed -> (Race.check ~seed sc, 1)
+            | None ->
+                let o = Race.explore ~schedules ~seed:base sc in
+                (o.o_races, o.o_schedules)
+          in
+          let racy = List.exists (fun r -> r.Race.sc_name = sc.Race.sc_name) Scenarios.racy in
+          (sc.Race.sc_name, racy, races, explored, if racy then races <> [] else races = [])
+        in
+        let outcomes = List.map check scs in
+        (* The recorder accumulated every acquisition across all explored
+           schedules; a cycle in that union is a potential ABBA deadlock
+           even though no single schedule deadlocked. *)
+        let cycle = Sched.Lock_order.cycle () in
+        let failures =
+          List.length (List.filter (fun (_, _, _, _, ok) -> not ok) outcomes)
+          + if cycle = None then 0 else 1
+        in
+        let row (name, racy, races, explored, ok) =
+          sprintf "  %-16s %-8s %d race(s) over %d schedule(s)%s" name
+            (if racy then "[racy]" else "[clean]")
+            (List.length races) explored
+            (if ok then "" else "  <-- UNEXPECTED")
+        in
+        let lock_order =
+          match cycle with
+          | Some labels ->
+              sprintf "  lock-order: observed acquired-before cycle {%s}  <-- UNEXPECTED"
+                (String.concat ", " labels)
+          | None ->
+              sprintf "  lock-order: %d acquisition(s), %d distinct edge(s), acyclic"
+                (Sched.Lock_order.acquisitions ())
+                (List.length (Sched.Lock_order.edges ()))
+        in
+        let races (name, _, races, _, _) =
+          List.map (fun r -> sprintf "  %-16s %s" name (Race.race_to_string r)) races
+        in
+        let to_json (name, racy, races, explored, ok) =
+          Json.[ ("scenario", String name); ("racy", Bool racy); ("schedules", Int explored);
+                 ("ok", Bool ok); ("races", strings (List.map Race.race_to_string races)) ]
+        in
+        {
+          lines = List.map row outcomes @ [ lock_order ];
+          findings = List.concat_map races outcomes;
+          summary =
+            [ (if failures = 0 then "racecheck: all scenarios behaved as expected."
+               else sprintf "racecheck: %d check(s) misbehaved." failures) ];
+          ok = failures = 0;
+          json =
+            [ ("scenarios", objs to_json outcomes);
+              ("lock_order_cycle", strings (Option.value ~default:[] cycle));
+              ("failures", Json.Int failures) ];
+        });
+  }
 
-(* Shared by srccheck/flowcheck: the --format=json payload is the lint
-   report plus whichever probe ran, one self-describing object on stdout
-   (the exit code still carries the verdict). *)
-let check_format = function
-  | "human" | "json" -> ()
-  | f ->
-      Printf.eprintf "--format must be human or json (got %s)\n" f;
-      exit 2
+let faultcheck =
+  let finding_json (f : Faultcheck.finding) =
+    Json.[ ("workload", String f.f_workload); ("scenario", String f.f_scenario);
+           ("fault", String f.f_fault); ("diagnosis", String f.f_diagnosis) ]
+  in
+  {
+    name = "faultcheck";
+    doc = "Media-fault campaign: verify faults are repaired or safely refused";
+    args =
+      Term.(
+        const (fun seed workloads torn -> (seed, workloads, torn))
+        $ seed_arg $ workloads_arg ~default:1
+        $ int_arg ~min:0 "torn-fences" 4 "Torn-word crash points per workload (0 disables)");
+    header =
+      (fun (seed, workloads, torn) ->
+        sprintf "pmcheck faultcheck: %d workloads, torn crashes at %d fences (seed %d)"
+          (List.length workloads) torn seed);
+    run =
+      (fun (seed, workloads, torn_fences) ->
+        let r = Faultcheck.run ~seed ~workloads ~torn_fences () in
+        let ok = r.findings = [] in
+        let finding (f : Faultcheck.finding) =
+          sprintf "  FINDING %s/%s: %s\n      %s" f.f_workload f.f_scenario f.f_fault f.f_diagnosis
+        in
+        {
+          lines = [];
+          findings = List.map finding r.findings;
+          summary =
+            [ sprintf
+                "faultcheck: %d scenarios, %d faults planted, %d repaired, %d refused, %d \
+                 finding(s) (seed %d)"
+                r.scenarios_run r.faults_planted r.repaired r.refused (List.length r.findings)
+                r.seed;
+              (if ok then
+                 sprintf "Every planted fault was repaired or safely refused (replay: --seed %d)."
+                   r.seed
+               else sprintf "Silent or mishandled faults detected (replay: --seed %d)." r.seed) ];
+          ok;
+          json =
+            ints
+              [ ("seed", r.seed); ("scenarios", r.scenarios_run);
+                ("faults_planted", r.faults_planted); ("repaired", r.repaired);
+                ("refused", r.refused) ]
+            @ [ ("findings", objs finding_json r.findings) ];
+        });
+  }
 
-let print_json report ~probe_fields ~probe_diags =
-  let open Repro_stats.Json in
-  let base = match Lint.report_to_json report with Obj fields -> fields | j -> [ ("report", j) ] in
-  let fields =
-    base @ probe_fields @ [ ("probe_diags", List (List.map Lint_diag.to_json probe_diags)) ]
+let fsckcheck =
+  let outcome_json (o : Fsck_scenarios.outcome) =
+    Json.[ ("scenario", String o.s_name); ("ok", Bool o.ok); ("detail", String o.detail) ]
   in
-  print_endline (to_string ~indent:true (Obj fields))
+  let row (o : Fsck_scenarios.outcome) =
+    sprintf "  %-18s %s  %s" o.s_name (if o.ok then "ok" else "FAIL") o.detail
+  in
+  {
+    name = "fsckcheck";
+    doc = "Planted-corruption scenarios: fsck must repair each exactly as intended";
+    args = Term.const ();
+    header =
+      (fun () -> sprintf "pmcheck fsckcheck: %d planted-corruption scenarios" Fsck_scenarios.count);
+    run =
+      (fun () ->
+        let outcomes = Fsck_scenarios.run () in
+        let bad = List.filter (fun o -> not o.Fsck_scenarios.ok) outcomes in
+        {
+          lines = List.map row outcomes;
+          findings = [];
+          summary = when_ok (bad = []) "Every planted corruption was repaired as intended.";
+          ok = bad = [];
+          json =
+            ints [ ("scenarios", List.length outcomes); ("failures", List.length bad) ]
+            @ [ ("outcomes", objs outcome_json outcomes) ];
+        });
+  }
 
-(* srccheck: all six AST rules over the repo's own sources, then the
-   dynamic probe (scenario suite + a small basefs workload under the
-   lock-order recorder) cross-checking static ⊇ observed.  Exit 0 clean,
-   1 on violations, 2 when a source file does not even parse. *)
-let run_srccheck roots no_probe format verbose =
-  check_format format;
-  let json = format = "json" in
-  let roots = match roots with [] -> [ "lib"; "bin" ] | r -> r in
-  let missing = List.filter (fun r -> not (Sys.file_exists r)) roots in
-  if missing <> [] then begin
-    Printf.eprintf "srccheck: no such file or directory: %s\n" (String.concat ", " missing);
-    exit 2
-  end;
-  let files, parse = Lint_source.load_roots roots in
-  let report = Lint.run files ~parse in
-  if not json then begin
-    Printf.printf "pmcheck srccheck: %d files under %s, rules: %s\n%!" report.Lint.files_scanned
-      (String.concat " " roots)
-      (String.concat ", " (List.map fst Lint.rules));
-    List.iter (fun d -> print_endline ("  " ^ Lint_diag.to_string d)) report.Lint.diags
-  end;
-  let probe = if no_probe then None else Some (Probe.run files) in
-  let probe_diags = match probe with None -> [] | Some p -> p.Probe.diags in
-  if json then
-    let open Repro_stats.Json in
-    let probe_fields =
-      match probe with
-      | None -> [ ("probe", String "skipped") ]
-      | Some p ->
-          [
-            ( "probe",
-              Obj
-                [
-                  ("acquisitions", Int p.Probe.acquisitions);
-                  ("named_edges", Int (List.length p.Probe.observed_edges));
-                  ("cyclic", Bool (p.Probe.runtime_cycle <> None));
-                ] );
-          ]
-    in
-    print_json report ~probe_fields ~probe_diags
-  else begin
-    let probe_note =
-      match probe with
-      | None -> "skipped"
-      | Some p ->
-          Printf.sprintf "%d acquisition(s), %d named edge(s), %s" p.Probe.acquisitions
-            (List.length p.Probe.observed_edges)
-            (match p.Probe.runtime_cycle with Some _ -> "CYCLIC" | None -> "acyclic")
-    in
-    List.iter (fun d -> print_endline ("  " ^ Lint_diag.to_string d)) probe_diags;
-    if verbose then
-      List.iter
-        (fun (rule, checker) ->
-          Printf.printf "  %-16s %d diagnostic(s)\n" rule
-            (List.length (List.filter (fun d -> d.Lint_diag.rule = rule) report.Lint.diags));
-          ignore checker)
-        Lint.rules;
-    Printf.printf "srccheck: %d diagnostic(s), %d suppressed, dynamic probe: %s\n"
-      (List.length report.Lint.diags + List.length probe_diags)
-      report.Lint.suppressed probe_note
-  end;
-  let total = List.length report.Lint.diags + List.length probe_diags in
-  if report.Lint.parse_errors > 0 then 2
-  else if total > 0 then 1
-  else begin
-    if not json then
-      print_endline "No layering, lock-order, persist-site or error-discipline violations.";
-    0
-  end
-
-(* flowcheck: the two flow-sensitive dataflow rules (persist-order,
-   determinism) over the repo's own sources, plus the containment probe
-   replaying the paired crash-consistency scenarios — every dynamic
-   sanitizer error must be statically subsumed, and the planted
-   branch-only bug must stay dynamically invisible but statically
-   caught.  Exit 0 clean, 1 on violations, 2 on parse errors. *)
-let run_flowcheck roots no_probe format verbose =
-  check_format format;
-  let json = format = "json" in
-  let roots = match roots with [] -> [ "lib"; "bin" ] | r -> r in
-  let missing = List.filter (fun r -> not (Sys.file_exists r)) roots in
-  if missing <> [] then begin
-    Printf.eprintf "flowcheck: no such file or directory: %s\n" (String.concat ", " missing);
-    exit 2
-  end;
-  let files, parse = Lint_source.load_roots roots in
-  let report = Lint.run ~only:Lint.flow_rules files ~parse in
-  let flow = if no_probe then None else Some (Probe.run_flow ()) in
-  let probe_diags = match flow with None -> [] | Some f -> f.Probe.flow_diags in
-  if json then
-    let open Repro_stats.Json in
-    let probe_fields =
-      match flow with
-      | None -> [ ("probe", String "skipped") ]
-      | Some f ->
-          [
-            ( "probe",
-              List
-                (List.map
-                   (fun (name, st, dyn) ->
-                     Obj
-                       [
-                         ("scenario", String name);
-                         ("static_flagged", Bool st);
-                         ("dynamic_error", Bool dyn);
-                       ])
-                   f.Probe.flow_scenarios) );
-          ]
-    in
-    print_json report ~probe_fields ~probe_diags
-  else begin
-    Printf.printf "pmcheck flowcheck: %d files under %s, rules: %s\n%!" report.Lint.files_scanned
-      (String.concat " " roots)
-      (String.concat ", " Lint.flow_rules);
-    List.iter (fun d -> print_endline ("  " ^ Lint_diag.to_string d)) report.Lint.diags;
-    (match flow with
-    | None -> print_endline "containment probe: skipped"
-    | Some f ->
-        if verbose || f.Probe.flow_diags <> [] then
-          List.iter
-            (fun (name, st, dyn) ->
-              Printf.printf "  scenario %-24s static=%-5b dynamic=%b\n" name st dyn)
-            f.Probe.flow_scenarios;
-        List.iter (fun d -> print_endline ("  " ^ Lint_diag.to_string d)) f.Probe.flow_diags;
-        Printf.printf "containment probe: %d scenario(s), static ⊇ dynamic %s\n"
-          (List.length f.Probe.flow_scenarios)
-          (if f.Probe.flow_diags = [] then "holds" else "VIOLATED"));
-    Printf.printf "flowcheck: %d diagnostic(s), %d suppressed\n"
-      (List.length report.Lint.diags + List.length probe_diags)
-      report.Lint.suppressed
-  end;
-  let total = List.length report.Lint.diags + List.length probe_diags in
-  if report.Lint.parse_errors > 0 then 2
-  else if total > 0 then 1
-  else begin
-    if not json then print_endline "No persist-order or determinism violations.";
-    0
-  end
-
-(* faultcheck: plant seeded media faults and verify each is repaired or
-   safely refused.  Exit 0 clean, 1 when any fault was silently absorbed
-   or mishandled, 2 on usage errors — so the runtest alias treats a lost
-   detection exactly like a failing test. *)
-let run_faultcheck seed seq torn_fences verbose =
-  let workloads =
-    match seq with
-    | 0 -> Ace.all
-    | 1 -> Ace.seq1
-    | 2 -> Ace.seq2
-    | 3 -> Ace.seq3
-    | n ->
-        Printf.eprintf "--seq must be 1, 2, 3, or 0 for all (got %d)\n" n;
-        exit 2
-  in
-  if torn_fences < 0 then begin
-    Printf.eprintf "--torn-fences must be non-negative (got %d)\n" torn_fences;
-    exit 2
-  end;
-  Printf.printf "pmcheck faultcheck: %d workloads, torn crashes at %d fences (seed %d)\n%!"
-    (List.length workloads) torn_fences seed;
-  let r = Faultcheck.run ~seed ~workloads ~torn_fences () in
-  if verbose || r.findings <> [] then
-    List.iter
-      (fun (f : Faultcheck.finding) ->
-        Printf.printf "  FINDING %s/%s: %s\n      %s\n" f.f_workload f.f_scenario f.f_fault
-          f.f_diagnosis)
-      r.findings;
-  Printf.printf
-    "faultcheck: %d scenarios, %d faults planted, %d repaired, %d refused, %d finding(s) \
-     (seed %d)\n"
-    r.scenarios_run r.faults_planted r.repaired r.refused
-    (List.length r.findings) r.seed;
-  if r.findings = [] then begin
-    Printf.printf "Every planted fault was repaired or safely refused (replay: --seed %d).\n"
-      r.seed;
-    0
-  end
-  else begin
-    Printf.printf "Silent or mishandled faults detected (replay: --seed %d).\n" r.seed;
-    1
-  end
-
-(* fsckcheck: the planted-corruption scenario suite for winefs_fsck —
-   each scenario damages an image in a precisely-known way, runs fsck
-   and demands the exact intended repair, convergence and a writable
-   remount.  Exit 0 clean, 1 on any misbehaving scenario. *)
-let run_fsckcheck format =
-  check_format format;
-  let outcomes = Fsck_scenarios.run () in
-  let bad = List.filter (fun o -> not o.Fsck_scenarios.ok) outcomes in
-  if format = "json" then
-    let open Repro_stats.Json in
-    print_endline
-      (to_string ~indent:true
-         (Obj
-            [
-              ("scenarios", Int (List.length outcomes));
-              ("failures", Int (List.length bad));
-              ( "outcomes",
-                List
-                  (List.map
-                     (fun (o : Fsck_scenarios.outcome) ->
-                       Obj
-                         [
-                           ("scenario", String o.s_name);
-                           ("ok", Bool o.ok);
-                           ("detail", String o.detail);
-                         ])
-                     outcomes) );
-            ]))
-  else begin
-    Printf.printf "pmcheck fsckcheck: %d planted-corruption scenarios\n%!"
-      (List.length outcomes);
-    List.iter
-      (fun (o : Fsck_scenarios.outcome) ->
-        Printf.printf "  %-18s %s  %s\n" o.s_name (if o.ok then "ok" else "FAIL") o.detail)
-      outcomes;
-    if bad = [] then print_endline "Every planted corruption was repaired as intended."
-  end;
-  if bad = [] then 0 else 1
-
-(* torturecheck: the seeded crash-fsck-remount campaign.  Exit 0 when
-   every iteration ends in a writable invariant-clean remount, 1
-   otherwise, 2 on usage errors. *)
-let run_torturecheck seed iterations fault_rate format verbose =
-  check_format format;
-  if iterations < 1 then begin
-    Printf.eprintf "--iterations must be positive (got %d)\n" iterations;
-    exit 2
-  end;
-  if fault_rate < 0.0 || fault_rate > 1.0 then begin
-    Printf.eprintf "--fault-rate must be in [0,1] (got %g)\n" fault_rate;
-    exit 2
-  end;
-  if format <> "json" then
-    Printf.printf "pmcheck torturecheck: %d crash+fsck+remount iterations (seed %d)\n%!"
-      iterations seed;
-  let r = Torturecheck.run ~seed ~iterations ~fault_rate () in
-  if format = "json" then
-    let open Repro_stats.Json in
-    print_endline
-      (to_string ~indent:true
-         (Obj
-            [
-              ("seed", Int r.Torturecheck.seed);
-              ("iterations", Int r.iterations);
-              ("workloads", Int r.workloads);
-              ("crashes", Int r.crashes);
-              ("faults_planted", Int r.faults_planted);
-              ("repairs", Int r.repairs);
-              ("orphans_reattached", Int r.orphans);
-              ( "failures",
-                List
-                  (List.map
-                     (fun (f : Torturecheck.failure) ->
-                       Obj
-                         [
-                           ("iteration", Int f.t_iter);
-                           ("workload", String f.t_workload);
-                           ("fence", Int f.t_fence);
-                           ("diagnosis", String f.t_diagnosis);
-                         ])
-                     r.failures) );
-            ]))
-  else begin
-    if verbose || r.failures <> [] then
-      List.iter
-        (fun (f : Torturecheck.failure) ->
-          Printf.printf "  FAILURE it %d %s fence %d: %s\n" f.t_iter f.t_workload f.t_fence
-            f.t_diagnosis)
-        r.failures;
-    Printf.printf
-      "torturecheck: %d iterations over %d workloads, %d crashes, %d faults planted, %d \
-       repairs, %d orphans reattached, %d failure(s) (seed %d)\n"
-      r.iterations r.workloads r.crashes r.faults_planted r.repairs r.orphans
-      (List.length r.failures) r.seed;
-    if r.failures = [] then
-      Printf.printf
-        "Every crash image repaired to a writable, invariant-clean mount (replay: --seed %d).\n"
-        r.seed
-    else Printf.printf "Unhealable crash images detected (replay: --seed %d).\n" r.seed
-  end;
-  if r.failures = [] then 0 else 1
-
-let lint_term =
-  let seq = Arg.(value & opt int 0 & info [ "seq" ] ~doc:"ACE workload length (1-3; 0 = all)") in
-  let strict =
-    Arg.(value & flag & info [ "strict" ] ~doc:"Raise at the first violating access")
-  in
-  let no_micro = Arg.(value & flag & info [ "no-micro" ] ~doc:"Skip the micro-workload suite") in
-  let relaxed =
-    Arg.(value & flag & info [ "relaxed" ] ~doc:"Run the file system in relaxed mode")
-  in
-  let rules =
-    Arg.(value & opt string "" & info [ "rules" ] ~doc:"Comma-separated rule subset (R1..R5)")
-  in
-  let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print each workload") in
-  Term.(const run_lint $ seq $ strict $ no_micro $ relaxed $ rules $ verbose)
-
-let racecheck_cmd =
-  let schedules =
-    Arg.(value & opt int 50 & info [ "schedules" ] ~doc:"Seeded schedules to explore per scenario")
-  in
-  let base_seed =
-    Arg.(value & opt int 42 & info [ "base-seed" ] ~doc:"Seed deriving the explored schedules")
-  in
-  let replay_seed =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~doc:"Replay the single schedule this seed determines")
-  in
-  let scenario =
-    Arg.(value & opt string "" & info [ "scenario" ] ~doc:"Run only the named scenario")
-  in
-  let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print every reported race") in
-  Cmd.v
-    (Cmd.info "racecheck" ~doc:"Data-race detector over the concurrency scenario suite")
-    Term.(const run_racecheck $ schedules $ base_seed $ replay_seed $ scenario $ verbose)
-
-let faultcheck_cmd =
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Campaign seed (printed in every report)")
-  in
-  let seq =
-    Arg.(value & opt int 1 & info [ "seq" ] ~doc:"ACE workload length (1-3; 0 = all)")
-  in
-  let torn_fences =
-    Arg.(
-      value
-      & opt int 4
-      & info [ "torn-fences" ] ~doc:"Torn-word crash points per workload (0 disables)")
-  in
-  let verbose =
-    Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print every finding, even when clean")
-  in
-  Cmd.v
-    (Cmd.info "faultcheck"
-       ~doc:"Media-fault campaign: verify faults are repaired or safely refused")
-    Term.(const run_faultcheck $ seed $ seq $ torn_fences $ verbose)
-
-let fsckcheck_cmd =
-  let format =
-    Arg.(value & opt string "human" & info [ "format" ] ~doc:"Output format: human or json")
-  in
-  Cmd.v
-    (Cmd.info "fsckcheck"
-       ~doc:"Planted-corruption scenarios: fsck must repair each exactly as intended")
-    Term.(const run_fsckcheck $ format)
-
-let torturecheck_cmd =
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Campaign seed (printed in every report)")
-  in
-  let iterations =
-    Arg.(value & opt int 60 & info [ "iterations" ] ~doc:"Crash+fsck+remount iterations")
-  in
+let torturecheck =
   let fault_rate =
-    Arg.(
-      value
-      & opt float 0.5
-      & info [ "fault-rate" ] ~doc:"Fraction of crash images that also get a media fault")
+    let check r =
+      if r >= 0.0 && r <= 1.0 then r else usage "--fault-rate must be in [0,1] (got %g)" r
+    in
+    let doc = "Fraction of crash images that also get a media fault" in
+    Term.(const check $ Arg.(value & opt float 0.5 & info [ "fault-rate" ] ~doc))
   in
-  let format =
-    Arg.(value & opt string "human" & info [ "format" ] ~doc:"Output format: human or json")
+  let failure_json (f : Torturecheck.failure) =
+    Json.[ ("iteration", Int f.t_iter); ("workload", String f.t_workload);
+           ("fence", Int f.t_fence); ("diagnosis", String f.t_diagnosis) ]
   in
-  let verbose =
-    Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print every failure, even when clean")
-  in
-  Cmd.v
-    (Cmd.info "torturecheck"
-       ~doc:"Crash-fsck-remount torture campaign: every wreck must repair to writable")
-    Term.(const run_torturecheck $ seed $ iterations $ fault_rate $ format $ verbose)
+  {
+    name = "torturecheck";
+    doc = "Crash-fsck-remount torture campaign: every wreck must repair to writable";
+    args =
+      Term.(
+        const (fun seed iterations rate -> (seed, iterations, rate))
+        $ seed_arg
+        $ int_arg ~min:1 "iterations" 60 "Crash+fsck+remount iterations"
+        $ fault_rate);
+    header =
+      (fun (seed, iterations, _) ->
+        sprintf "pmcheck torturecheck: %d crash+fsck+remount iterations (seed %d)" iterations
+          seed);
+    run =
+      (fun (seed, iterations, fault_rate) ->
+        let r = Torturecheck.run ~seed ~iterations ~fault_rate () in
+        let ok = r.failures = [] in
+        let failure (f : Torturecheck.failure) =
+          sprintf "  FAILURE it %d %s fence %d: %s" f.t_iter f.t_workload f.t_fence f.t_diagnosis
+        in
+        {
+          lines = [];
+          findings = List.map failure r.failures;
+          summary =
+            [ sprintf
+                "torturecheck: %d iterations over %d workloads, %d crashes, %d faults planted, %d \
+                 repairs, %d orphans reattached, %d failure(s) (seed %d)"
+                r.iterations r.workloads r.crashes r.faults_planted r.repairs r.orphans
+                (List.length r.failures) r.seed;
+              (if ok then
+                 sprintf
+                   "Every crash image repaired to a writable, invariant-clean mount (replay: \
+                    --seed %d)."
+                   r.seed
+               else sprintf "Unhealable crash images detected (replay: --seed %d)." r.seed) ];
+          ok;
+          json =
+            ints
+              [ ("seed", r.seed); ("iterations", r.iterations); ("workloads", r.workloads);
+                ("crashes", r.crashes); ("faults_planted", r.faults_planted);
+                ("repairs", r.repairs); ("orphans_reattached", r.orphans) ]
+            @ [ ("failures", objs failure_json r.failures) ];
+        });
+  }
 
-let roots_arg =
-  Arg.(value & pos_all string [] & info [] ~docv:"ROOT" ~doc:"Source roots (default lib bin)")
+(* ------------------------------------------------------------------ *)
 
-let format_arg =
-  Arg.(value & opt string "human" & info [ "format" ] ~doc:"Output format: human or json")
+(* What a source campaign's dynamic probe adds to the report. *)
+type probe = { note : string; rows : string list; diags : Lint_diag.t list; pjson : Json.t }
 
-let srccheck_cmd =
-  let no_probe =
-    Arg.(
-      value & flag
-      & info [ "no-probe" ] ~doc:"Skip the dynamic lock-order probe (static rules only)")
+(* srccheck and flowcheck: the rules [only] selects (default all six)
+   over the sources under ROOT... (default lib bin), cross-checked by a
+   dynamic [probe].  A root that is missing or does not parse is a
+   usage error. *)
+let source_campaign ~name ~doc ?only ~probe_name ~probe_doc ~clean probe =
+  let load roots no_probe =
+    let roots = if roots = [] then [ "lib"; "bin" ] else roots in
+    (match List.filter (fun r -> not (Sys.file_exists r)) roots with
+    | [] -> ()
+    | missing -> usage "%s: no such file or directory: %s" name (String.concat ", " missing));
+    match Lint_source.load_roots roots with
+    | files, [] -> (roots, files, no_probe)
+    | _, parse -> usage "%s: %s" name (String.concat "\n" (List.map Lint_diag.to_string parse))
   in
-  let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Per-rule diagnostic counts") in
-  Cmd.v
-    (Cmd.info "srccheck" ~doc:"AST-based static analysis of the repository's own sources")
-    Term.(const run_srccheck $ roots_arg $ no_probe $ format_arg $ verbose)
+  let roots =
+    Arg.(value & pos_all string [] & info [] ~docv:"ROOT" ~doc:"Source roots (default lib bin)")
+  in
+  let no_probe = Arg.(value & flag & info [ "no-probe" ] ~doc:probe_doc) in
+  let rule_ids = match only with Some ids -> ids | None -> List.map fst Lint.rules in
+  {
+    name;
+    doc;
+    args = Term.(const load $ roots $ no_probe);
+    header =
+      (fun (roots, files, _) ->
+        sprintf "pmcheck %s: %d files under %s, rules: %s" name (List.length files)
+          (String.concat " " roots) (String.concat ", " rule_ids));
+    run =
+      (fun (_, files, no_probe) ->
+        let report = Lint.run ?only files ~parse:[] in
+        let p =
+          if no_probe then
+            { note = "skipped"; rows = []; diags = []; pjson = Json.String "skipped" }
+          else probe files
+        in
+        let ok = Lint.exit_code report = 0 && p.diags = [] in
+        let count id =
+          sprintf "  %-16s %d diagnostic(s)" id
+            (List.length (List.filter (fun d -> d.Lint_diag.rule = id) report.diags))
+        in
+        let fields =
+          match Lint.report_to_json report with Json.Obj f -> f | j -> [ ("report", j) ]
+        in
+        {
+          lines = List.map (fun d -> "  " ^ Lint_diag.to_string d) (report.diags @ p.diags);
+          findings = List.map count rule_ids @ p.rows;
+          summary =
+            sprintf "%s: %d diagnostic(s), %d suppressed, %s: %s" name
+              (List.length report.diags + List.length p.diags)
+              report.suppressed probe_name p.note
+            :: when_ok ok clean;
+          ok;
+          json =
+            fields
+            @ [ ("probe", p.pjson);
+                ("probe_diags", Json.List (List.map Lint_diag.to_json p.diags)) ];
+        });
+  }
 
-let flowcheck_cmd =
-  let no_probe =
-    Arg.(
-      value & flag
-      & info [ "no-probe" ] ~doc:"Skip the flow containment probe (static rules only)")
-  in
-  let verbose =
-    Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print every probe scenario outcome")
-  in
-  Cmd.v
-    (Cmd.info "flowcheck"
-       ~doc:"Flow-sensitive persist-order and determinism dataflow over the sources")
-    Term.(const run_flowcheck $ roots_arg $ no_probe $ format_arg $ verbose)
+(* All six rules, plus the scenario suite and a small basefs workload
+   replayed under the lock-order recorder (static ⊇ observed). *)
+let srccheck =
+  source_campaign ~name:"srccheck"
+    ~doc:"AST-based static analysis of the repository's own sources"
+    ~probe_name:"dynamic probe" ~probe_doc:"Skip the dynamic lock-order probe (static rules only)"
+    ~clean:"No layering, lock-order, persist-site or error-discipline violations."
+    (fun files ->
+      let p = Probe.run files in
+      let edges = List.length p.observed_edges and cyclic = p.runtime_cycle <> None in
+      {
+        note =
+          sprintf "%d acquisition(s), %d named edge(s), %s" p.acquisitions edges
+            (if cyclic then "CYCLIC" else "acyclic");
+        rows = [];
+        diags = p.diags;
+        pjson =
+          Json.(
+            Obj
+              [ ("acquisitions", Int p.acquisitions); ("named_edges", Int edges);
+                ("cyclic", Bool cyclic) ]);
+      })
+
+(* The persist-order and determinism dataflow rules, plus the paired
+   crash-consistency scenarios: every dynamic sanitizer error must be
+   statically subsumed, and the planted branch-only bug must stay
+   dynamically invisible but statically caught. *)
+let flowcheck =
+  source_campaign ~name:"flowcheck"
+    ~doc:"Flow-sensitive persist-order and determinism dataflow over the sources"
+    ~only:Lint.flow_rules ~probe_name:"containment probe"
+    ~probe_doc:"Skip the flow containment probe (static rules only)"
+    ~clean:"No persist-order or determinism violations."
+    (fun _ ->
+      let f = Probe.run_flow () in
+      let to_json (name, st, dyn) =
+        Json.[ ("scenario", String name); ("static_flagged", Bool st); ("dynamic_error", Bool dyn) ]
+      in
+      {
+        note =
+          sprintf "%d scenario(s), static ⊇ dynamic %s" (List.length f.flow_scenarios)
+            (if f.flow_diags = [] then "holds" else "VIOLATED");
+        rows =
+          List.map
+            (fun (name, st, dyn) -> sprintf "  scenario %-24s static=%-5b dynamic=%b" name st dyn)
+            f.flow_scenarios;
+        diags = f.flow_diags;
+        pjson = objs to_json f.flow_scenarios;
+      })
 
 let () =
-  let info = Cmd.info "pmcheck" ~doc:"Concurrency and persistence checkers for the WineFS PM stack" in
   exit
     (Cmd.eval'
-       (Cmd.group ~default:lint_term info
-          [ racecheck_cmd; faultcheck_cmd; fsckcheck_cmd; torturecheck_cmd; srccheck_cmd;
-            flowcheck_cmd ]))
+       (Cmd.group ~default:(exec lint) (Cmd.info lint.name ~doc:lint.doc)
+          [ cmd crashcheck; cmd racecheck; cmd faultcheck; cmd fsckcheck; cmd torturecheck;
+            cmd srccheck; cmd flowcheck ]))

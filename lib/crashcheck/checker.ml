@@ -3,6 +3,8 @@ module Device = Repro_pmem.Device
 module Types = Repro_vfs.Types
 module Fs_intf = Repro_vfs.Fs_intf
 module Fs = Winefs.Fs
+module Layout = Winefs.Layout
+module Codec = Winefs.Codec
 
 type result = {
   workloads_run : int;
@@ -78,15 +80,48 @@ let subsets ?(max_random = 24) rng lines =
     fixed @ random
   end
 
-let mk_cfg () = Types.config ~cpus:2 ~inodes_per_cpu:256 ()
-
-let fresh_fs ~device_size =
+let fresh ~device_size =
   let dev = Device.create ~cost:Device.Cost.free ~size:device_size () in
-  let cfg = mk_cfg () in
-  let fs = Fs.format dev cfg in
-  (dev, cfg, fs)
+  let cfg = Types.config ~cpus:2 ~inodes_per_cpu:256 () in
+  (dev, cfg, Fs.format dev cfg)
 
 let handle fs = Fs_intf.Handle ((module Fs : Fs_intf.S with type t = Fs.t), fs)
+
+let nonblank_inode_headers dev (layout : Layout.t) =
+  let res = ref [] in
+  for c = 0 to layout.cpus - 1 do
+    for idx = 0 to layout.inodes_per_cpu - 1 do
+      let ino = Layout.ino_of layout ~cpu:c ~idx in
+      let off = Layout.inode_off layout ino in
+      let b = Bytes.create Codec.Inode.header_bytes in
+      Device.peek dev ~off ~len:Codec.Inode.header_bytes ~dst:b ~dst_off:0;
+      if not (Codec.Inode.header_is_blank b) then res := (ino, off) :: !res
+    done
+  done;
+  Array.of_list (List.rev !res)
+
+let expected_signatures ?(with_content = true) ~device_size cpu (w : Ace.workload) =
+  let _, _, fs = fresh ~device_size in
+  List.iter (Ace.apply (handle fs) cpu) w.setup;
+  let now () = signature ~with_content (handle fs) cpu in
+  let initial = now () in
+  Array.of_list (initial :: List.map (fun op -> Ace.apply (handle fs) cpu op; now ()) w.test)
+
+let each_crash ?(max_fences = max_int) ~device_size cpu (w : Ace.workload) judge =
+  let rec from fence =
+    if fence <= max_fences then begin
+      let dev, cfg, fs = fresh ~device_size in
+      List.iter (Ace.apply (handle fs) cpu) w.setup;
+      let op = ref 0 in
+      let test () = List.iter (fun o -> Ace.apply (handle fs) cpu o; incr op) w.test in
+      match Device.crash_at dev ~fence test with
+      | None -> ()
+      | Some pending ->
+          judge ~fence ~op:!op dev cfg pending;
+          from (fence + 1)
+    end
+  in
+  from 1
 
 let run ?(mode = Types.Strict) ?(workloads = Ace.all) ?(max_random_subsets = 24)
     ?(device_size = 48 * Units.mib) () =
@@ -96,80 +131,26 @@ let run ?(mode = Types.Strict) ?(workloads = Ace.all) ?(max_random_subsets = 24)
   let crash_points = ref 0 and states = ref 0 in
   let failures = ref [] in
   let run_workload (w : Ace.workload) =
-    (* Reference run: expected signatures after setup and after each op. *)
-    let _, _, ref_fs = fresh_fs ~device_size in
-    List.iter (Ace.apply (handle ref_fs) cpu) w.setup;
-    let expected = ref [ signature ~with_content (handle ref_fs) cpu ] in
-    List.iter
-      (fun op ->
-        Ace.apply (handle ref_fs) cpu op;
-        expected := signature ~with_content (handle ref_fs) cpu :: !expected)
-      w.test;
-    let expected = Array.of_list (List.rev !expected) in
-    (* Crash exploration: inject at each successive fence. *)
-    let fence_n = ref 1 in
-    let exploring = ref true in
-    while !exploring do
-      let dev, cfg, fs = fresh_fs ~device_size in
-      List.iter (Ace.apply (handle fs) cpu) w.setup;
-      Device.set_tracking dev true;
-      Device.reset_fence_seq dev;
-      let target = !fence_n in
-      let captured = ref None in
-      Device.set_fence_hook dev
-        (Some
-           (fun seq ->
-             if seq = target && !captured = None then begin
-               captured := Some (Device.pending_lines dev);
-               Device.set_fence_hook dev None;
-               raise Exit
-             end));
-      let op_index = ref 0 in
-      let crashed = ref false in
-      (try
-         List.iter
-           (fun op ->
-             Ace.apply (handle fs) cpu op;
-             incr op_index)
-           w.test
-       with Exit -> crashed := true);
-      Device.set_fence_hook dev None;
-      if not !crashed then exploring := false
-      else begin
+    let expected = expected_signatures ~with_content ~device_size cpu w in
+    each_crash ~device_size cpu w (fun ~fence ~op dev cfg pending ->
         incr crash_points;
-        let pending = Option.value ~default:[] !captured in
-        let before = expected.(!op_index) and after = expected.(!op_index + 1) in
+        let fail fmt =
+          Printf.ksprintf
+            (fun d -> failures := (w.w_name, Printf.sprintf "fence %d: %s" fence d) :: !failures)
+            fmt
+        in
         List.iter
           (fun persisted ->
             incr states;
             let img = Device.crash_image dev ~persisted in
             match Fs.mount img cfg with
-            | exception e ->
-                failures :=
-                  ( w.w_name,
-                    Printf.sprintf "fence %d: recovery failed: %s" target
-                      (Printexc.to_string e) )
-                  :: !failures
+            | exception e -> fail "recovery failed: %s" (Printexc.to_string e)
             | fs2 -> (
                 match signature ~with_content (handle fs2) cpu with
-                | s when s = before || s = after -> ()
-                | s ->
-                    failures :=
-                      ( w.w_name,
-                        Printf.sprintf
-                          "fence %d: recovered state matches neither side of op %d:\n%s"
-                          target !op_index s )
-                      :: !failures
-                | exception e ->
-                    failures :=
-                      ( w.w_name,
-                        Printf.sprintf "fence %d: post-recovery walk failed: %s" target
-                          (Printexc.to_string e) )
-                      :: !failures))
-          (subsets ~max_random:max_random_subsets rng pending);
-        incr fence_n
-      end
-    done
+                | s when s = expected.(op) || s = expected.(op + 1) -> ()
+                | s -> fail "recovered state matches neither side of op %d:\n%s" op s
+                | exception e -> fail "post-recovery walk failed: %s" (Printexc.to_string e)))
+          (subsets ~max_random:max_random_subsets rng pending))
   in
   List.iter run_workload workloads;
   {

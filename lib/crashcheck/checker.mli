@@ -31,6 +31,32 @@ val signature_of : Repro_vfs.Fs_intf.handle -> Repro_util.Cpu.t -> string
 (** Canonical description of the whole tree (paths, kinds, sizes, content
     digests) — the oracle's comparison key. *)
 
+(** {2 Campaign plumbing shared with {!Faultcheck} and {!Torturecheck}} *)
+
+val fresh : device_size:int -> Repro_pmem.Device.t * Repro_vfs.Types.config * Winefs.Fs.t
+(** WineFS (2 CPUs, 256 inodes each) freshly formatted on a zero-cost device. *)
+
+val handle : Winefs.Fs.t -> Repro_vfs.Fs_intf.handle
+
+val nonblank_inode_headers : Repro_pmem.Device.t -> Winefs.Layout.t -> (int * int) array
+(** [(ino, off)] of every non-blank inode-table header of a quiesced
+    image, in table order: the slots a scrub checksum-verifies. *)
+
+val expected_signatures :
+  ?with_content:bool -> device_size:int -> Repro_util.Cpu.t -> Ace.workload -> string array
+(** Element [i] is the tree signature after the setup and the first [i]
+    test ops: a crash inside op [i] must recover to element [i] or [i + 1]. *)
+
+val each_crash :
+  ?max_fences:int -> device_size:int -> Repro_util.Cpu.t -> Ace.workload ->
+  (fence:int -> op:int -> Repro_pmem.Device.t -> Repro_vfs.Types.config -> int list -> unit) ->
+  unit
+(** Re-run the workload on a fresh image, crashing its test phase at
+    fence 1, 2, ... ({!Repro_pmem.Device.crash_at}) until it completes
+    or [max_fences] is passed.  The callback judges each crash: [op]
+    indexes the in-flight test op; it gets the crashed device, its
+    config and the in-flight lines. *)
+
 val recovery_time : files:int -> file_bytes:int -> int * int
 (** §5.2 "Time to recover": build a file system with [files] files of
     [file_bytes] each, crash it (no clean unmount), remount, and return

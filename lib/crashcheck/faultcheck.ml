@@ -8,7 +8,6 @@ open Repro_util
 module Device = Repro_pmem.Device
 module Fault = Repro_pmem.Fault
 module Types = Repro_vfs.Types
-module Fs_intf = Repro_vfs.Fs_intf
 module Fs = Winefs.Fs
 module Layout = Winefs.Layout
 module Codec = Winefs.Codec
@@ -29,13 +28,7 @@ type report = {
   findings : finding list;
 }
 
-let handle fs = Fs_intf.Handle ((module Fs : Fs_intf.S with type t = Fs.t), fs)
-
-let fresh ~device_size =
-  let dev = Device.create ~cost:Device.Cost.free ~size:device_size () in
-  let cfg = Types.config ~cpus:2 ~inodes_per_cpu:256 () in
-  let fs = Fs.format dev cfg in
-  (dev, cfg, fs)
+let handle = Checker.handle
 
 let rec collect_files fs cpu path acc =
   List.fold_left
@@ -46,21 +39,6 @@ let rec collect_files fs cpu path acc =
       | Types.Directory -> collect_files fs cpu child acc
       | Types.Regular -> (child, st.st_size) :: acc)
     acc (Fs.readdir fs cpu path)
-
-(* Non-blank inode-table headers of a quiesced image: the slots a scrub
-   will checksum-verify, i.e. the interesting bit-flip targets. *)
-let nonblank_inode_headers dev (layout : Layout.t) =
-  let res = ref [] in
-  for c = 0 to layout.cpus - 1 do
-    for idx = 0 to layout.inodes_per_cpu - 1 do
-      let ino = Layout.ino_of layout ~cpu:c ~idx in
-      let off = Layout.inode_off layout ino in
-      let b = Bytes.create Codec.Inode.header_bytes in
-      Device.peek dev ~off ~len:Codec.Inode.header_bytes ~dst:b ~dst_off:0;
-      if not (Codec.Inode.header_is_blank b) then res := (ino, off) :: !res
-    done
-  done;
-  Array.of_list (List.rev !res)
 
 let shuffle rng arr =
   let a = Array.copy arr in
@@ -87,7 +65,7 @@ let run ?(seed = 42) ?(workloads = Ace.seq1) ?(torn_fences = 4)
      a scenario needs to aim and judge: the expected tree signature, a
      data extent, and the image's layout. *)
   let prepare (w : Ace.workload) =
-    let dev, cfg, fs = fresh ~device_size in
+    let dev, cfg, fs = Checker.fresh ~device_size in
     List.iter (Ace.apply (handle fs) cpu) (w.setup @ w.test);
     let expect = Checker.signature_of (handle fs) cpu in
     let files = collect_files fs cpu "/" [] in
@@ -152,42 +130,26 @@ let run ?(seed = 42) ?(workloads = Ace.seq1) ?(torn_fences = 4)
                 (Printf.sprintf "post-repair walk raised %s" (Printexc.to_string e))
   in
   let static_campaign (w : Ace.workload) =
-    let sb_target = { Fault.label = "superblock"; off = 0; len = Codec.Superblock.bytes } in
-    (* Superblock bit flip: must be repaired from the replica. *)
-    let dev, cfg, expect, _, _ = prepare w in
-    let p = Fault.bit_flip rng sb_target in
-    Fault.apply dev p;
-    remount_check w.w_name "sb-flip" (Fault.to_string p) dev cfg expect;
-    (* Superblock poisoned line: simulated MCE on the primary. *)
-    let dev, cfg, expect, _, _ = prepare w in
-    let p = Fault.poison rng sb_target in
-    Fault.apply dev p;
-    remount_check w.w_name "sb-poison" (Fault.to_string p) dev cfg expect;
-    (* Inode-header bit flip: no replica exists, so the scrub must refuse
-       the inode (or the whole mount when it is the root's). *)
-    let dev, cfg, expect, _, layout = prepare w in
-    let headers = nonblank_inode_headers dev layout in
-    let ino, off = headers.(Rng.int rng (Array.length headers)) in
-    let target =
-      { Fault.label = Printf.sprintf "inode %d header" ino;
-        off;
-        len = Codec.Inode.header_bytes }
+    (* A superblock fault (bit flip, or a poisoned line: a simulated MCE
+       on the primary) must be repaired from the replica.  An inode
+       header has no replica, so the scrub must refuse the inode (or the
+       whole mount when it is the root's). *)
+    let superblock _ _ = { Fault.label = "superblock"; off = 0; len = Codec.Superblock.bytes } in
+    let inode_header dev layout =
+      let headers = Checker.nonblank_inode_headers dev layout in
+      let ino, off = headers.(Rng.int rng (Array.length headers)) in
+      { Fault.label = Printf.sprintf "inode %d header" ino; off; len = Codec.Inode.header_bytes }
     in
-    let p = Fault.bit_flip rng target in
-    Fault.apply dev p;
-    remount_check w.w_name "inode-flip" (Fault.to_string p) dev cfg expect;
-    (* Inode-header poison. *)
-    let dev, cfg, expect, _, layout = prepare w in
-    let headers = nonblank_inode_headers dev layout in
-    let ino, off = headers.(Rng.int rng (Array.length headers)) in
-    let target =
-      { Fault.label = Printf.sprintf "inode %d header" ino;
-        off;
-        len = Codec.Inode.header_bytes }
-    in
-    let p = Fault.poison rng target in
-    Fault.apply dev p;
-    remount_check w.w_name "inode-poison" (Fault.to_string p) dev cfg expect;
+    List.iter
+      (fun (s_name, aim, plant) ->
+        let dev, cfg, expect, _, layout = prepare w in
+        let target = aim dev layout in
+        let p = plant rng target in
+        Fault.apply dev p;
+        remount_check w.w_name s_name (Fault.to_string p) dev cfg expect)
+      [ ("sb-flip", superblock, Fault.bit_flip); ("sb-poison", superblock, Fault.poison);
+        ("inode-flip", inode_header, Fault.bit_flip);
+        ("inode-poison", inode_header, Fault.poison) ];
     (* Poisoned file data: the mount stays clean and writable (data is not
        scanned), but reading the line must refuse with EIO, never return
        fabricated bytes. *)
@@ -220,60 +182,23 @@ let run ?(seed = 42) ?(workloads = Ace.seq1) ?(torn_fences = 4)
      checksums must demote a torn COMMIT to a rollback, so recovery lands
      on one side of the in-flight operation. *)
   let torn_campaign (w : Ace.workload) =
-    let _, _, ref_fs = fresh ~device_size in
-    List.iter (Ace.apply (handle ref_fs) cpu) w.setup;
-    let expected = ref [ Checker.signature_of (handle ref_fs) cpu ] in
-    List.iter
-      (fun op ->
-        Ace.apply (handle ref_fs) cpu op;
-        expected := Checker.signature_of (handle ref_fs) cpu :: !expected)
-      w.test;
-    let expected = Array.of_list (List.rev !expected) in
-    let fence_n = ref 1 in
-    let exploring = ref true in
-    while !exploring && !fence_n <= torn_fences do
-      let dev, cfg, fs = fresh ~device_size in
-      List.iter (Ace.apply (handle fs) cpu) w.setup;
-      Device.set_tracking dev true;
-      Device.reset_fence_seq dev;
-      let target = !fence_n in
-      let captured = ref None in
-      Device.set_fence_hook dev
-        (Some
-           (fun seq ->
-             if seq = target && !captured = None then begin
-               captured := Some (Device.pending_lines dev);
-               Device.set_fence_hook dev None;
-               raise Exit
-             end));
-      let op_index = ref 0 in
-      let crashed = ref false in
-      (try
-         List.iter
-           (fun op ->
-             Ace.apply (handle fs) cpu op;
-             incr op_index)
-           w.test
-       with Exit -> crashed := true);
-      Device.set_fence_hook dev None;
-      if not !crashed then exploring := false
-      else begin
-        let pending = Array.of_list (Option.value ~default:[] !captured) in
-        let lines = shuffle rng pending in
+    let expected = Checker.expected_signatures ~device_size cpu w in
+    Checker.each_crash ~max_fences:torn_fences ~device_size cpu w
+      (fun ~fence ~op dev cfg pending ->
+        let lines = shuffle rng (Array.of_list pending) in
         let p =
           Array.fold_left
             (fun acc line ->
               match acc with Some _ -> acc | None -> Fault.torn_word rng dev ~line)
             None lines
         in
-        (match p with
+        match p with
         | None -> () (* no pending word differs at this fence *)
         | Some p -> (
             incr scenarios;
             incr planted;
             Fault.apply dev p;
             let img = Device.crash_image dev ~persisted:(fun _ -> true) in
-            let before = expected.(!op_index) and after = expected.(!op_index + 1) in
             match Fs.mount img cfg with
             | exception Types.Error ((Types.EIO | Types.EROFS), _) -> incr refused
             | exception e ->
@@ -283,19 +208,14 @@ let run ?(seed = 42) ?(workloads = Ace.seq1) ?(torn_fences = 4)
                 if Fs.read_only fs2 then incr refused
                 else
                   match Checker.signature_of (handle fs2) cpu with
-                  | s when s = before || s = after -> incr repaired
+                  | s when s = expected.(op) || s = expected.(op + 1) -> incr repaired
                   | _ ->
                       finding w.w_name "torn-word" (Fault.to_string p)
                         (Printf.sprintf
-                           "fence %d: recovered state matches neither side of op %d"
-                           target !op_index)
+                           "fence %d: recovered state matches neither side of op %d" fence op)
                   | exception e ->
                       finding w.w_name "torn-word" (Fault.to_string p)
-                        (Printf.sprintf "post-recovery walk raised %s"
-                           (Printexc.to_string e)))));
-        incr fence_n
-      end
-    done
+                        (Printf.sprintf "post-recovery walk raised %s" (Printexc.to_string e)))))
   in
   List.iter
     (fun w ->

@@ -9,7 +9,6 @@ open Repro_util
 module Device = Repro_pmem.Device
 module Fault = Repro_pmem.Fault
 module Types = Repro_vfs.Types
-module Fs_intf = Repro_vfs.Fs_intf
 module Fs = Winefs.Fs
 module Layout = Winefs.Layout
 module Codec = Winefs.Codec
@@ -28,7 +27,8 @@ type report = {
   failures : failure list;
 }
 
-let handle fs = Fs_intf.Handle ((module Fs : Fs_intf.S with type t = Fs.t), fs)
+let fresh = Checker.fresh
+let handle = Checker.handle
 
 (* Two fixed workloads the campaign alternates between: a small-file op
    mix across two directories, and a directory-tree reshaping mix. *)
@@ -68,35 +68,16 @@ let dirtree =
       ];
   }
 
-let fresh ~device_size =
-  let dev = Device.create ~cost:Device.Cost.free ~size:device_size () in
-  let cfg = Types.config ~cpus:2 ~inodes_per_cpu:256 () in
-  let fs = Fs.format dev cfg in
-  (dev, cfg, fs)
-
-let nonblank_inode_headers dev (layout : Layout.t) =
-  let res = ref [] in
-  for c = 0 to layout.cpus - 1 do
-    for idx = 0 to layout.inodes_per_cpu - 1 do
-      let ino = Layout.ino_of layout ~cpu:c ~idx in
-      let off = Layout.inode_off layout ino in
-      let b = Bytes.create Codec.Inode.header_bytes in
-      Device.peek dev ~off ~len:Codec.Inode.header_bytes ~dst:b ~dst_off:0;
-      if not (Codec.Inode.header_is_blank b) then res := off :: !res
-    done
-  done;
-  Array.of_list (List.rev !res)
-
 (* One seeded media fault on the crash image's metadata: a superblock
    bit flip or poisoned line (primary or replica), or the same on a
    nonblank inode header.  All are within fsck's repair envelope. *)
 let plant_fault rng img (layout : Layout.t) =
   let sb_target which off = { Fault.label = "superblock " ^ which; off; len = Codec.Superblock.bytes } in
   let header_target () =
-    let headers = nonblank_inode_headers img layout in
+    let headers = Checker.nonblank_inode_headers img layout in
     if Array.length headers = 0 then None
     else
-      let off = headers.(Rng.int rng (Array.length headers)) in
+      let _, off = headers.(Rng.int rng (Array.length headers)) in
       Some { Fault.label = "inode header"; off; len = Codec.Inode.header_bytes }
   in
   let planted =
@@ -141,18 +122,11 @@ let run ?(seed = 42) ?(iterations = 60) ?(fault_rate = 0.5) ?(device_size = 48 *
       let salt = Rng.int rng 0x3FFFFFFF in
       let dev, cfg, fs = fresh ~device_size in
       List.iter (Ace.apply (handle fs) cpu) w.setup;
-      Device.set_tracking dev true;
-      Device.reset_fence_seq dev;
-      Device.set_fence_hook dev (Some (fun seq -> if seq = target then raise Exit));
-      let crashed =
-        try
-          List.iter (Ace.apply (handle fs) cpu) w.test;
-          false
-        with Exit -> true
-      in
-      Device.set_fence_hook dev None;
-      if not crashed then failed target "workload finished before the target fence"
-      else begin
+      match
+        Device.crash_at dev ~fence:target (fun () -> List.iter (Ace.apply (handle fs) cpu) w.test)
+      with
+      | None -> failed target "workload finished before the target fence"
+      | Some _ -> (
         incr crashes;
         let keep line = (((line lxor salt) * 1103515245) + 12345) land 0x10000 = 0 in
         let img = Device.crash_image dev ~persisted:keep in
@@ -203,8 +177,7 @@ let run ?(seed = 42) ?(iterations = 60) ?(fault_rate = 0.5) ?(device_size = 48 *
                       if not again.Fsck.clean then
                         failed target "fsck did not converge (fault: %s): %s" fault_str
                           (Fsck.to_string again)
-                end)
-      end
+                end))
     end
   done;
   {

@@ -230,48 +230,33 @@ let orphan ~device_size =
 let journal_pending ~device_size =
   let name = "journal-pending" in
   let cpu = Cpu.make ~id:0 () in
-  let result = ref None in
-  let fence = ref 1 in
-  while !result = None && !fence <= 8 do
-    let dev, cfg, fs = fresh ~device_size in
-    Fs.mkdir fs cpu "/d";
-    let fd = Fs.create fs cpu "/d/x" in
-    let _ = Fs.pwrite fs cpu fd ~off:0 ~src:"payload" in
-    Fs.close fs cpu fd;
-    Device.set_tracking dev true;
-    Device.reset_fence_seq dev;
-    let target = !fence in
-    Device.set_fence_hook dev
-      (Some (fun seq -> if seq = target then raise Exit));
-    (match Fs.rename fs cpu ~old_path:"/d/x" ~new_path:"/d/y" with
-    | () -> result := Some (fail name "rename finished before fence %d" target)
-    | exception Exit ->
-        Device.set_fence_hook dev None;
-        let img = Device.crash_image dev ~persisted:(fun _ -> true) in
-        let chk = Fsck.run ~repair:false img in
-        if has_rule chk "journal-pending" then begin
-          let rep = Fsck.run ~repair:true img in
-          if not (has_rule rep "journal-pending") then
-            result := Some (fail name "repair run lost the pending-journal finding")
+  let rec at fence =
+    if fence > 8 then fail name "no fence in the first 8 left a pending transaction"
+    else
+      let dev, cfg, fs = fresh ~device_size in
+      Fs.mkdir fs cpu "/d";
+      let fd = Fs.create fs cpu "/d/x" in
+      let _ = Fs.pwrite fs cpu fd ~off:0 ~src:"payload" in
+      Fs.close fs cpu fd;
+      match
+        Device.crash_at dev ~fence (fun () -> Fs.rename fs cpu ~old_path:"/d/x" ~new_path:"/d/y")
+      with
+      | None -> fail name "rename finished before fence %d" fence
+      | Some _ -> (
+          let img = Device.crash_image dev ~persisted:(fun _ -> true) in
+          if not (has_rule (Fsck.run ~repair:false img) "journal-pending") then at (fence + 1)
+          else if not (has_rule (Fsck.run ~repair:true img) "journal-pending") then
+            fail name "repair run lost the pending-journal finding"
           else
             match writable_remount img cfg cpu with
-            | Error e -> result := Some (fail name "%s" e)
+            | Error e -> fail name "%s" e
             | Ok fs2 ->
                 Fs.unmount fs2 cpu;
-                let again = Fsck.run ~repair:false img in
-                if not again.Fsck.clean then
-                  result := Some (fail name "second fsck still finds problems")
-                else
-                  result :=
-                    Some
-                      (pass name
-                         (Printf.sprintf "pending txn at fence %d rolled back" target))
-        end);
-    incr fence
-  done;
-  match !result with
-  | Some o -> o
-  | None -> fail name "no fence in the first 8 left a pending transaction"
+                if not (Fsck.run ~repair:false img).Fsck.clean then
+                  fail name "second fsck still finds problems"
+                else pass name (Printf.sprintf "pending txn at fence %d rolled back" fence))
+  in
+  at 1
 
 (* 5. The degraded-unmount dead end: a poisoned inode header degrades the
    mount to read-only, and unmounting a degraded mount is a no-op — the
@@ -315,12 +300,9 @@ let degraded_remount ~device_size =
             end
   end
 
+let all = [ clean_image; double_alloc; orphan; journal_pending; degraded_remount ]
+let count = List.length all
+
 let run ?(device_size = 48 * Units.mib) () =
   Printexc.record_backtrace true;
-  [
-    clean_image ~device_size;
-    double_alloc ~device_size;
-    orphan ~device_size;
-    journal_pending ~device_size;
-    degraded_remount ~device_size;
-  ]
+  List.map (fun scenario -> scenario ~device_size) all

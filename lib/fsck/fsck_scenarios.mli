@@ -10,6 +10,9 @@
 
 type outcome = { s_name : string; ok : bool; detail : string }
 
+val count : int
+(** Number of scenarios {!run} runs (five). *)
+
 val run : ?device_size:int -> unit -> outcome list
-(** Run all five scenarios (deterministic; no seed needed).  Default
-    devices are 48 MiB. *)
+(** Run all five scenarios in a fixed order (deterministic; no seed
+    needed).  Default devices are 48 MiB. *)

@@ -698,6 +698,23 @@ let set_fence_hook t hook = t.fence_hook <- hook
 
 let reset_fence_seq t = t.fence_seq <- 0
 
+exception Crash_point of int list
+
+let crash_at ?(on_crash = ignore) t ~fence f =
+  set_tracking t true;
+  reset_fence_seq t;
+  t.fence_hook <-
+    Some
+      (fun seq ->
+        if seq = fence then begin
+          let lines = pending_lines t in
+          on_crash lines;
+          raise (Crash_point lines)
+        end);
+  Fun.protect
+    ~finally:(fun () -> t.fence_hook <- None)
+    (fun () -> match f () with () -> None | exception Crash_point lines -> Some lines)
+
 let save_file t path =
   let oc = open_out_bin path in
   output_bytes oc t.data;

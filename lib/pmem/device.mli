@@ -241,6 +241,19 @@ val set_fence_hook : t -> (int -> unit) option -> unit
 
 val reset_fence_seq : t -> unit
 
+val crash_at :
+  ?on_crash:(int list -> unit) -> t -> fence:int -> (unit -> unit) -> int list option
+(** [crash_at t ~fence f]: the crash explorers' one primitive.  Turns
+    tracking on, resets the fence sequence and runs [f], aborting it by
+    an exception raised at fence number [fence] (1-based, counted from
+    the call).  Returns [Some pending] — the in-flight lines captured at
+    that instant, before the fence commits anything — or [None] when [f]
+    finished first.  The hook is removed on every exit path.  Code
+    unwinding from the abort (a transaction's rollback) still runs and
+    still touches the device; [on_crash] runs inside the aborting fence,
+    before that, for a caller that needs the exact crash-moment media
+    (e.g. a {!crash_image} of it). *)
+
 (** {2 Host-file images}  The CLI tools persist device images as ordinary
     files so a simulated file system survives across program runs. *)
 

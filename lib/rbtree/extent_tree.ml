@@ -1,8 +1,8 @@
 (* Chunked sorted-run extent index (ROADMAP item 2).
 
    Two sorted runs replace the red-black trees of the original
-   implementation (preserved as {!Extent_tree_ref} for differential
-   testing): one ordered by offset backs the neighbour queries
+   implementation (preserved as [Repro_oracle.Extent_tree_ref] under
+   test/oracle for differential testing): one ordered by offset backs the neighbour queries
    (extent_at, coalescing, goal walks), and one ordered by
    (length, offset) backs best-fit and [largest].  Each run stores its
    (a, b) int pairs in fixed-capacity blocks of [blk_cap] entries behind

@@ -7,7 +7,7 @@
 open Repro_util
 module Device = Repro_pmem.Device
 module Extent_tree = Repro_rbtree.Extent_tree
-module Extent_tree_ref = Repro_rbtree.Extent_tree_ref
+module Extent_tree_ref = Repro_oracle.Extent_tree_ref
 
 let cpu () = Cpu.make ~id:0 ()
 

@@ -45,9 +45,9 @@ let dentry_slot_off dev layout ~dir_ino ~child_ino =
 
 (* Crash [op] at the highest fence whose in-flight line set satisfies
    [want], returning the crash image of that exact moment.  The snapshot
-   must be taken inside the fence hook: once the hook's exception
-   unwinds, the transaction's abort path rolls the in-place stores back
-   and fences again, destroying the torn state.  Rebuilds the
+   must be taken by [on_crash], inside the aborting fence: once the
+   crash unwinds, the transaction's abort path rolls the in-place stores
+   back and fences again, destroying the torn state.  Rebuilds the
    (deterministic) image for every probed fence. *)
 let crash_where build op want =
   let dev0, _, fs0 = build () in
@@ -58,19 +58,11 @@ let crash_where build op want =
     if target < 1 then None
     else begin
       let dev, c, fs = build () in
-      Device.set_tracking dev true;
-      Device.reset_fence_seq dev;
       let snap = ref None in
-      Device.set_fence_hook dev
-        (Some
-           (fun seq ->
-             if seq = target then begin
-               if want (Device.pending_lines dev) then
-                 snap := Some (Device.crash_image dev ~persisted:(fun _ -> true));
-               raise Exit
-             end));
-      (try op fs with Exit -> ());
-      Device.set_fence_hook dev None;
+      let on_crash pending =
+        if want pending then snap := Some (Device.crash_image dev ~persisted:(fun _ -> true))
+      in
+      ignore (Device.crash_at ~on_crash dev ~fence:target (fun () -> op fs));
       match !snap with
       | Some img -> Some (img, c, target)
       | None -> search (target - 1)

@@ -103,6 +103,21 @@ let test_fence_hook () =
   Device.fence d c;
   Alcotest.(check (list int)) "hook saw fences 1 and 2" [ 2; 1 ] !fired
 
+(* crash_at: the in-flight lines at the target fence (before it commits
+   them), None when the thunk finishes first, no hook left behind. *)
+let test_crash_at () =
+  let d = Device.create ~cost:Device.Cost.free ~size:8192 () in
+  let c = cpu () in
+  let store off = Device.write_string d c ~off "data"; Device.persist d c ~off ~len:4 in
+  let body () = store 0; store 256 in
+  let seen = ref [] in
+  Alcotest.(check (option (list int))) "crash at fence 2: line 4 in flight" (Some [ 4 ])
+    (Device.crash_at ~on_crash:(fun l -> seen := l) d ~fence:2 body);
+  Alcotest.(check (list int)) "on_crash saw the same lines" [ 4 ] !seen;
+  Alcotest.(check (option (list int))) "done before fence 3" None (Device.crash_at d ~fence:3 body);
+  Device.fence d c (* would raise if a hook were left installed *);
+  Alcotest.(check int) "fence sequence restarted at the call" 3 (Device.fence_seq d)
+
 let test_numa_cost () =
   let d = Device.create ~numa_nodes:2 ~size:(4 * Units.mib) () in
   let local = Cpu.make ~id:0 ~node:0 () in
@@ -299,6 +314,7 @@ let suite =
     Alcotest.test_case "crash: nt stores" `Quick test_nt_stores;
     Alcotest.test_case "crash: partial subsets" `Quick test_partial_crash_subsets;
     Alcotest.test_case "fence hook" `Quick test_fence_hook;
+    Alcotest.test_case "crash_at" `Quick test_crash_at;
     Alcotest.test_case "numa cost" `Quick test_numa_cost;
     Alcotest.test_case "image save/load" `Quick test_save_load;
   ]
