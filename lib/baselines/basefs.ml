@@ -27,7 +27,6 @@ let site_zero = Site.v "basefs" "zero"
 let site_data = Site.v "basefs" "data"
 let site_fsync = Site.v "basefs" "fsync"
 let site_fault = Site.v "basefs" "fault"
-module Path = Repro_vfs.Path
 module Dir_index = Repro_vfs.Dir_index
 module Fd_table = Repro_vfs.Fd_table
 module Block_map = Repro_vfs.Block_map
@@ -59,40 +58,26 @@ type preset = {
 
 type journal = Jredo of Redo.t | Jundo of Undo.t * Sched.mutex
 
-type file = {
-  ino : int;
-  mutable kind : Types.file_kind;
-  mutable size : int;
-  mutable nlink : int;
-  bmap : Block_map.t;
+type payload = {
   (* Fallocated-but-never-written file ranges.  Lazily allocated on the
      first fallocate: the common create/write/unlink lifecycle never
      fallocates, and the eager per-file tree was measurable in aging. *)
   mutable unwritten : Extent_tree.t option;
-  mutable dir : Dir_index.t option;
-  lock : Sched.mutex;
   mutable dirty_bytes : int;
   mutable goal : int; (* physical end of the last allocation *)
   meta_addr : int; (* synthetic PM address of this inode's metadata *)
 }
 
+type file = payload Dram_ns.file
+
 type t = {
   dev : Device.t;
   cfg : Types.config;
   preset : preset;
-  alloc : Alloc.t;
   journal : journal;
-  files : (int, file) Hashtbl.t;
-  fds : Fd_table.t;
-  counters : Counters.t;
-  mutable next_ino : int;
-  inode_region : int;
-  inode_slots : int;
-  data_off : int;
-  data_len : int;
+  ns : payload Dram_ns.t;
 }
 
-let root_ino = 1
 let inode_meta_bytes = 256
 
 (* ------------------------------------------------------------------ *)
@@ -164,123 +149,39 @@ let format preset dev (cfg : Types.config) =
     else [| (data_off, data_len) |]
   in
   let cpus_for_alloc = if preset.alloc_cfg.per_cpu then cfg.cpus else 1 in
-  let t =
-    {
-      dev;
-      cfg;
-      preset;
-      alloc = Alloc.create preset.alloc_cfg ~cpus:cpus_for_alloc ~regions;
-      journal;
-      files = Hashtbl.create 1024;
-      fds = Fd_table.create ();
-      counters = Counters.create ();
-      next_ino = root_ino;
-      inode_region;
-      inode_slots;
-      data_off;
-      data_len;
-    }
-  in
-  (* Root. *)
-  let meta_addr = inode_region in
-  let root =
-    {
-      ino = root_ino;
-      kind = Types.Directory;
-      size = 0;
-      nlink = 2;
-      bmap = Block_map.create ();
-      unwritten = None;
-      dir = Some (Dir_index.create preset.dir_policy);
-      lock = Sched.create_mutex ();
-      dirty_bytes = 0;
-      goal = data_off;
-      meta_addr;
-    }
-  in
-  Hashtbl.replace t.files root_ino root;
-  t.next_ino <- root_ino + 1;
-  t
-
-let mount _dev _cfg =
-  Types.err EINVAL "baseline models do not support mount-from-image (see DESIGN.md)"
+  let payload meta_addr = { unwritten = None; dirty_bytes = 0; goal = data_off; meta_addr } in
+  {
+    dev;
+    cfg;
+    preset;
+    journal;
+    ns =
+      Dram_ns.init
+        ~alloc:(Alloc.create preset.alloc_cfg ~cpus:cpus_for_alloc ~regions)
+        ~capacity:data_len ~dir_policy:preset.dir_policy ~root:(payload inode_region)
+        ~payload:(fun ino -> payload (inode_region + (ino mod inode_slots * inode_meta_bytes)));
+  }
 
 let unmount t cpu = journal_fsync t cpu
-
-let recovery_ns _ = 0
 let device t = t.dev
 let config t = t.cfg
-let counters t = t.counters
-
-(* ------------------------------------------------------------------ *)
-(* Shared machinery                                                    *)
-
-let find_file t ino =
-  match Hashtbl.find_opt t.files ino with
-  | Some f -> f
-  | None -> Types.err EBADF "stale inode %d" ino
-
-let meta_addr_for t ino = t.inode_region + (ino mod t.inode_slots * inode_meta_bytes)
-
-let new_file t kind =
-  let ino = t.next_ino in
-  t.next_ino <- t.next_ino + 1;
-  let f =
-    {
-      ino;
-      kind;
-      size = 0;
-      nlink = (if kind = Types.Directory then 2 else 1);
-      bmap = Block_map.create ();
-      unwritten = None;
-      dir = (if kind = Types.Directory then Some (Dir_index.create t.preset.dir_policy) else None);
-      lock = Sched.create_mutex ();
-      dirty_bytes = 0;
-      goal = t.data_off;
-      meta_addr = meta_addr_for t ino;
-    }
-  in
-  Hashtbl.replace t.files ino f;
-  f
-
-let resolve t cpu path =
-  let parts = Path.split path in
-  let rec walk ino = function
-    | [] -> ino
-    | name :: rest -> (
-        let f = find_file t ino in
-        match f.dir with
-        | None -> Types.err ENOTDIR "%s" path
-        | Some idx -> (
-            match Dir_index.lookup idx cpu name with
-            | Some (child, _) -> walk child rest
-            | None -> Types.err ENOENT "%s" path))
-  in
-  walk root_ino parts
-
-let resolve_parent t cpu path =
-  let dir = Path.dirname path and name = Path.basename path in
-  let ino = resolve t cpu dir in
-  let f = find_file t ino in
-  if f.kind <> Types.Directory then Types.err ENOTDIR "%s" dir;
-  (f, name)
 
 let alloc_cpu t (cpu : Cpu.t) =
   if t.preset.alloc_cfg.per_cpu then cpu.id mod t.cfg.cpus else 0
 
-let allocate t cpu f ~len =
-  let goal = if t.preset.goal_alloc then Some f.goal else None in
-  match Alloc.alloc ?goal t.alloc ~cpu:(alloc_cpu t cpu) ~len with
+let allocate t cpu (f : file) ~len =
+  let goal = if t.preset.goal_alloc then Some f.p.goal else None in
+  match Alloc.alloc ?goal t.ns.alloc ~cpu:(alloc_cpu t cpu) ~len with
   | Some exts ->
       (match List.rev exts with
-      | last :: _ -> f.goal <- last.Alloc.off + last.Alloc.len
+      | last :: _ -> f.p.goal <- last.Alloc.off + last.Alloc.len
       | [] -> ());
       exts
   | None -> Types.err ENOSPC "allocating %d bytes" len
 
 (* Back every hole in [off, off+len) with block-granular extents;
    [unwritten] marks the new space as fallocate-style unwritten. *)
-let ensure_backing t cpu f ~off ~len ~unwritten =
+let ensure_backing t cpu (f : file) ~off ~len ~unwritten =
   let lo = Units.round_down off block and hi = Units.round_up (off + len) block in
   let cur = ref lo in
   while !cur < hi do
@@ -299,11 +200,11 @@ let ensure_backing t cpu f ~off ~len ~unwritten =
             Block_map.insert f.bmap ~file_off:!fo ~phys:e.off ~len:e.len;
             if unwritten then begin
               let tr =
-                match f.unwritten with
+                match f.p.unwritten with
                 | Some tr -> tr
                 | None ->
                     let tr = Extent_tree.create () in
-                    f.unwritten <- Some tr;
+                    f.p.unwritten <- Some tr;
                     tr
               in
               Extent_tree.insert_free tr ~off:!fo ~len:e.len
@@ -315,14 +216,14 @@ let ensure_backing t cpu f ~off ~len ~unwritten =
             fo := !fo + e.len)
           exts;
         (* Metadata: extent tree insertion journaled (one record). *)
-        meta_buffered t cpu ~addr:f.meta_addr ~bytes:64;
+        meta_buffered t cpu ~addr:f.p.meta_addr ~bytes:64;
         cur := hole_end
   done
 
 (* Clear the unwritten flag over a range, zeroing the partial edges the
    write will not cover (ext4 semantics). *)
-let mark_written t cpu f ~off ~len =
-  match f.unwritten with
+let mark_written t cpu (f : file) ~off ~len =
+  match f.p.unwritten with
   | None -> () (* the file never fallocated: nothing can be unwritten *)
   | Some unwritten ->
   let lo = Units.round_down off block and hi = Units.round_up (off + len) block in
@@ -360,171 +261,19 @@ let mark_written t cpu f ~off ~len =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Namespace ops (metadata journaled synchronously)                    *)
+(* Namespace: DRAM dentry update, then the journal record              *)
 
-let mkdir t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      if Dir_index.mem idx cpu name then Types.err EEXIST "%s" path;
-      let f = new_file t Types.Directory in
-      Dir_index.add idx cpu ~name ~ino:f.ino ~slot:0;
-      parent.nlink <- parent.nlink + 1;
-      meta_sync t cpu ~addr:f.meta_addr ~bytes:128);
-  Counters.incr t.counters "fs.mkdir"
-
-let create t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  let f =
-    Sched.with_lock parent.lock (fun () ->
-        let idx = Option.get parent.dir in
-        if Dir_index.mem idx cpu name then Types.err EEXIST "%s" path;
-        let f = new_file t Types.Regular in
-        Dir_index.add idx cpu ~name ~ino:f.ino ~slot:0;
-        meta_sync t cpu ~addr:f.meta_addr ~bytes:128;
-        f)
-  in
-  Counters.incr t.counters "fs.create";
-  Fd_table.alloc t.fds ~ino:f.ino ~flags:Types.o_creat_rdwr
-
-let free_file_space t f =
-  List.iter (fun (_, phys, len) -> Alloc.free t.alloc ~off:phys ~len) (Block_map.extents f.bmap);
-  Block_map.clear f.bmap
-
-let unlink t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      match Dir_index.lookup idx cpu name with
-      | None -> Types.err ENOENT "%s" path
-      | Some (ino, _) ->
-          let f = find_file t ino in
-          if f.kind = Types.Directory then Types.err EISDIR "%s" path;
-          Dir_index.remove idx cpu name;
-          meta_sync t cpu ~addr:f.meta_addr ~bytes:128;
-          f.nlink <- f.nlink - 1;
-          if f.nlink = 0 then
-            (* Hold the inode lock: a concurrent writer must not see its
-               backing vanish mid-operation. *)
-            Sched.with_lock f.lock (fun () ->
-                free_file_space t f;
-                Hashtbl.remove t.files ino));
-  Counters.incr t.counters "fs.unlink"
-
-let rmdir t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      match Dir_index.lookup idx cpu name with
-      | None -> Types.err ENOENT "%s" path
-      | Some (ino, _) ->
-          let f = find_file t ino in
-          if f.kind <> Types.Directory then Types.err ENOTDIR "%s" path;
-          if Dir_index.size (Option.get f.dir) > 0 then Types.err ENOTEMPTY "%s" path;
-          Dir_index.remove idx cpu name;
-          parent.nlink <- parent.nlink - 1;
-          meta_sync t cpu ~addr:f.meta_addr ~bytes:128;
-          Hashtbl.remove t.files ino);
-  Counters.incr t.counters "fs.rmdir"
-
-let rename t cpu ~old_path ~new_path =
-  Cost.charge_syscall cpu;
-  let src_parent, src_name = resolve_parent t cpu old_path in
-  let dst_parent, dst_name = resolve_parent t cpu new_path in
-  let locks =
-    if src_parent.ino = dst_parent.ino then [ src_parent.lock ]
-    else if src_parent.ino < dst_parent.ino then [ src_parent.lock; dst_parent.lock ]
-    else [ dst_parent.lock; src_parent.lock ]
-  in
-  List.iter Sched.lock locks;
-  Fun.protect
-    ~finally:(fun () -> List.iter Sched.unlock (List.rev locks))
-    (fun () ->
-      let src_idx = Option.get src_parent.dir and dst_idx = Option.get dst_parent.dir in
-      match Dir_index.lookup src_idx cpu src_name with
-      | None -> Types.err ENOENT "%s" old_path
-      | Some (ino, _) ->
-          (match Dir_index.lookup dst_idx cpu dst_name with
-          | Some (victim_ino, _) when victim_ino <> ino ->
-              let victim = find_file t victim_ino in
-              if victim.kind = Types.Directory then Types.err EISDIR "%s" new_path;
-              Dir_index.remove dst_idx cpu dst_name;
-              Sched.with_lock victim.lock (fun () ->
-                  free_file_space t victim;
-                  Hashtbl.remove t.files victim_ino)
-          | _ -> ());
-          Dir_index.remove src_idx cpu src_name;
-          Dir_index.add dst_idx cpu ~name:dst_name ~ino ~slot:0;
-          meta_sync t cpu ~addr:src_parent.meta_addr ~bytes:192);
-  Counters.incr t.counters "fs.rename"
-
-let readdir t cpu path =
-  Cost.charge_syscall cpu;
-  let f = find_file t (resolve t cpu path) in
-  match f.dir with
-  | None -> Types.err ENOTDIR "%s" path
-  | Some idx ->
-      Simclock.advance cpu.clock (Dir_index.size idx * 12);
-      List.map fst (Dir_index.entries idx)
-
-let stat t cpu path =
-  Cost.charge_syscall cpu;
-  let f = find_file t (resolve t cpu path) in
-  {
-    Types.st_ino = f.ino;
-    st_kind = f.kind;
-    st_size = f.size;
-    st_blocks = Block_map.mapped_bytes f.bmap;
-    st_nlink = f.nlink;
-  }
-
-let exists t cpu path =
-  match resolve t cpu path with
-  | _ -> true
-  | exception Types.Error ((ENOENT | ENOTDIR), _) -> false
-
-let rec openf t cpu path (flags : Types.open_flags) =
-  Cost.charge_syscall cpu;
-  match resolve t cpu path with
-  | ino ->
-      if flags.creat && flags.excl then Types.err EEXIST "%s" path;
-      let f = find_file t ino in
-      if f.kind = Types.Directory && flags.wr then Types.err EISDIR "%s" path;
-      if flags.trunc && f.kind = Types.Regular && f.size > 0 then
-        Sched.with_lock f.lock (fun () ->
-            free_file_space t f;
-            f.size <- 0;
-            meta_sync t cpu ~addr:f.meta_addr ~bytes:64);
-      Fd_table.alloc t.fds ~ino ~flags
-  | exception Types.Error (ENOENT, _) when flags.creat ->
-      let fd = create t cpu path in
-      Fd_table.close t.fds fd;
-      openf t cpu path { flags with creat = false }
-
-let close t cpu fd =
-  Cost.charge_syscall cpu;
-  Fd_table.close t.fds fd
-
-let file_size t fd = (find_file t (Fd_table.get t.fds fd).ino).size
+let journal_dentry t cpu ~parent:_ (f : file) update =
+  update ();
+  meta_sync t cpu ~addr:f.p.meta_addr ~bytes:128
 
 (* ------------------------------------------------------------------ *)
 (* Data path: in-place, durable at fsync (metadata-consistency class)  *)
 
 let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
-  Cost.charge_syscall cpu;
-  let e = Fd_table.get t.fds fd in
-  if not e.flags.wr then Types.err EBADF "fd %d not writable" fd;
-  let f = find_file t e.ino in
-  if f.kind = Types.Directory then Types.err EISDIR "fd %d" fd;
-  if src_off < 0 || len < 0 || src_off + len > String.length src then
-    Types.err EINVAL "pwrite_sub outside src bounds";
+  let f = Dram_ns.write_prologue t.ns cpu fd ~off ~src ~src_off ~len in
   if len = 0 then 0
   else begin
-    if off < 0 then Types.err EINVAL "negative offset";
     Sched.with_lock f.lock (fun () ->
         ensure_backing t cpu f ~off ~len ~unwritten:false;
         mark_written t cpu f ~off ~len;
@@ -536,99 +285,88 @@ let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
               let n = min (off + len - !cur) run in
               Device.write_nt t.dev cpu ~off:phys ~src:src_b
                 ~src_off:(src_off + (!cur - off)) ~len:n;
-              f.dirty_bytes <- f.dirty_bytes + n;
+              f.p.dirty_bytes <- f.p.dirty_bytes + n;
               cur := !cur + n
             done);
         if off + len > f.size then begin
           f.size <- off + len;
-          meta_buffered t cpu ~addr:f.meta_addr ~bytes:32
+          meta_buffered t cpu ~addr:f.p.meta_addr ~bytes:32
         end);
-    Counters.add t.counters "fs.write_bytes" len;
+    Counters.add t.ns.counters "fs.write_bytes" len;
     len
   end
 
-let pwrite t cpu fd ~off ~src =
-  pwrite_sub t cpu fd ~off ~src ~src_off:0 ~len:(String.length src)
+include Dram_ns.Make (struct
+  type nonrec t = t
+  type nonrec payload = payload
 
-let append t cpu fd ~src =
-  let f = find_file t (Fd_table.get t.fds fd).ino in
-  pwrite t cpu fd ~off:f.size ~src
+  let ns t = t.ns
+  let device = device
+  let persist_link = journal_dentry
+  let persist_unlink = journal_dentry
+  let persist_rmdir = journal_dentry
 
-let pread t cpu fd ~off ~len =
-  Cost.charge_syscall cpu;
-  let e = Fd_table.get t.fds fd in
-  if not e.flags.rd then Types.err EBADF "fd %d not readable" fd;
-  let f = find_file t e.ino in
-  if off < 0 || len < 0 then Types.err EINVAL "bad range";
-  let len = max 0 (min len (f.size - off)) in
-  if len = 0 then ""
-  else begin
-    let dst = Bytes.make len '\000' in
-    let cur = ref off in
-    while !cur < off + len do
-      match Block_map.lookup f.bmap ~file_off:!cur with
-      | Some (phys, run) ->
-          let n = min (off + len - !cur) run in
-          Device.read t.dev cpu ~off:phys ~len:n ~dst ~dst_off:(!cur - off) ;
-          cur := !cur + n
-      | None -> (
-          match Block_map.next_mapped f.bmap ~file_off:(!cur + 1) with
-          | Some o -> cur := min (off + len) o
-          | None -> cur := off + len)
-    done;
-    Counters.add t.counters "fs.read_bytes" len;
-    Bytes.unsafe_to_string dst
-  end
+  let persist_rename t cpu ~(src : file) ~dst:_ update =
+    update ();
+    meta_sync t cpu ~addr:src.p.meta_addr ~bytes:192
+
+  let persist_truncate t cpu (f : file) update =
+    Sched.with_lock f.lock (fun () ->
+        update ();
+        meta_sync t cpu ~addr:f.p.meta_addr ~bytes:64)
+
+  let release t f = Dram_ns.free_blocks t.ns f
+  let size _ (f : file) = f.size
+  let log_bytes _ = 0
+  let read_overlay _ _ _ ~off:_ ~len:_ _ = ()
+  let pwrite_sub = pwrite_sub
+end)
 
 (* fsync: stop-the-world journal commit (JBD2) plus data flush of this
    file's dirty bytes. *)
 let fsync t cpu fd =
   Cost.charge_syscall cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
-  if f.dirty_bytes > 0 then begin
-    let lines = (f.dirty_bytes + Units.cacheline - 1) / Units.cacheline in
+  let f = Dram_ns.file_of_fd t.ns fd in
+  if f.p.dirty_bytes > 0 then begin
+    let lines = (f.p.dirty_bytes + Units.cacheline - 1) / Units.cacheline in
     Simclock.advance cpu.clock
       (int_of_float ((Device.cost t.dev).flush_ns *. float_of_int lines));
     Device.with_site t.dev site_fsync (fun () -> Device.fence t.dev cpu);
-    f.dirty_bytes <- 0
+    f.p.dirty_bytes <- 0
   end;
   journal_fsync t cpu;
-  Counters.incr t.counters "fs.fsync"
+  Counters.incr t.ns.counters "fs.fsync"
 
 let fallocate t cpu fd ~off ~len =
-  Cost.charge_syscall cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
-  if off < 0 || len <= 0 then Types.err EINVAL "bad range";
+  let f = Dram_ns.fallocate_prologue t.ns cpu fd ~off ~len in
   Sched.with_lock f.lock (fun () ->
       ensure_backing t cpu f ~off ~len ~unwritten:(not t.preset.zero_on_fallocate);
       if off + len > f.size then begin
         f.size <- off + len;
-        meta_buffered t cpu ~addr:f.meta_addr ~bytes:32
+        meta_buffered t cpu ~addr:f.p.meta_addr ~bytes:32
       end);
-  Counters.incr t.counters "fs.fallocate"
+  Counters.incr t.ns.counters "fs.fallocate"
 
 let ftruncate t cpu fd new_size =
-  Cost.charge_syscall cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
-  if new_size < 0 then Types.err EINVAL "negative size";
+  let f = Dram_ns.ftruncate_prologue t.ns cpu fd new_size in
   Sched.with_lock f.lock (fun () ->
       if new_size < f.size then begin
         let lo = Units.round_up new_size block in
         if f.size > lo then begin
           let freed = Block_map.remove_range f.bmap ~file_off:lo ~len:(f.size - lo) in
-          List.iter (fun (o, l) -> Alloc.free t.alloc ~off:o ~len:l) freed
+          List.iter (fun (o, l) -> Alloc.free t.ns.alloc ~off:o ~len:l) freed
         end
       end;
       f.size <- new_size;
-      meta_sync t cpu ~addr:f.meta_addr ~bytes:64);
-  Counters.incr t.counters "fs.ftruncate"
+      meta_sync t cpu ~addr:f.p.meta_addr ~bytes:64);
+  Counters.incr t.ns.counters "fs.ftruncate"
 
 (* ------------------------------------------------------------------ *)
 (* mmap: hugepages only by accident (§2.5)                             *)
 
-let fault_zero t cpu f ~file_off ~phys ~len =
+let fault_zero t cpu (f : file) ~file_off ~phys ~len =
   (* ext4-class zeroing on first fault into an unwritten extent. *)
-  match f.unwritten with
+  match f.p.unwritten with
   | None -> ()
   | Some unwritten ->
       if Extent_tree.extent_at unwritten ~off:file_off <> None then begin
@@ -639,9 +377,9 @@ let fault_zero t cpu f ~file_off ~phys ~len =
       end
 
 let mmap_backing t fd : Vmem.backing =
-  let ino = (Fd_table.get t.fds fd).ino in
+  let ino = (Fd_table.get t.ns.fds fd).ino in
   fun cpu ~file_off ~huge_ok ->
-    let f = find_file t ino in
+    let f = Dram_ns.find_file t.ns ino in
     if huge_ok then begin
       match Block_map.huge_candidate f.bmap ~chunk_off:file_off with
       | Some phys ->
@@ -703,23 +441,3 @@ let mmap_backing t fd : Vmem.backing =
               Vmem.Base phys
           | None -> Vmem.Sigbus)
     end
-
-let set_xattr_align t cpu _path _v = Cost.charge_syscall cpu; ignore t
-
-(* ------------------------------------------------------------------ *)
-(* Introspection                                                       *)
-
-let statfs t =
-  let free = Alloc.free_bytes t.alloc in
-  {
-    Types.capacity = t.data_len;
-    used = t.data_len - free;
-    free;
-    free_extents = Alloc.free_extent_count t.alloc;
-    largest_free = Alloc.largest_free t.alloc;
-    aligned_free_2m = Alloc.aligned_region_count t.alloc;
-  }
-
-let file_extents t cpu path =
-  let f = find_file t (resolve t cpu path) in
-  Block_map.extents f.bmap

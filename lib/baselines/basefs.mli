@@ -5,13 +5,17 @@
     directory-index policy, journal flavour (JBD2-style redo vs PMFS-style
     fine-grained undo), eager-vs-fault-time zeroing, and the hugepage
     behaviours the paper distinguishes (§2.5, §5.1).  Each personality
-    module is a thin [let x = Basefs.x] shim over this engine with its own
-    preset, so the cross-system differences live in one record.
+    module is [include Basefs] plus its own preset, so the cross-system
+    differences live in one record.
 
-    The interface deliberately exposes the concrete {!preset}, {!file} and
-    {!t} records: the personalities and SplitFS's user-space half reach
-    into them (block maps, fd table, allocator) rather than duplicating
-    the engine's state. *)
+    The inode table, path walk, fd table and namespace operations are the
+    shared {!Dram_ns}; this engine supplies only its {!payload} and its
+    durability step — update the DRAM dentry, then journal the change.
+
+    The interface deliberately exposes the concrete {!preset}, {!payload}
+    and {!t} records: the personalities and SplitFS's user-space half
+    reach into them (block maps, fd table, allocator through [t.ns])
+    rather than duplicating the engine's state. *)
 
 open Repro_util
 
@@ -36,36 +40,24 @@ type journal =
   | Jredo of Repro_journal.Redo_journal.t
   | Jundo of Repro_journal.Undo_journal.t * Repro_sched.Sched.mutex
 
-type file = {
-  ino : int;
-  mutable kind : Repro_vfs.Types.file_kind;
-  mutable size : int;
-  mutable nlink : int;
-  bmap : Repro_vfs.Block_map.t;
+(** Per-inode state on top of the shared {!Dram_ns.file}. *)
+type payload = {
   mutable unwritten : Repro_rbtree.Extent_tree.t option;
       (** fallocated-but-never-written file ranges; [None] until the
           first fallocate (most files never fallocate) *)
-  mutable dir : Repro_vfs.Dir_index.t option;
-  lock : Repro_sched.Sched.mutex;
   mutable dirty_bytes : int;
   mutable goal : int;  (** physical end of the last allocation *)
   meta_addr : int;  (** synthetic PM address of this inode's metadata *)
 }
 
+type file = payload Dram_ns.file
+
 type t = {
   dev : Repro_pmem.Device.t;
   cfg : Repro_vfs.Types.config;
   preset : preset;
-  alloc : Repro_alloc.Pool_alloc.t;
   journal : journal;
-  files : (int, file) Hashtbl.t;
-  fds : Repro_vfs.Fd_table.t;
-  counters : Counters.t;
-  mutable next_ino : int;
-  inode_region : int;
-  inode_slots : int;
-  data_off : int;
-  data_len : int;
+  ns : payload Dram_ns.t;  (** inode table, fd table, allocator, counters *)
 }
 
 (** {2 Lifecycle} *)
@@ -81,13 +73,7 @@ val counters : t -> Counters.t
 (** {2 Engine internals used by the personalities}
 
     SplitFS's user-space half stages appends against the kernel FS's own
-    block maps and allocator, so it needs inode and path resolution. *)
-
-val find_file : t -> int -> file
-(** Raises [Types.Error (EBADF, _)] for a stale inode number. *)
-
-val resolve : t -> Cpu.t -> string -> int
-(** Path walk to an inode number; raises ENOENT/ENOTDIR. *)
+    block maps and allocator (through [t.ns]) and journals its relink. *)
 
 val meta_sync : t -> Cpu.t -> addr:int -> bytes:int -> unit
 (** Journal and persist a metadata update at [addr] immediately (undo

@@ -1,0 +1,153 @@
+(** The DRAM namespace shared by the baseline engines (Basefs behind
+    ext4-DAX/xfs-DAX/PMFS/SplitFS, NOVA and Strata).
+
+    The baselines keep their inode table, directory indexes and fd table
+    in DRAM; what the paper credits or blames them for is how they make a
+    namespace change durable — a journal record (ext4/xfs/PMFS), per-inode
+    log appends (NOVA), or a per-process log append (Strata) — plus their
+    allocation and fault behaviour.  This module owns everything else:
+    the inode table, the path walk, the fd table, the bodies of the
+    namespace operations, the read/write prologues, the block-map read
+    loop and [statfs].
+
+    An engine plugs in through {!ENGINE}.  Every durability hook receives
+    the DRAM dentry update as a thunk, so the engine states its own order
+    in one line: [update (); journal ...] for ext4/xfs/PMFS,
+    [log ...; update ()] for NOVA and Strata.  Locking, lookups and
+    [Dir_index] charges around the hooks are identical across engines. *)
+
+open Repro_util
+
+(** One inode, with a per-engine payload [p] (Basefs: journal address,
+    allocation goal, unwritten ranges; NOVA: the inode log; Strata:
+    nothing). *)
+type 'p file = {
+  ino : int;
+  mutable kind : Repro_vfs.Types.file_kind;
+  mutable size : int;
+  mutable nlink : int;
+  bmap : Repro_vfs.Block_map.t;
+  mutable dir : Repro_vfs.Dir_index.t option;
+  lock : Repro_sched.Sched.mutex;
+  p : 'p;
+}
+
+type 'p t = {
+  files : (int, 'p file) Hashtbl.t;
+  fds : Repro_vfs.Fd_table.t;
+  counters : Counters.t;
+  alloc : Repro_alloc.Pool_alloc.t;  (** the data area's allocator *)
+  capacity : int;  (** data-area bytes, as [statfs] reports them *)
+  dir_policy : Repro_vfs.Dir_index.policy;
+  payload : int -> 'p;  (** payload of a fresh inode with this number *)
+  mutable next_ino : int;
+}
+
+val init :
+  alloc:Repro_alloc.Pool_alloc.t ->
+  capacity:int ->
+  dir_policy:Repro_vfs.Dir_index.policy ->
+  root:'p ->
+  payload:(int -> 'p) ->
+  'p t
+(** An empty namespace: the root directory (payload [root]) only. *)
+
+val find_file : 'p t -> int -> 'p file
+(** Raises [Types.Error (EBADF, _)] for a stale inode number. *)
+
+val file_of_fd : 'p t -> int -> 'p file
+val resolve : 'p t -> Cpu.t -> string -> int
+(** Path walk to an inode number; raises ENOENT/ENOTDIR. *)
+
+val free_blocks : 'p t -> 'p file -> unit
+(** Return every mapped block of the file to the allocator. *)
+
+(** {2 Data-path prologues}
+
+    Each charges the syscall, resolves the fd and validates the request,
+    in the same order for every engine; the [check_*] forms skip the
+    syscall charge for SplitFS's user-space path. *)
+
+val check_write : 'p t -> int -> off:int -> src:string -> src_off:int -> len:int -> 'p file
+(** EBADF unless writable, EISDIR, EINVAL outside [src]'s bounds, then
+    EINVAL for a negative [off] unless [len = 0]. *)
+
+val write_prologue :
+  'p t -> Cpu.t -> int -> off:int -> src:string -> src_off:int -> len:int -> 'p file
+
+val check_read : 'p t -> int -> off:int -> len:int -> 'p file
+(** EBADF unless readable, EINVAL for a negative [off] or [len]. *)
+
+val fallocate_prologue : 'p t -> Cpu.t -> int -> off:int -> len:int -> 'p file
+(** EINVAL for a negative [off] or [len <= 0]. *)
+
+val ftruncate_prologue : 'p t -> Cpu.t -> int -> int -> 'p file
+(** EINVAL for a negative size. *)
+
+(** {2 Engines} *)
+
+type 'p ns = 'p t
+
+module type ENGINE = sig
+  type t
+  type payload
+
+  val ns : t -> payload ns
+  val device : t -> Repro_pmem.Device.t
+
+  val persist_link : t -> Cpu.t -> parent:payload file -> payload file -> (unit -> unit) -> unit
+  (** mkdir/create of a fresh inode under [parent], the parent lock held;
+      the thunk adds the dentry (and the parent's link for a directory). *)
+
+  val persist_unlink : t -> Cpu.t -> parent:payload file -> payload file -> (unit -> unit) -> unit
+  (** The thunk removes the dentry. *)
+
+  val persist_rmdir : t -> Cpu.t -> parent:payload file -> payload file -> (unit -> unit) -> unit
+  (** The thunk removes the dentry and the parent's link. *)
+
+  val persist_rename : t -> Cpu.t -> src:payload file -> dst:payload file -> (unit -> unit) -> unit
+  (** Both parent locks held; the thunk moves the dentry. *)
+
+  val persist_truncate : t -> Cpu.t -> payload file -> (unit -> unit) -> unit
+  (** O_TRUNC of a non-empty regular file; the thunk frees its blocks and
+      zeroes its size.  The engine takes (or does not take) the inode
+      lock. *)
+
+  val release : t -> payload file -> unit
+  (** The last link went (unlink, rename victim), inode lock held: free
+      what the inode owns.  The inode leaves the table afterwards. *)
+
+  val size : t -> payload file -> int
+  (** The size readers see (Strata overlays its pending log entries). *)
+
+  val log_bytes : payload file -> int
+  (** Per-inode log bytes [stat] counts as blocks (NOVA). *)
+
+  val read_overlay : t -> Cpu.t -> payload file -> off:int -> len:int -> Bytes.t -> unit
+  (** Patch [pread]'s block-map bytes (Strata's pending log entries). *)
+
+  val pwrite_sub : t -> Cpu.t -> int -> off:int -> src:string -> src_off:int -> len:int -> int
+end
+
+module Make (E : ENGINE) : sig
+  val mount : Repro_pmem.Device.t -> Repro_vfs.Types.config -> E.t
+  val recovery_ns : E.t -> int
+  val counters : E.t -> Counters.t
+  val mkdir : E.t -> Cpu.t -> string -> unit
+  val rmdir : E.t -> Cpu.t -> string -> unit
+  val create : E.t -> Cpu.t -> string -> int
+  val openf : E.t -> Cpu.t -> string -> Repro_vfs.Types.open_flags -> int
+  val close : E.t -> Cpu.t -> int -> unit
+  val unlink : E.t -> Cpu.t -> string -> unit
+  val rename : E.t -> Cpu.t -> old_path:string -> new_path:string -> unit
+  val readdir : E.t -> Cpu.t -> string -> string list
+  val stat : E.t -> Cpu.t -> string -> Repro_vfs.Types.stat
+  val exists : E.t -> Cpu.t -> string -> bool
+  val pwrite : E.t -> Cpu.t -> int -> off:int -> src:string -> int
+  val append : E.t -> Cpu.t -> int -> src:string -> int
+  val pread : E.t -> Cpu.t -> int -> off:int -> len:int -> string
+  val file_size : E.t -> int -> int
+  val set_xattr_align : E.t -> Cpu.t -> string -> bool -> unit
+  val statfs : E.t -> Repro_vfs.Types.fs_stats
+  val file_extents : E.t -> Cpu.t -> string -> (int * int * int) list
+end

@@ -5,11 +5,11 @@
     alignment — so hugepages appear on a clean file system but dissolve
     with age (§2.5, Figure 3). *)
 
-type t = Basefs.t
+include Basefs
 
 let preset =
   {
-    Basefs.label = "ext4-DAX";
+    label = "ext4-DAX";
     alloc_cfg =
       {
         Repro_alloc.Pool_alloc.per_cpu = false;
@@ -18,40 +18,12 @@ let preset =
         normalize_pow2 = true;
       };
     dir_policy = Repro_vfs.Dir_index.Dram_rbtree;
-    journal = Basefs.Jbd2_redo;
+    journal = Jbd2_redo;
     zero_on_fallocate = false;
     misaligned_start = false;
     huge_fault_alloc = true;
     goal_alloc = true;
   }
 
-let name = preset.Basefs.label
+let name = preset.label
 let format dev cfg = Basefs.format preset dev cfg
-let mount = Basefs.mount
-let unmount = Basefs.unmount
-let recovery_ns = Basefs.recovery_ns
-let device = Basefs.device
-let config = Basefs.config
-let mkdir = Basefs.mkdir
-let rmdir = Basefs.rmdir
-let create = Basefs.create
-let openf = Basefs.openf
-let close = Basefs.close
-let unlink = Basefs.unlink
-let rename = Basefs.rename
-let readdir = Basefs.readdir
-let stat = Basefs.stat
-let exists = Basefs.exists
-let pwrite = Basefs.pwrite
-let pwrite_sub = Basefs.pwrite_sub
-let pread = Basefs.pread
-let append = Basefs.append
-let fsync = Basefs.fsync
-let fallocate = Basefs.fallocate
-let ftruncate = Basefs.ftruncate
-let file_size = Basefs.file_size
-let mmap_backing = Basefs.mmap_backing
-let set_xattr_align = Basefs.set_xattr_align
-let statfs = Basefs.statfs
-let file_extents = Basefs.file_extents
-let counters = Basefs.counters

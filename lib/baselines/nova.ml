@@ -20,8 +20,6 @@ module Device = Repro_pmem.Device
 module Vmem = Repro_memsim.Vmem
 module Sched = Repro_sched.Sched
 module Types = Repro_vfs.Types
-module Path = Repro_vfs.Path
-module Dir_index = Repro_vfs.Dir_index
 module Fd_table = Repro_vfs.Fd_table
 module Block_map = Repro_vfs.Block_map
 module Cost = Repro_vfs.Fs_intf.Cost
@@ -50,31 +48,9 @@ type log = {
   mutable dead : int;
 }
 
-type file = {
-  ino : int;
-  mutable kind : Types.file_kind;
-  mutable size : int;
-  mutable nlink : int;
-  bmap : Block_map.t;
-  log : log;
-  mutable dir : Dir_index.t option;
-  lock : Sched.mutex;
-  mutable dirty_bytes : int;
-}
-
-type t = {
-  dev : Device.t;
-  cfg : Types.config;
-  alloc : Alloc.t;
-  files : (int, file) Hashtbl.t;
-  fds : Fd_table.t;
-  counters : Counters.t;
-  mutable next_ino : int;
-  data_off : int;
-  data_len : int;
-}
-
-let root_ino = 1
+type payload = { log : log; mutable dirty_bytes : int }
+type file = payload Dram_ns.file
+type t = { dev : Device.t; cfg : Types.config; ns : payload Dram_ns.t }
 
 (* ------------------------------------------------------------------ *)
 (* Per-inode log                                                       *)
@@ -82,17 +58,17 @@ let root_ino = 1
 let alloc_cpu t (cpu : Cpu.t) = cpu.id mod t.cfg.cpus
 
 let alloc_block t cpu =
-  match Alloc.alloc t.alloc ~cpu:(alloc_cpu t cpu) ~len:block with
+  match Alloc.alloc t.ns.alloc ~cpu:(alloc_cpu t cpu) ~len:block with
   | Some [ e ] -> e.Alloc.off
   | Some exts ->
-      List.iter (fun (e : Alloc.extent) -> Alloc.free t.alloc ~off:e.off ~len:e.len) exts;
+      List.iter (fun (e : Alloc.extent) -> Alloc.free t.ns.alloc ~off:e.off ~len:e.len) exts;
       Types.err ENOSPC "log page allocation"
   | None -> Types.err ENOSPC "log page allocation"
 
 (* Append one 64B entry to the inode log: write + persist the entry, then
    persist the 8B tail-pointer update — NOVA's commit protocol. *)
-let log_append t cpu f =
-  let lg = f.log in
+let log_append t cpu (f : file) =
+  let lg = f.p.log in
   (if lg.pages = [] || lg.tail >= entries_per_page then begin
      let page = alloc_block t cpu in
      (* Link from the previous page (8B pointer write + persist). *)
@@ -103,7 +79,7 @@ let log_append t cpu f =
      | [] -> ());
      lg.pages <- lg.pages @ [ page ];
      lg.tail <- 0;
-     Counters.incr t.counters "fs.log_pages"
+     Counters.incr t.ns.counters "fs.log_pages"
    end);
   let page = List.nth lg.pages (List.length lg.pages - 1) in
   let off = page + 16 + (lg.tail * log_entry_bytes) in
@@ -116,15 +92,16 @@ let log_append t cpu f =
       Device.persist t.dev cpu ~off:page ~len:8);
   lg.tail <- lg.tail + 1;
   lg.live <- lg.live + 1;
-  Counters.incr t.counters "fs.log_appends"
+  Counters.incr t.ns.counters "fs.log_appends"
 
 (* Invalidating superseded entries is a PM write per entry (NOVA sets an
    invalid bit in the old entry and persists it) — part of why overwrites
    cost more on NOVA (§5.5). *)
-let log_invalidate t cpu f n =
-  f.log.live <- max 0 (f.log.live - n);
-  f.log.dead <- f.log.dead + n;
-  (match f.log.pages with
+let log_invalidate t cpu (f : file) n =
+  let lg = f.p.log in
+  lg.live <- max 0 (lg.live - n);
+  lg.dead <- lg.dead + n;
+  (match lg.pages with
   | page :: _ ->
       Device.with_site t.dev site_log (fun () ->
           for _ = 1 to n do
@@ -132,13 +109,13 @@ let log_invalidate t cpu f n =
             Device.persist t.dev cpu ~off:(page + 8) ~len:8
           done)
   | [] -> ());
-  Counters.add t.counters "fs.log_invalidations" n
+  Counters.add t.ns.counters "fs.log_invalidations" n
 
 (* Fast GC: when a log is mostly dead, copy live entries to fresh pages
    and free the old ones — free-space churn that competes with foreground
    work (§2.6). *)
-let maybe_gc t cpu f =
-  let lg = f.log in
+let maybe_gc t cpu (f : file) =
+  let lg = f.p.log in
   let page_count = List.length lg.pages in
   if page_count > 4 && lg.dead > lg.live * 2 then begin
     let live_pages = max 1 ((lg.live + entries_per_page - 1) / entries_per_page) in
@@ -150,16 +127,16 @@ let maybe_gc t cpu f =
             Device.copy_within_nt t.dev cpu ~src:(List.hd lg.pages) ~dst:page ~len:block)
           fresh;
         Device.fence t.dev cpu);
-    List.iter (fun p -> Alloc.free t.alloc ~off:p ~len:block) lg.pages;
+    List.iter (fun p -> Alloc.free t.ns.alloc ~off:p ~len:block) lg.pages;
     lg.pages <- fresh;
     lg.tail <- lg.live mod entries_per_page;
     lg.dead <- 0;
-    Counters.incr t.counters "fs.log_gc"
+    Counters.incr t.ns.counters "fs.log_gc"
   end
 
-let free_log t f =
-  List.iter (fun p -> Alloc.free t.alloc ~off:p ~len:block) f.log.pages;
-  f.log.pages <- []
+let free_log t (f : file) =
+  List.iter (fun p -> Alloc.free t.ns.alloc ~off:p ~len:block) f.p.log.pages;
+  f.p.log.pages <- []
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -185,100 +162,29 @@ let format dev (cfg : Types.config) =
       normalize_pow2 = false;
     }
   in
-  let t =
-    {
-      dev;
-      cfg;
-      alloc = Alloc.create alloc_cfg ~cpus:cfg.cpus ~regions;
-      files = Hashtbl.create 1024;
-      fds = Fd_table.create ();
-      counters = Counters.create ();
-      next_ino = root_ino;
-      data_off;
-      data_len;
-    }
-  in
-  let root =
-    {
-      ino = root_ino;
-      kind = Types.Directory;
-      size = 0;
-      nlink = 2;
-      bmap = Block_map.create ();
-      log = { pages = []; tail = 0; live = 0; dead = 0 };
-      dir = Some (Dir_index.create Dram_rbtree);
-      lock = Sched.create_mutex ();
-      dirty_bytes = 0;
-    }
-  in
-  Hashtbl.replace t.files root_ino root;
-  t.next_ino <- 2;
-  t
-
-let mount _dev _cfg =
-  Types.err EINVAL "baseline models do not support mount-from-image (see DESIGN.md)"
+  let payload _ = { log = { pages = []; tail = 0; live = 0; dead = 0 }; dirty_bytes = 0 } in
+  {
+    dev;
+    cfg;
+    ns =
+      Dram_ns.init
+        ~alloc:(Alloc.create alloc_cfg ~cpus:cfg.cpus ~regions)
+        ~capacity:data_len ~dir_policy:Dram_rbtree ~root:(payload ()) ~payload;
+  }
 
 let unmount _t _cpu = ()
-let recovery_ns _ = 0
 let device t = t.dev
 let config t = t.cfg
-let counters t = t.counters
-
-let find_file t ino =
-  match Hashtbl.find_opt t.files ino with
-  | Some f -> f
-  | None -> Types.err EBADF "stale inode %d" ino
-
-let new_file t kind =
-  let ino = t.next_ino in
-  t.next_ino <- t.next_ino + 1;
-  let f =
-    {
-      ino;
-      kind;
-      size = 0;
-      nlink = (if kind = Types.Directory then 2 else 1);
-      bmap = Block_map.create ();
-      log = { pages = []; tail = 0; live = 0; dead = 0 };
-      dir = (if kind = Types.Directory then Some (Dir_index.create Dram_rbtree) else None);
-      lock = Sched.create_mutex ();
-      dirty_bytes = 0;
-    }
-  in
-  Hashtbl.replace t.files ino f;
-  f
-
-let resolve t cpu path =
-  let parts = Path.split path in
-  let rec walk ino = function
-    | [] -> ino
-    | name :: rest -> (
-        let f = find_file t ino in
-        match f.dir with
-        | None -> Types.err ENOTDIR "%s" path
-        | Some idx -> (
-            match Dir_index.lookup idx cpu name with
-            | Some (child, _) -> walk child rest
-            | None -> Types.err ENOENT "%s" path))
-  in
-  walk root_ino parts
-
-let resolve_parent t cpu path =
-  let dir = Path.dirname path and name = Path.basename path in
-  let ino = resolve t cpu dir in
-  let f = find_file t ino in
-  if f.kind <> Types.Directory then Types.err ENOTDIR "%s" dir;
-  (f, name)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
 
 let allocate t cpu ~len =
-  match Alloc.alloc t.alloc ~cpu:(alloc_cpu t cpu) ~len with
+  match Alloc.alloc t.ns.alloc ~cpu:(alloc_cpu t cpu) ~len with
   | Some exts -> exts
   | None -> Types.err ENOSPC "allocating %d bytes" len
 
-let ensure_backing t cpu f ~off ~len ~zero =
+let ensure_backing t cpu (f : file) ~off ~len ~zero =
   let lo = Units.round_down off block and hi = Units.round_up (off + len) block in
   let cur = ref lo in
   while !cur < hi do
@@ -306,168 +212,41 @@ let ensure_backing t cpu f ~off ~len ~zero =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Namespace: dentry entries appended to the parent directory's log    *)
+(* Namespace: log entries first, then the DRAM dentry update           *)
 
-let mkdir t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      if Dir_index.mem idx cpu name then Types.err EEXIST "%s" path;
-      let f = new_file t Types.Directory in
-      log_append t cpu f (* inode-init entry *);
-      log_append t cpu parent (* dentry entry *);
-      Dir_index.add idx cpu ~name ~ino:f.ino ~slot:0;
-      parent.nlink <- parent.nlink + 1);
-  Counters.incr t.counters "fs.mkdir"
+(* The inode-init entry in the new inode's log, the dentry entry in the
+   parent's. *)
+let log_link t cpu ~parent f update =
+  log_append t cpu f;
+  log_append t cpu parent;
+  update ()
 
-let create t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  let f =
-    Sched.with_lock parent.lock (fun () ->
-        let idx = Option.get parent.dir in
-        if Dir_index.mem idx cpu name then Types.err EEXIST "%s" path;
-        let f = new_file t Types.Regular in
-        log_append t cpu f;
-        log_append t cpu parent;
-        Dir_index.add idx cpu ~name ~ino:f.ino ~slot:0;
-        f)
-  in
-  Counters.incr t.counters "fs.create";
-  Fd_table.alloc t.fds ~ino:f.ino ~flags:Types.o_creat_rdwr
+(* A delete-dentry entry, superseding the parent's old dentry entry. *)
+let log_unlink t cpu ~parent _ update =
+  log_append t cpu parent;
+  log_invalidate t cpu parent 1;
+  maybe_gc t cpu parent;
+  update ()
 
-let free_file_space t f =
-  List.iter (fun (_, phys, len) -> Alloc.free t.alloc ~off:phys ~len) (Block_map.extents f.bmap);
-  Block_map.clear f.bmap;
+let free_file_space t (f : file) =
+  Dram_ns.free_blocks t.ns f;
   free_log t f
 
-let unlink t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      match Dir_index.lookup idx cpu name with
-      | None -> Types.err ENOENT "%s" path
-      | Some (ino, _) ->
-          let f = find_file t ino in
-          if f.kind = Types.Directory then Types.err EISDIR "%s" path;
-          log_append t cpu parent (* delete-dentry entry *);
-          log_invalidate t cpu parent 1;
-          maybe_gc t cpu parent;
-          Dir_index.remove idx cpu name;
-          f.nlink <- f.nlink - 1;
-          if f.nlink = 0 then
-            Sched.with_lock f.lock (fun () ->
-                free_file_space t f;
-                Hashtbl.remove t.files ino));
-  Counters.incr t.counters "fs.unlink"
+(* Unlike unlink, no log GC of the parent — but the directory's own log
+   pages are freed (the only engine that frees anything on rmdir). *)
+let log_rmdir t cpu ~parent f update =
+  log_append t cpu parent;
+  log_invalidate t cpu parent 1;
+  update ();
+  free_file_space t f
 
-let rmdir t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      match Dir_index.lookup idx cpu name with
-      | None -> Types.err ENOENT "%s" path
-      | Some (ino, _) ->
-          let f = find_file t ino in
-          if f.kind <> Types.Directory then Types.err ENOTDIR "%s" path;
-          if Dir_index.size (Option.get f.dir) > 0 then Types.err ENOTEMPTY "%s" path;
-          log_append t cpu parent;
-          log_invalidate t cpu parent 1;
-          Dir_index.remove idx cpu name;
-          parent.nlink <- parent.nlink - 1;
-          free_file_space t f;
-          Hashtbl.remove t.files ino);
-  Counters.incr t.counters "fs.rmdir"
-
-let rename t cpu ~old_path ~new_path =
-  Cost.charge_syscall cpu;
-  let src_parent, src_name = resolve_parent t cpu old_path in
-  let dst_parent, dst_name = resolve_parent t cpu new_path in
-  let locks =
-    if src_parent.ino = dst_parent.ino then [ src_parent.lock ]
-    else if src_parent.ino < dst_parent.ino then [ src_parent.lock; dst_parent.lock ]
-    else [ dst_parent.lock; src_parent.lock ]
-  in
-  List.iter Sched.lock locks;
-  Fun.protect
-    ~finally:(fun () -> List.iter Sched.unlock (List.rev locks))
-    (fun () ->
-      let src_idx = Option.get src_parent.dir and dst_idx = Option.get dst_parent.dir in
-      match Dir_index.lookup src_idx cpu src_name with
-      | None -> Types.err ENOENT "%s" old_path
-      | Some (ino, _) ->
-          (match Dir_index.lookup dst_idx cpu dst_name with
-          | Some (victim_ino, _) when victim_ino <> ino ->
-              let victim = find_file t victim_ino in
-              if victim.kind = Types.Directory then Types.err EISDIR "%s" new_path;
-              Dir_index.remove dst_idx cpu dst_name;
-              Sched.with_lock victim.lock (fun () ->
-                  free_file_space t victim;
-                  Hashtbl.remove t.files victim_ino)
-          | _ -> ());
-          (* NOVA journals renames across the two inode logs with a small
-             dedicated journal; model as two log appends. *)
-          log_append t cpu src_parent;
-          log_append t cpu dst_parent;
-          log_invalidate t cpu src_parent 1;
-          Dir_index.remove src_idx cpu src_name;
-          Dir_index.add dst_idx cpu ~name:dst_name ~ino ~slot:0);
-  Counters.incr t.counters "fs.rename"
-
-let readdir t cpu path =
-  Cost.charge_syscall cpu;
-  let f = find_file t (resolve t cpu path) in
-  match f.dir with
-  | None -> Types.err ENOTDIR "%s" path
-  | Some idx ->
-      Simclock.advance cpu.clock (Dir_index.size idx * 12);
-      List.map fst (Dir_index.entries idx)
-
-let stat t cpu path =
-  Cost.charge_syscall cpu;
-  let f = find_file t (resolve t cpu path) in
-  {
-    Types.st_ino = f.ino;
-    st_kind = f.kind;
-    st_size = f.size;
-    st_blocks = Block_map.mapped_bytes f.bmap + (List.length f.log.pages * block);
-    st_nlink = f.nlink;
-  }
-
-let exists t cpu path =
-  match resolve t cpu path with
-  | _ -> true
-  | exception Types.Error ((ENOENT | ENOTDIR), _) -> false
-
-let rec openf t cpu path (flags : Types.open_flags) =
-  Cost.charge_syscall cpu;
-  match resolve t cpu path with
-  | ino ->
-      if flags.creat && flags.excl then Types.err EEXIST "%s" path;
-      let f = find_file t ino in
-      if f.kind = Types.Directory && flags.wr then Types.err EISDIR "%s" path;
-      if flags.trunc && f.kind = Types.Regular && f.size > 0 then
-        Sched.with_lock f.lock (fun () ->
-            List.iter
-              (fun (_, phys, len) -> Alloc.free t.alloc ~off:phys ~len)
-              (Block_map.extents f.bmap);
-            Block_map.clear f.bmap;
-            f.size <- 0;
-            log_append t cpu f);
-      Fd_table.alloc t.fds ~ino ~flags
-  | exception Types.Error (ENOENT, _) when flags.creat ->
-      let fd = create t cpu path in
-      Fd_table.close t.fds fd;
-      openf t cpu path { flags with creat = false }
-
-let close t cpu fd =
-  Cost.charge_syscall cpu;
-  Fd_table.close t.fds fd
-
-let file_size t fd = (find_file t (Fd_table.get t.fds fd).ino).size
+(* NOVA journals renames across the two inode logs with a small
+   dedicated journal; model as two log appends. *)
+let log_rename t cpu ~src ~dst update =
+  log_append t cpu src;
+  log_append t cpu dst;
+  log_invalidate t cpu src 1;
+  update ()
 
 (* ------------------------------------------------------------------ *)
 (* Data path                                                           *)
@@ -478,7 +257,7 @@ let strict t = t.cfg.mode = Types.Strict
    tail blocks are copied into the fresh blocks before overlaying new
    data — the write amplification the paper observes on WiredTiger
    appends (§5.5). *)
-let write_cow t cpu f ~off ~src ~src_off ~len =
+let write_cow t cpu (f : file) ~off ~src ~src_off ~len =
   let blo = Units.round_down off block and bhi = Units.round_up (off + len) block in
   let cow_len = bhi - blo in
   let exts = allocate t cpu ~len:cow_len in
@@ -498,7 +277,7 @@ let write_cow t cpu f ~off ~src ~src_off ~len =
                   let n = min old_run (stop - !cur) in
                   Device.copy_within_nt t.dev cpu ~src:old_phys ~dst:(e.off + (!cur - !pf))
                     ~len:n;
-                  Counters.add t.counters "fs.cow_copy_bytes" n;
+                  Counters.add t.ns.counters "fs.cow_copy_bytes" n;
                   cur := !cur + n
               | None ->
                   Device.memset_nt t.dev cpu ~off:(e.off + (!cur - !pf)) ~len:(stop - !cur)
@@ -526,19 +305,12 @@ let write_cow t cpu f ~off ~src ~src_off ~len =
   log_append t cpu f;
   log_invalidate t cpu f (List.length freed);
   maybe_gc t cpu f;
-  List.iter (fun (o, l) -> Alloc.free t.alloc ~off:o ~len:l) freed
+  List.iter (fun (o, l) -> Alloc.free t.ns.alloc ~off:o ~len:l) freed
 
 let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
-  Cost.charge_syscall cpu;
-  let e = Fd_table.get t.fds fd in
-  if not e.flags.wr then Types.err EBADF "fd %d not writable" fd;
-  let f = find_file t e.ino in
-  if f.kind = Types.Directory then Types.err EISDIR "fd %d" fd;
-  if src_off < 0 || len < 0 || src_off + len > String.length src then
-    Types.err EINVAL "pwrite_sub outside src bounds";
+  let f = Dram_ns.write_prologue t.ns cpu fd ~off ~src ~src_off ~len in
   if len = 0 then 0
   else begin
-    if off < 0 then Types.err EINVAL "negative offset";
     Sched.with_lock f.lock (fun () ->
         if strict t then write_cow t cpu f ~off ~src ~src_off ~len
         else begin
@@ -551,95 +323,82 @@ let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
                 let n = min (off + len - !cur) run in
                 Device.write_nt t.dev cpu ~off:phys ~src:src_b
                   ~src_off:(src_off + (!cur - off)) ~len:n;
-                f.dirty_bytes <- f.dirty_bytes + n;
+                f.p.dirty_bytes <- f.p.dirty_bytes + n;
                 cur := !cur + n
               done);
           log_append t cpu f
         end;
         if off + len > f.size then f.size <- off + len);
-    Counters.add t.counters "fs.write_bytes" len;
+    Counters.add t.ns.counters "fs.write_bytes" len;
     len
   end
 
-let pwrite t cpu fd ~off ~src =
-  pwrite_sub t cpu fd ~off ~src ~src_off:0 ~len:(String.length src)
+include Dram_ns.Make (struct
+  type nonrec t = t
+  type nonrec payload = payload
 
-let append t cpu fd ~src =
-  let f = find_file t (Fd_table.get t.fds fd).ino in
-  pwrite t cpu fd ~off:f.size ~src
+  let ns t = t.ns
+  let device = device
+  let persist_link = log_link
+  let persist_unlink = log_unlink
+  let persist_rmdir = log_rmdir
+  let persist_rename = log_rename
 
-let pread t cpu fd ~off ~len =
-  Cost.charge_syscall cpu;
-  let e = Fd_table.get t.fds fd in
-  if not e.flags.rd then Types.err EBADF "fd %d not readable" fd;
-  let f = find_file t e.ino in
-  if off < 0 || len < 0 then Types.err EINVAL "bad range";
-  let len = max 0 (min len (f.size - off)) in
-  if len = 0 then ""
-  else begin
-    let dst = Bytes.make len '\000' in
-    let cur = ref off in
-    while !cur < off + len do
-      match Block_map.lookup f.bmap ~file_off:!cur with
-      | Some (phys, run) ->
-          let n = min (off + len - !cur) run in
-          Device.read t.dev cpu ~off:phys ~len:n ~dst ~dst_off:(!cur - off);
-          cur := !cur + n
-      | None -> (
-          match Block_map.next_mapped f.bmap ~file_off:(!cur + 1) with
-          | Some o -> cur := min (off + len) o
-          | None -> cur := off + len)
-    done;
-    Counters.add t.counters "fs.read_bytes" len;
-    Bytes.unsafe_to_string dst
-  end
+  (* O_TRUNC frees the block map but keeps the inode log. *)
+  let persist_truncate t cpu (f : file) update =
+    Sched.with_lock f.lock (fun () ->
+        update ();
+        log_append t cpu f)
+
+  let release = free_file_space
+  let size _ (f : file) = f.size
+  let log_bytes (f : file) = List.length f.p.log.pages * block
+  let read_overlay _ _ _ ~off:_ ~len:_ _ = ()
+  let pwrite_sub = pwrite_sub
+end)
 
 let fsync t cpu fd =
   Cost.charge_syscall cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
-  if (not (strict t)) && f.dirty_bytes > 0 then begin
-    let lines = (f.dirty_bytes + Units.cacheline - 1) / Units.cacheline in
+  let f = Dram_ns.file_of_fd t.ns fd in
+  if (not (strict t)) && f.p.dirty_bytes > 0 then begin
+    let lines = (f.p.dirty_bytes + Units.cacheline - 1) / Units.cacheline in
     Simclock.advance cpu.clock
       (int_of_float ((Device.cost t.dev).flush_ns *. float_of_int lines));
     Device.with_site t.dev site_fsync (fun () -> Device.fence t.dev cpu);
-    f.dirty_bytes <- 0
+    f.p.dirty_bytes <- 0
   end;
-  Counters.incr t.counters "fs.fsync"
+  Counters.incr t.ns.counters "fs.fsync"
 
 let fallocate t cpu fd ~off ~len =
-  Cost.charge_syscall cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
-  if off < 0 || len <= 0 then Types.err EINVAL "bad range";
+  let f = Dram_ns.fallocate_prologue t.ns cpu fd ~off ~len in
   Sched.with_lock f.lock (fun () ->
       (* NOVA zeroes at fallocate; faults then only build page tables. *)
       ensure_backing t cpu f ~off ~len ~zero:true;
       if off + len > f.size then f.size <- off + len);
-  Counters.incr t.counters "fs.fallocate"
+  Counters.incr t.ns.counters "fs.fallocate"
 
 let ftruncate t cpu fd new_size =
-  Cost.charge_syscall cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
-  if new_size < 0 then Types.err EINVAL "negative size";
+  let f = Dram_ns.ftruncate_prologue t.ns cpu fd new_size in
   Sched.with_lock f.lock (fun () ->
       if new_size < f.size then begin
         let lo = Units.round_up new_size block in
         if f.size > lo then begin
           let freed = Block_map.remove_range f.bmap ~file_off:lo ~len:(f.size - lo) in
-          List.iter (fun (o, l) -> Alloc.free t.alloc ~off:o ~len:l) freed;
+          List.iter (fun (o, l) -> Alloc.free t.ns.alloc ~off:o ~len:l) freed;
           log_invalidate t cpu f (List.length freed)
         end
       end;
       f.size <- new_size;
       log_append t cpu f);
-  Counters.incr t.counters "fs.ftruncate"
+  Counters.incr t.ns.counters "fs.ftruncate"
 
 (* ------------------------------------------------------------------ *)
 (* mmap: hugepage only when an extent happens to be 2MB-aligned        *)
 
 let mmap_backing t fd : Vmem.backing =
-  let ino = (Fd_table.get t.fds fd).ino in
+  let ino = (Fd_table.get t.ns.fds fd).ino in
   fun cpu ~file_off ~huge_ok ->
-    let f = find_file t ino in
+    let f = Dram_ns.find_file t.ns ino in
     let fault_alloc len =
       Sched.with_lock f.lock (fun () ->
           ensure_backing t cpu f ~off:file_off ~len ~zero:true)
@@ -659,20 +418,3 @@ let mmap_backing t fd : Vmem.backing =
       | Some (phys, _) -> Vmem.Base phys
       | None -> Vmem.Sigbus
     end
-
-let set_xattr_align _t cpu _path _v = Cost.charge_syscall cpu
-
-let statfs t =
-  let free = Alloc.free_bytes t.alloc in
-  {
-    Types.capacity = t.data_len;
-    used = t.data_len - free;
-    free;
-    free_extents = Alloc.free_extent_count t.alloc;
-    largest_free = Alloc.largest_free t.alloc;
-    aligned_free_2m = Alloc.aligned_region_count t.alloc;
-  }
-
-let file_extents t cpu path =
-  let f = find_file t (resolve t cpu path) in
-  Block_map.extents f.bmap

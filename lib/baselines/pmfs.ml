@@ -4,11 +4,11 @@
     no hugepages even clean), and sequential PM scans of directory entries
     (§3.5: the slowdowns on metadata-heavy workloads like varmail). *)
 
-type t = Basefs.t
+include Basefs
 
 let preset =
   {
-    Basefs.label = "PMFS";
+    label = "PMFS";
     alloc_cfg =
       {
         Repro_alloc.Pool_alloc.per_cpu = false;
@@ -17,40 +17,12 @@ let preset =
         normalize_pow2 = false;
       };
     dir_policy = Repro_vfs.Dir_index.Pm_linear_scan 130.;
-    journal = Basefs.Pmfs_undo;
+    journal = Pmfs_undo;
     zero_on_fallocate = true;
     misaligned_start = true;
     huge_fault_alloc = false;
     goal_alloc = false;
   }
 
-let name = preset.Basefs.label
+let name = preset.label
 let format dev cfg = Basefs.format preset dev cfg
-let mount = Basefs.mount
-let unmount = Basefs.unmount
-let recovery_ns = Basefs.recovery_ns
-let device = Basefs.device
-let config = Basefs.config
-let mkdir = Basefs.mkdir
-let rmdir = Basefs.rmdir
-let create = Basefs.create
-let openf = Basefs.openf
-let close = Basefs.close
-let unlink = Basefs.unlink
-let rename = Basefs.rename
-let readdir = Basefs.readdir
-let stat = Basefs.stat
-let exists = Basefs.exists
-let pwrite = Basefs.pwrite
-let pwrite_sub = Basefs.pwrite_sub
-let pread = Basefs.pread
-let append = Basefs.append
-let fsync = Basefs.fsync
-let fallocate = Basefs.fallocate
-let ftruncate = Basefs.ftruncate
-let file_size = Basefs.file_size
-let mmap_backing = Basefs.mmap_backing
-let set_xattr_align = Basefs.set_xattr_align
-let statfs = Basefs.statfs
-let file_extents = Basefs.file_extents
-let counters = Basefs.counters

@@ -72,7 +72,7 @@ let staged_for t ino =
 let staged_size s = s.s_size
 
 let file_size t fd =
-  let ino = (Fd_table.get t.inner.Basefs.fds fd).ino in
+  let ino = (Fd_table.get t.inner.ns.fds fd).ino in
   let base = Basefs.file_size t.inner fd in
   match Hashtbl.find_opt t.staging ino with
   | Some s -> max base (staged_size s)
@@ -80,12 +80,12 @@ let file_size t fd =
 
 let unlink t cpu path =
   (* Drop any staging for the victim. *)
-  (match Basefs.resolve t.inner cpu path with
+  (match Dram_ns.resolve t.inner.ns cpu path with
   | ino -> (
       match Hashtbl.find_opt t.staging ino with
       | Some s ->
           List.iter
-            (fun (_, phys, len) -> Alloc.free t.inner.Basefs.alloc ~off:phys ~len)
+            (fun (_, phys, len) -> Alloc.free t.inner.ns.alloc ~off:phys ~len)
             (Block_map.extents s.smap);
           Hashtbl.remove t.staging ino
       | None -> ())
@@ -101,20 +101,16 @@ let stat t cpu path =
 (* Overwrites within the committed size bypass the kernel entirely (mmap
    path: no syscall charge).  Writes past EOF are staged appends. *)
 let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
-  let e = Fd_table.get t.inner.Basefs.fds fd in
-  if not e.flags.wr then Types.err EBADF "fd %d not writable" fd;
-  let f = Basefs.find_file t.inner e.ino in
-  if src_off < 0 || len < 0 || src_off + len > String.length src then
-    Types.err EINVAL "pwrite_sub outside src bounds";
+  let f = Dram_ns.check_write t.inner.ns fd ~off ~src ~src_off ~len in
   if len = 0 then 0
-  else if off + len <= f.Basefs.size && Block_map.covered f.Basefs.bmap ~file_off:off ~len
+  else if off + len <= f.size && Block_map.covered f.bmap ~file_off:off ~len
   then begin
     (* User-space overwrite through the file's mmap. *)
     let src_b = Bytes.unsafe_of_string src in
     Device.with_site (dev_of t) site_mmap (fun () ->
         let cur = ref off in
         while !cur < off + len do
-          let phys, run = Option.get (Block_map.lookup f.Basefs.bmap ~file_off:!cur) in
+          let phys, run = Option.get (Block_map.lookup f.bmap ~file_off:!cur) in
           let n = min (off + len - !cur) run in
           Device.write_nt (dev_of t) cpu ~off:phys ~src:src_b
             ~src_off:(src_off + (!cur - off)) ~len:n;
@@ -126,9 +122,9 @@ let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
   else begin
     (* Staged append path: allocate staging space, write there; the
        relink happens at fsync. *)
-    let s = staged_for t e.ino in
+    let s = staged_for t f.ino in
     let exts =
-      match Alloc.alloc t.inner.Basefs.alloc ~cpu:0 ~len:(Units.round_up len Units.base_page) with
+      match Alloc.alloc t.inner.ns.alloc ~cpu:0 ~len:(Units.round_up len Units.base_page) with
       | Some exts -> exts
       | None -> Types.err ENOSPC "staging allocation"
     in
@@ -159,14 +155,14 @@ let pwrite t cpu fd ~off ~src =
 let append t cpu fd ~src = pwrite t cpu fd ~off:(file_size t fd) ~src
 
 let pread t cpu fd ~off ~len =
-  let e = Fd_table.get t.inner.Basefs.fds fd in
-  let ino = e.ino in
+  let ino = (Fd_table.get t.inner.ns.fds fd).ino in
   match Hashtbl.find_opt t.staging ino with
   | None | Some { sbytes = 0; _ } ->
       (* No kernel trap for mmap reads: charge only the PM access by
          reading through the inner FS minus the syscall overhead. *)
       Basefs.pread t.inner cpu fd ~off ~len
   | Some s ->
+      let f = Dram_ns.check_read t.inner.ns fd ~off ~len in
       let total = file_size t fd in
       let len = max 0 (min len (total - off)) in
       if len = 0 then ""
@@ -187,8 +183,7 @@ let pread t cpu fd ~off ~len =
                 | Some o -> min (off + len) o
                 | None -> off + len
               in
-              let f = Basefs.find_file t.inner ino in
-              match Block_map.lookup f.Basefs.bmap ~file_off:!cur with
+              match Block_map.lookup f.bmap ~file_off:!cur with
               | Some (phys, run) ->
                   let n = min (limit - !cur) run in
                   Device.read (dev_of t) cpu ~off:phys ~len:n ~dst ~dst_off:(!cur - off);
@@ -201,23 +196,23 @@ let pread t cpu fd ~off ~len =
 (* fsync: the relink — staged extents become file extents via one ext4
    journal transaction; no data copy. *)
 let fsync t cpu fd =
-  let e = Fd_table.get t.inner.Basefs.fds fd in
+  let e = Fd_table.get t.inner.ns.fds fd in
   (match Hashtbl.find_opt t.staging e.ino with
   | Some s when Block_map.extents s.smap <> [] ->
-      let f = Basefs.find_file t.inner e.ino in
+      let f = Dram_ns.find_file t.inner.ns e.ino in
       List.iter
         (fun (fo, phys, len) ->
-          let clobbered = Block_map.remove_range f.Basefs.bmap ~file_off:fo ~len in
-          List.iter (fun (o, l) -> Alloc.free t.inner.Basefs.alloc ~off:o ~len:l) clobbered;
-          Block_map.insert f.Basefs.bmap ~file_off:fo ~phys ~len)
+          let clobbered = Block_map.remove_range f.bmap ~file_off:fo ~len in
+          List.iter (fun (o, l) -> Alloc.free t.inner.ns.alloc ~off:o ~len:l) clobbered;
+          Block_map.insert f.bmap ~file_off:fo ~phys ~len)
         (Block_map.extents s.smap);
-      let new_size = max f.Basefs.size (staged_size s) in
-      f.Basefs.size <- new_size;
+      let new_size = max f.size (staged_size s) in
+      f.size <- new_size;
       Block_map.clear s.smap;
       s.sbytes <- 0;
       s.s_size <- 0;
       (* One metadata journal transaction on the ext4 journal. *)
-      Basefs.meta_sync t.inner cpu ~addr:f.Basefs.meta_addr ~bytes:128
+      Basefs.meta_sync t.inner cpu ~addr:f.p.meta_addr ~bytes:128
   | _ -> ());
   Basefs.fsync t.inner cpu fd
 

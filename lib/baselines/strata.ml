@@ -15,8 +15,6 @@ module Device = Repro_pmem.Device
 module Vmem = Repro_memsim.Vmem
 module Sched = Repro_sched.Sched
 module Types = Repro_vfs.Types
-module Path = Repro_vfs.Path
-module Dir_index = Repro_vfs.Dir_index
 module Fd_table = Repro_vfs.Fd_table
 module Block_map = Repro_vfs.Block_map
 module Cost = Repro_vfs.Fs_intf.Cost
@@ -45,30 +43,16 @@ type plog = {
   mutable entries : pending_write list; (* newest first *)
 }
 
-type file = {
-  ino : int;
-  mutable kind : Types.file_kind;
-  mutable size : int;
-  mutable nlink : int;
-  bmap : Block_map.t; (* shared-area extents (digested) *)
-  mutable dir : Dir_index.t option;
-  lock : Sched.mutex;
-}
+(* Inodes carry no payload: a file's block map holds its shared-area
+   (digested) extents, its pending bytes live in the process logs. *)
+type file = unit Dram_ns.file
 
 type t = {
   dev : Device.t;
   cfg : Types.config;
-  alloc : Alloc.t;
   logs : plog array; (* one per CPU ("process") *)
-  files : (int, file) Hashtbl.t;
-  fds : Fd_table.t;
-  counters : Counters.t;
-  mutable next_ino : int;
-  data_off : int;
-  data_len : int;
+  ns : unit Dram_ns.t;
 }
-
-let root_ino = 1
 
 let format dev (cfg : Types.config) =
   let size = Device.size dev in
@@ -80,49 +64,20 @@ let format dev (cfg : Types.config) =
   let alloc_cfg =
     { Alloc.per_cpu = false; policy = Alloc.Best_fit; align_exact_2m = false; normalize_pow2 = false }
   in
-  let t =
-    {
-      dev;
-      cfg;
-      alloc = Alloc.create alloc_cfg ~cpus:1 ~regions:[| (data_off, data_len) |];
-      logs =
-        Array.init cfg.cpus (fun i ->
-            { base = 4096 + (i * log_size); size = log_size; head = 0; entries = [] });
-      files = Hashtbl.create 1024;
-      fds = Fd_table.create ();
-      counters = Counters.create ();
-      next_ino = root_ino;
-      data_off;
-      data_len;
-    }
-  in
-  let root =
-    {
-      ino = root_ino;
-      kind = Types.Directory;
-      size = 0;
-      nlink = 2;
-      bmap = Block_map.create ();
-      dir = Some (Dir_index.create Dram_rbtree);
-      lock = Sched.create_mutex ();
-    }
-  in
-  Hashtbl.replace t.files root_ino root;
-  t.next_ino <- 2;
-  t
+  {
+    dev;
+    cfg;
+    logs =
+      Array.init cfg.cpus (fun i ->
+          { base = 4096 + (i * log_size); size = log_size; head = 0; entries = [] });
+    ns =
+      Dram_ns.init
+        ~alloc:(Alloc.create alloc_cfg ~cpus:1 ~regions:[| (data_off, data_len) |])
+        ~capacity:data_len ~dir_policy:Dram_rbtree ~root:() ~payload:ignore;
+  }
 
-let mount _dev _cfg =
-  Types.err EINVAL "baseline models do not support mount-from-image (see DESIGN.md)"
-
-let recovery_ns _ = 0
 let device t = t.dev
 let config t = t.cfg
-let counters t = t.counters
-
-let find_file t ino =
-  match Hashtbl.find_opt t.files ino with
-  | Some f -> f
-  | None -> Types.err EBADF "stale inode %d" ino
 
 let log_of t (cpu : Cpu.t) = t.logs.(cpu.id mod t.cfg.cpus)
 
@@ -135,7 +90,7 @@ let log_meta t cpu =
         ~len:64;
       Device.persist t.dev cpu ~off:(lg.base + lg.head) ~len:64);
   lg.head <- lg.head + 64;
-  Counters.incr t.counters "fs.log_meta"
+  Counters.incr t.ns.counters "fs.log_meta"
 
 (* Digest one process log: copy pending data into the shared area and
    update the block maps — the visible-data copy cost. *)
@@ -145,13 +100,13 @@ let digest t cpu lg =
   lg.head <- 0;
   List.iter
     (fun p ->
-      match Hashtbl.find_opt t.files p.p_ino with
+      match Hashtbl.find_opt t.ns.files p.p_ino with
       | None -> () (* file deleted before digestion *)
       | Some f ->
           let blo = Units.round_down p.p_off block in
           let bhi = Units.round_up (p.p_off + p.p_len) block in
           let exts =
-            match Alloc.alloc t.alloc ~cpu:0 ~len:(bhi - blo) with
+            match Alloc.alloc t.ns.alloc ~cpu:0 ~len:(bhi - blo) with
             | Some exts -> exts
             | None -> Types.err ENOSPC "digestion allocation"
           in
@@ -196,7 +151,7 @@ let digest t cpu lg =
                       end)
                     exts);
               Device.fence t.dev cpu);
-          Counters.add t.counters "fs.digested_bytes" p.p_len;
+          Counters.add t.ns.counters "fs.digested_bytes" p.p_len;
           let freed = Block_map.remove_range f.bmap ~file_off:blo ~len:(bhi - blo) in
           let fo = ref blo in
           List.iter
@@ -204,169 +159,25 @@ let digest t cpu lg =
               Block_map.insert f.bmap ~file_off:!fo ~phys:e.off ~len:e.len;
               fo := !fo + e.len)
             exts;
-          List.iter (fun (o, l) -> Alloc.free t.alloc ~off:o ~len:l) freed)
+          List.iter (fun (o, l) -> Alloc.free t.ns.alloc ~off:o ~len:l) freed)
     pending;
-  Counters.incr t.counters "fs.digests"
+  Counters.incr t.ns.counters "fs.digests"
 
 let digest_all t cpu = Array.iter (fun lg -> if lg.entries <> [] then digest t cpu lg) t.logs
 
 let unmount t cpu = digest_all t cpu
 
 (* ------------------------------------------------------------------ *)
-(* Namespace (metadata ops log-append + DRAM)                          *)
+(* Namespace: log append first, then the DRAM dentry update            *)
 
-let resolve t cpu path =
-  let parts = Path.split path in
-  let rec walk ino = function
-    | [] -> ino
-    | name :: rest -> (
-        let f = find_file t ino in
-        match f.dir with
-        | None -> Types.err ENOTDIR "%s" path
-        | Some idx -> (
-            match Dir_index.lookup idx cpu name with
-            | Some (child, _) -> walk child rest
-            | None -> Types.err ENOENT "%s" path))
-  in
-  walk root_ino parts
-
-let resolve_parent t cpu path =
-  let dir = Path.dirname path and name = Path.basename path in
-  let ino = resolve t cpu dir in
-  let f = find_file t ino in
-  if f.kind <> Types.Directory then Types.err ENOTDIR "%s" dir;
-  (f, name)
-
-let new_file t kind =
-  let ino = t.next_ino in
-  t.next_ino <- t.next_ino + 1;
-  let f =
-    {
-      ino;
-      kind;
-      size = 0;
-      nlink = (if kind = Types.Directory then 2 else 1);
-      bmap = Block_map.create ();
-      dir = (if kind = Types.Directory then Some (Dir_index.create Dram_rbtree) else None);
-      lock = Sched.create_mutex ();
-    }
-  in
-  Hashtbl.replace t.files ino f;
-  f
-
-let mkdir t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      if Dir_index.mem idx cpu name then Types.err EEXIST "%s" path;
-      let f = new_file t Types.Directory in
-      log_meta t cpu;
-      Dir_index.add idx cpu ~name ~ino:f.ino ~slot:0;
-      parent.nlink <- parent.nlink + 1);
-  Counters.incr t.counters "fs.mkdir"
-
-let create t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  let f =
-    Sched.with_lock parent.lock (fun () ->
-        let idx = Option.get parent.dir in
-        if Dir_index.mem idx cpu name then Types.err EEXIST "%s" path;
-        let f = new_file t Types.Regular in
-        log_meta t cpu;
-        Dir_index.add idx cpu ~name ~ino:f.ino ~slot:0;
-        f)
-  in
-  Counters.incr t.counters "fs.create";
-  Fd_table.alloc t.fds ~ino:f.ino ~flags:Types.o_creat_rdwr
-
-let free_file_space t f =
-  List.iter (fun (_, phys, len) -> Alloc.free t.alloc ~off:phys ~len) (Block_map.extents f.bmap);
-  Block_map.clear f.bmap
+let log_then t cpu update =
+  log_meta t cpu;
+  update ()
 
 let drop_pending t ino =
   Array.iter
     (fun lg -> lg.entries <- List.filter (fun p -> p.p_ino <> ino) lg.entries)
     t.logs
-
-let unlink t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      match Dir_index.lookup idx cpu name with
-      | None -> Types.err ENOENT "%s" path
-      | Some (ino, _) ->
-          let f = find_file t ino in
-          if f.kind = Types.Directory then Types.err EISDIR "%s" path;
-          log_meta t cpu;
-          Dir_index.remove idx cpu name;
-          f.nlink <- f.nlink - 1;
-          if f.nlink = 0 then
-            Sched.with_lock f.lock (fun () ->
-                drop_pending t ino;
-                free_file_space t f;
-                Hashtbl.remove t.files ino));
-  Counters.incr t.counters "fs.unlink"
-
-let rmdir t cpu path =
-  Cost.charge_syscall cpu;
-  let parent, name = resolve_parent t cpu path in
-  Sched.with_lock parent.lock (fun () ->
-      let idx = Option.get parent.dir in
-      match Dir_index.lookup idx cpu name with
-      | None -> Types.err ENOENT "%s" path
-      | Some (ino, _) ->
-          let f = find_file t ino in
-          if f.kind <> Types.Directory then Types.err ENOTDIR "%s" path;
-          if Dir_index.size (Option.get f.dir) > 0 then Types.err ENOTEMPTY "%s" path;
-          log_meta t cpu;
-          Dir_index.remove idx cpu name;
-          parent.nlink <- parent.nlink - 1;
-          Hashtbl.remove t.files ino);
-  Counters.incr t.counters "fs.rmdir"
-
-let rename t cpu ~old_path ~new_path =
-  Cost.charge_syscall cpu;
-  let src_parent, src_name = resolve_parent t cpu old_path in
-  let dst_parent, dst_name = resolve_parent t cpu new_path in
-  let locks =
-    if src_parent.ino = dst_parent.ino then [ src_parent.lock ]
-    else if src_parent.ino < dst_parent.ino then [ src_parent.lock; dst_parent.lock ]
-    else [ dst_parent.lock; src_parent.lock ]
-  in
-  List.iter Sched.lock locks;
-  Fun.protect
-    ~finally:(fun () -> List.iter Sched.unlock (List.rev locks))
-    (fun () ->
-      let src_idx = Option.get src_parent.dir and dst_idx = Option.get dst_parent.dir in
-      match Dir_index.lookup src_idx cpu src_name with
-      | None -> Types.err ENOENT "%s" old_path
-      | Some (ino, _) ->
-          (match Dir_index.lookup dst_idx cpu dst_name with
-          | Some (victim_ino, _) when victim_ino <> ino ->
-              let victim = find_file t victim_ino in
-              if victim.kind = Types.Directory then Types.err EISDIR "%s" new_path;
-              Dir_index.remove dst_idx cpu dst_name;
-              Sched.with_lock victim.lock (fun () ->
-                  drop_pending t victim_ino;
-                  free_file_space t victim;
-                  Hashtbl.remove t.files victim_ino)
-          | _ -> ());
-          log_meta t cpu;
-          Dir_index.remove src_idx cpu src_name;
-          Dir_index.add dst_idx cpu ~name:dst_name ~ino ~slot:0);
-  Counters.incr t.counters "fs.rename"
-
-let readdir t cpu path =
-  Cost.charge_syscall cpu;
-  let f = find_file t (resolve t cpu path) in
-  match f.dir with
-  | None -> Types.err ENOTDIR "%s" path
-  | Some idx ->
-      Simclock.advance cpu.clock (Dir_index.size idx * 12);
-      List.map fst (Dir_index.entries idx)
 
 let pending_size t ino =
   Array.fold_left
@@ -376,60 +187,27 @@ let pending_size t ino =
         acc lg.entries)
     0 t.logs
 
-let stat t cpu path =
-  Cost.charge_syscall cpu;
-  let f = find_file t (resolve t cpu path) in
-  {
-    Types.st_ino = f.ino;
-    st_kind = f.kind;
-    st_size = max f.size (pending_size t f.ino);
-    st_blocks = Block_map.mapped_bytes f.bmap;
-    st_nlink = f.nlink;
-  }
-
-let exists t cpu path =
-  match resolve t cpu path with
-  | _ -> true
-  | exception Types.Error ((ENOENT | ENOTDIR), _) -> false
-
-let rec openf t cpu path (flags : Types.open_flags) =
-  Cost.charge_syscall cpu;
-  match resolve t cpu path with
-  | ino ->
-      if flags.creat && flags.excl then Types.err EEXIST "%s" path;
-      let f = find_file t ino in
-      if f.kind = Types.Directory && flags.wr then Types.err EISDIR "%s" path;
-      if flags.trunc && f.kind = Types.Regular && f.size > 0 then begin
-        drop_pending t ino;
-        free_file_space t f;
-        f.size <- 0;
-        log_meta t cpu
-      end;
-      Fd_table.alloc t.fds ~ino ~flags
-  | exception Types.Error (ENOENT, _) when flags.creat ->
-      let fd = create t cpu path in
-      Fd_table.close t.fds fd;
-      openf t cpu path { flags with creat = false }
-
-let close t cpu fd =
-  Cost.charge_syscall cpu;
-  Fd_table.close t.fds fd
-
-let file_size t fd =
-  let ino = (Fd_table.get t.fds fd).ino in
-  max (find_file t ino).size (pending_size t ino)
+(* Overlay pending log entries on the shared-area bytes (newest last so
+   they win). *)
+let read_pending t cpu (f : file) ~off ~len dst =
+  Array.iter
+    (fun lg ->
+      List.iter
+        (fun p ->
+          if p.p_ino = f.ino then begin
+            let lo = max off p.p_off and hi = min (off + len) (p.p_off + p.p_len) in
+            if hi > lo then
+              Device.read t.dev cpu ~off:(p.p_log_phys + (lo - p.p_off)) ~len:(hi - lo) ~dst
+                ~dst_off:(lo - off)
+          end)
+        (List.rev lg.entries))
+    t.logs
 
 (* ------------------------------------------------------------------ *)
 (* Data: log-append writes, digestion on pressure                      *)
 
 let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
-  Cost.charge_syscall cpu;
-  let e = Fd_table.get t.fds fd in
-  if not e.flags.wr then Types.err EBADF "fd %d not writable" fd;
-  let f = find_file t e.ino in
-  if f.kind = Types.Directory then Types.err EISDIR "fd %d" fd;
-  if src_off < 0 || len < 0 || src_off + len > String.length src then
-    Types.err EINVAL "pwrite_sub outside src bounds";
+  let f = Dram_ns.write_prologue t.ns cpu fd ~off ~src ~src_off ~len in
   if len = 0 then 0
   else begin
     let lg = log_of t cpu in
@@ -451,63 +229,46 @@ let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
       cur := !cur + n
     done;
     if off + len > f.size then f.size <- off + len;
-    Counters.add t.counters "fs.write_bytes" len;
+    Counters.add t.ns.counters "fs.write_bytes" len;
     len
   end
 
-let pwrite t cpu fd ~off ~src =
-  pwrite_sub t cpu fd ~off ~src ~src_off:0 ~len:(String.length src)
+include Dram_ns.Make (struct
+  type nonrec t = t
+  type payload = unit
 
-let append t cpu fd ~src = pwrite t cpu fd ~off:(file_size t fd) ~src
+  let ns t = t.ns
+  let device = device
+  let persist_link t cpu ~parent:_ _ update = log_then t cpu update
+  let persist_unlink = persist_link
+  let persist_rmdir = persist_link
+  let persist_rename t cpu ~src:_ ~dst:_ update = log_then t cpu update
 
-let pread t cpu fd ~off ~len =
-  Cost.charge_syscall cpu;
-  let e = Fd_table.get t.fds fd in
-  if not e.flags.rd then Types.err EBADF "fd %d not readable" fd;
-  let f = find_file t e.ino in
-  let len = max 0 (min len (max f.size (pending_size t f.ino) - off)) in
-  if len = 0 then ""
-  else begin
-    let dst = Bytes.make len '\000' in
-    (* Shared-area bytes first. *)
-    let cur = ref off in
-    while !cur < off + len do
-      match Block_map.lookup f.bmap ~file_off:!cur with
-      | Some (phys, run) ->
-          let n = min (off + len - !cur) run in
-          Device.read t.dev cpu ~off:phys ~len:n ~dst ~dst_off:(!cur - off);
-          cur := !cur + n
-      | None -> (
-          match Block_map.next_mapped f.bmap ~file_off:(!cur + 1) with
-          | Some o -> cur := min (off + len) o
-          | None -> cur := off + len)
-    done;
-    (* Overlay pending log entries (newest last so they win). *)
-    Array.iter
-      (fun lg ->
-        List.iter
-          (fun p ->
-            if p.p_ino = f.ino then begin
-              let lo = max off p.p_off and hi = min (off + len) (p.p_off + p.p_len) in
-              if hi > lo then
-                Device.read t.dev cpu ~off:(p.p_log_phys + (lo - p.p_off)) ~len:(hi - lo)
-                  ~dst ~dst_off:(lo - off)
-            end)
-          (List.rev lg.entries))
-      t.logs;
-    Counters.add t.counters "fs.read_bytes" len;
-    Bytes.unsafe_to_string dst
-  end
+  (* O_TRUNC takes no inode lock, unlike ftruncate: a known quirk of the
+     model, kept so its behaviour does not change. *)
+  let persist_truncate t cpu (f : file) update =
+    drop_pending t f.ino;
+    update ();
+    log_meta t cpu
+
+  let release t (f : file) =
+    drop_pending t f.ino;
+    Dram_ns.free_blocks t.ns f
+
+  let size t (f : file) = max f.size (pending_size t f.ino)
+  let log_bytes _ = 0
+  let read_overlay = read_pending
+  let pwrite_sub = pwrite_sub
+end)
 
 (* fsync is cheap: the log is already durable. *)
 let fsync t cpu _fd =
   Cost.charge_syscall cpu;
   Device.with_site t.dev site_fsync (fun () -> Device.fence t.dev cpu);
-  Counters.incr t.counters "fs.fsync"
+  Counters.incr t.ns.counters "fs.fsync"
 
 let fallocate t cpu fd ~off ~len =
-  Cost.charge_syscall cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
+  let f = Dram_ns.fallocate_prologue t.ns cpu fd ~off ~len in
   Sched.with_lock f.lock (fun () ->
       let lo = Units.round_down off block and hi = Units.round_up (off + len) block in
       let cur = ref lo in
@@ -520,7 +281,7 @@ let fallocate t cpu fd ~off ~len =
               | Some o -> min hi o
               | None -> hi
             in
-            (match Alloc.alloc t.alloc ~cpu:0 ~len:(hole_end - !cur) with
+            (match Alloc.alloc t.ns.alloc ~cpu:0 ~len:(hole_end - !cur) with
             | Some exts ->
                 let fo = ref !cur in
                 Device.with_site t.dev site_zero (fun () ->
@@ -535,35 +296,34 @@ let fallocate t cpu fd ~off ~len =
             cur := hole_end
       done;
       if off + len > f.size then f.size <- off + len);
-  Counters.incr t.counters "fs.fallocate"
+  Counters.incr t.ns.counters "fs.fallocate"
 
 let ftruncate t cpu fd new_size =
-  Cost.charge_syscall cpu;
+  let f = Dram_ns.ftruncate_prologue t.ns cpu fd new_size in
   (* Pending log entries must become visible before the size change. *)
   digest_all t cpu;
-  let f = find_file t (Fd_table.get t.fds fd).ino in
   Sched.with_lock f.lock (fun () ->
       if new_size < f.size then begin
         let lo = Units.round_up new_size block in
         if f.size > lo then begin
           let freed = Block_map.remove_range f.bmap ~file_off:lo ~len:(f.size - lo) in
-          List.iter (fun (o, l) -> Alloc.free t.alloc ~off:o ~len:l) freed
+          List.iter (fun (o, l) -> Alloc.free t.ns.alloc ~off:o ~len:l) freed
         end
       end;
       f.size <- new_size;
       log_meta t cpu);
-  Counters.incr t.counters "fs.ftruncate"
+  Counters.incr t.ns.counters "fs.ftruncate"
 
 (* mmap requires digestion first (data must be in the shared area). *)
 let mmap_backing t fd : Vmem.backing =
-  let ino = (Fd_table.get t.fds fd).ino in
+  let ino = (Fd_table.get t.ns.fds fd).ino in
   fun cpu ~file_off ~huge_ok ->
     digest_all t cpu;
-    let f = find_file t ino in
+    let f = Dram_ns.find_file t.ns ino in
     let fault_alloc () =
       Sched.with_lock f.lock (fun () ->
           if Block_map.lookup f.bmap ~file_off = None then
-            match Alloc.alloc t.alloc ~cpu:0 ~len:block with
+            match Alloc.alloc t.ns.alloc ~cpu:0 ~len:block with
             | Some exts ->
                 let fo = ref file_off in
                 Device.with_site t.dev site_fault (fun () ->
@@ -591,20 +351,3 @@ let mmap_backing t fd : Vmem.backing =
       | Some (phys, _) -> Vmem.Base phys
       | None -> Vmem.Sigbus
     end
-
-let set_xattr_align _t cpu _path _v = Cost.charge_syscall cpu
-
-let statfs t =
-  let free = Alloc.free_bytes t.alloc in
-  {
-    Types.capacity = t.data_len;
-    used = t.data_len - free;
-    free;
-    free_extents = Alloc.free_extent_count t.alloc;
-    largest_free = Alloc.largest_free t.alloc;
-    aligned_free_2m = Alloc.aligned_region_count t.alloc;
-  }
-
-let file_extents t cpu path =
-  let f = find_file t (resolve t cpu path) in
-  Block_map.extents f.bmap

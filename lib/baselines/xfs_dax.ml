@@ -3,11 +3,11 @@
     footnote 1 — no hugepages even on a clean file system), with a global
     redo journal committed stop-the-world at fsync. *)
 
-type t = Basefs.t
+include Basefs
 
 let preset =
   {
-    Basefs.label = "xfs-DAX";
+    label = "xfs-DAX";
     alloc_cfg =
       {
         Repro_alloc.Pool_alloc.per_cpu = false;
@@ -16,40 +16,12 @@ let preset =
         normalize_pow2 = false;
       };
     dir_policy = Repro_vfs.Dir_index.Dram_rbtree;
-    journal = Basefs.Jbd2_redo;
+    journal = Jbd2_redo;
     zero_on_fallocate = false;
     misaligned_start = true;
     huge_fault_alloc = false;
     goal_alloc = true;
   }
 
-let name = preset.Basefs.label
+let name = preset.label
 let format dev cfg = Basefs.format preset dev cfg
-let mount = Basefs.mount
-let unmount = Basefs.unmount
-let recovery_ns = Basefs.recovery_ns
-let device = Basefs.device
-let config = Basefs.config
-let mkdir = Basefs.mkdir
-let rmdir = Basefs.rmdir
-let create = Basefs.create
-let openf = Basefs.openf
-let close = Basefs.close
-let unlink = Basefs.unlink
-let rename = Basefs.rename
-let readdir = Basefs.readdir
-let stat = Basefs.stat
-let exists = Basefs.exists
-let pwrite = Basefs.pwrite
-let pwrite_sub = Basefs.pwrite_sub
-let pread = Basefs.pread
-let append = Basefs.append
-let fsync = Basefs.fsync
-let fallocate = Basefs.fallocate
-let ftruncate = Basefs.ftruncate
-let file_size = Basefs.file_size
-let mmap_backing = Basefs.mmap_backing
-let set_xattr_align = Basefs.set_xattr_align
-let statfs = Basefs.statfs
-let file_extents = Basefs.file_extents
-let counters = Basefs.counters

@@ -122,6 +122,32 @@ let mmap_contract (factory : Registry.factory) () =
       Alcotest.(check bool) "fully mapped" true (total >= 4 * mib);
       F.close fs c fd); }
 
+(* Out-of-range offsets, lengths and sizes are EINVAL on every file
+   system — never accepted, never an internal exception — and leave the
+   file intact. *)
+let bad_ranges (factory : Registry.factory) () =
+  with_fs factory
+    { visit = (fun (type a) (module F : Fs_intf.S with type t = a) (fs : a) ->
+      let c = Cpu.make ~id:0 () in
+      let fd = F.create fs c "/r" in
+      ignore (F.pwrite fs c fd ~off:0 ~src:"hello world");
+      let einval what op =
+        match op () with
+        | () -> Alcotest.failf "%s accepted" what
+        | exception Types.Error (EINVAL, _) -> ()
+        | exception e -> Alcotest.failf "%s raised %s, not EINVAL" what (Printexc.to_string e)
+      in
+      einval "pread off=-1" (fun () -> ignore (F.pread fs c fd ~off:(-1) ~len:5));
+      einval "pwrite off=-1" (fun () -> ignore (F.pwrite fs c fd ~off:(-1) ~src:"x"));
+      einval "fallocate off=-8192" (fun () -> F.fallocate fs c fd ~off:(-8192) ~len:4096);
+      einval "fallocate len=0" (fun () -> F.fallocate fs c fd ~off:0 ~len:0);
+      einval "fallocate len=-1" (fun () -> F.fallocate fs c fd ~off:0 ~len:(-1));
+      einval "ftruncate -1" (fun () -> F.ftruncate fs c fd (-1));
+      Alcotest.(check string) "file intact" "hello world" (F.pread fs c fd ~off:0 ~len:11);
+      F.ftruncate fs c fd 5;
+      Alcotest.(check string) "truncate still works" "hello" (F.pread fs c fd ~off:0 ~len:11);
+      F.close fs c fd); }
+
 let throughput_sanity (factory : Registry.factory) () =
   (* With the real cost model, doing more work must cost more time. *)
   let dev = Device.create ~size:(32 * mib) () in
@@ -145,5 +171,6 @@ let suite =
         Alcotest.test_case (factory.fs_name ^ " contract") `Quick (contract factory);
         Alcotest.test_case (factory.fs_name ^ " mmap") `Quick (mmap_contract factory);
         Alcotest.test_case (factory.fs_name ^ " costs") `Quick (throughput_sanity factory);
+        Alcotest.test_case (factory.fs_name ^ " bad ranges") `Quick (bad_ranges factory);
       ])
     Registry.all

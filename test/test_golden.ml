@@ -1,16 +1,20 @@
-(* Golden-image regression test for the layered core refactor.
+(* Golden-image regression tests.
 
-   One fixed, deterministic workload (strict mode, free cost model, 2
-   CPUs) is replayed against WineFS; the resulting PM image CRC32C and
-   the full operation/byte counter snapshot must match values captured
-   before the Txn/Inode/Extent_map/Datapath/Namespace split.  Any drift
-   in journal traffic, allocation order, on-PM encodings or counter
-   accounting shows up here as a byte-level diff. *)
+   One fixed, deterministic workload (strict mode, 2 CPUs) is replayed
+   against every file system; the resulting PM image CRC32C, the full
+   operation/byte counter snapshot and both CPUs' final simulated clocks
+   must match values captured before a refactor.  WineFS runs under the
+   free cost model (its pins predate the Txn/Inode/Extent_map/Datapath/
+   Namespace split); the baselines run under the Optane cost model, so
+   the clocks pin their charging order too.  Any drift in journal
+   traffic, allocation order, on-PM encodings, cost charging or counter
+   accounting shows up here as a diff. *)
 
 open Repro_util
 module Device = Repro_pmem.Device
 module Types = Repro_vfs.Types
-module Fs = Winefs.Fs
+module Fs_intf = Repro_vfs.Fs_intf
+module Registry = Repro_baselines.Registry
 
 let mib = Units.mib
 
@@ -35,10 +39,10 @@ let expected_counters =
     ("fs.write_bytes", 204808);
   ]
 
-let run_workload () =
-  let dev = Device.create ~cost:Device.Cost.free ~size:(64 * mib) () in
+let run_workload ~cost (make : Device.t -> Types.config -> Fs_intf.handle) =
+  let dev = Device.create ~cost ~size:(64 * mib) () in
   let cfg = Types.config ~cpus:2 ~mode:Types.Strict ~inodes_per_cpu:256 () in
-  let fs = Fs.format dev cfg in
+  let (Fs_intf.Handle ((module Fs), fs)) = make dev cfg in
   let c0 = Cpu.make ~id:0 () in
   let c1 = Cpu.make ~id:1 () in
   Fs.mkdir fs c0 "/d";
@@ -75,7 +79,7 @@ let run_workload () =
   ignore (Fs.pread fs c0 fd4 ~off:(2 * mib) ~len:70_000);
   Fs.close fs c0 fd4;
   Fs.unmount fs c0;
-  (dev, fs)
+  (dev, Counters.snapshot (Fs.counters fs), (Cpu.now c0, Cpu.now c1))
 
 let image_crc dev =
   let size = Device.size dev in
@@ -91,18 +95,139 @@ let image_crc dev =
   done;
   Crc32c.finish !crc
 
+let winefs () = run_workload ~cost:Device.Cost.free Registry.winefs.make
+
 let test_image_crc () =
-  let dev, _fs = run_workload () in
+  let dev, _, _ = winefs () in
   Alcotest.(check int) "PM image CRC32C" expected_image_crc (image_crc dev)
 
 let test_counter_totals () =
-  let _dev, fs = run_workload () in
-  Alcotest.(check (list (pair string int)))
-    "counter snapshot" expected_counters
-    (Counters.snapshot (Fs.counters fs))
+  let _, counters, _ = winefs () in
+  Alcotest.(check (list (pair string int))) "counter snapshot" expected_counters counters
+
+(* Baseline pins: (image CRC32C, counter snapshot, (cpu0, cpu1) clocks). *)
+let baseline_pins =
+  [
+    ( Registry.ext4_dax,
+      ( 0xbbcb2435,
+        [
+          ("fs.create", 22);
+          ("fs.fallocate", 1);
+          ("fs.fsync", 21);
+          ("fs.ftruncate", 2);
+          ("fs.mkdir", 2);
+          ("fs.read_bytes", 80000);
+          ("fs.rename", 1);
+          ("fs.unlink", 7);
+          ("fs.write_bytes", 204808);
+        ],
+        (67162, 144732) ) );
+    ( Registry.xfs_dax,
+      ( 0x71f11964,
+        [
+          ("fs.create", 22);
+          ("fs.fallocate", 1);
+          ("fs.fsync", 21);
+          ("fs.ftruncate", 2);
+          ("fs.mkdir", 2);
+          ("fs.read_bytes", 80000);
+          ("fs.rename", 1);
+          ("fs.unlink", 7);
+          ("fs.write_bytes", 204808);
+        ],
+        (67162, 144732) ) );
+    ( Registry.pmfs,
+      ( 0xca7dd588,
+        [
+          ("fs.create", 22);
+          ("fs.fallocate", 1);
+          ("fs.fsync", 21);
+          ("fs.ftruncate", 2);
+          ("fs.mkdir", 2);
+          ("fs.read_bytes", 80000);
+          ("fs.rename", 1);
+          ("fs.unlink", 7);
+          ("fs.write_bytes", 204808);
+        ],
+        (1127884, 226852) ) );
+    ( Registry.nova,
+      ( 0x5cd661dd,
+        [
+          ("fs.cow_copy_bytes", 3728);
+          ("fs.create", 22);
+          ("fs.fallocate", 1);
+          ("fs.fsync", 21);
+          ("fs.ftruncate", 2);
+          ("fs.log_appends", 85);
+          ("fs.log_invalidations", 12);
+          ("fs.log_pages", 25);
+          ("fs.mkdir", 2);
+          ("fs.read_bytes", 80000);
+          ("fs.rename", 1);
+          ("fs.unlink", 7);
+          ("fs.write_bytes", 204808);
+        ],
+        (1108545, 108904) ) );
+    ( Registry.nova_relaxed,
+      ( 0x31688dc6,
+        [
+          ("fs.create", 22);
+          ("fs.fallocate", 1);
+          ("fs.fsync", 21);
+          ("fs.ftruncate", 2);
+          ("fs.log_appends", 108);
+          ("fs.log_invalidations", 9);
+          ("fs.log_pages", 25);
+          ("fs.mkdir", 2);
+          ("fs.read_bytes", 80000);
+          ("fs.rename", 1);
+          ("fs.unlink", 7);
+          ("fs.write_bytes", 204808);
+        ],
+        (1112747, 137604) ) );
+    ( Registry.splitfs,
+      ( 0x5e0dcd5a,
+        [
+          ("fs.create", 22);
+          ("fs.fallocate", 1);
+          ("fs.fsync", 23);
+          ("fs.ftruncate", 2);
+          ("fs.mkdir", 2);
+          ("fs.read_bytes", 80000);
+          ("fs.rename", 1);
+          ("fs.unlink", 7);
+        ],
+        (57674, 102872) ) );
+    ( Registry.strata,
+      ( 0x79bc7034,
+        [
+          ("fs.create", 22);
+          ("fs.digested_bytes", 168968);
+          ("fs.digests", 4);
+          ("fs.fallocate", 1);
+          ("fs.fsync", 21);
+          ("fs.ftruncate", 2);
+          ("fs.log_meta", 34);
+          ("fs.mkdir", 2);
+          ("fs.read_bytes", 80000);
+          ("fs.rename", 1);
+          ("fs.unlink", 7);
+          ("fs.write_bytes", 204808);
+        ],
+        (1250310, 78494) ) );
+  ]
+
+let test_baseline (factory : Registry.factory) (crc, counters, clocks) () =
+  let dev, got_counters, got_clocks = run_workload ~cost:Device.Cost.optane factory.make in
+  Alcotest.(check int) "PM image CRC32C" crc (image_crc dev);
+  Alcotest.(check (list (pair string int))) "counter snapshot" counters got_counters;
+  Alcotest.(check (pair int int)) "cpu0/cpu1 clocks" clocks got_clocks
 
 let suite =
-  [
-    Alcotest.test_case "golden image CRC" `Quick test_image_crc;
-    Alcotest.test_case "golden counter totals" `Quick test_counter_totals;
-  ]
+  Alcotest.test_case "golden image CRC" `Quick test_image_crc
+  :: Alcotest.test_case "golden counter totals" `Quick test_counter_totals
+  :: List.map
+       (fun (factory, pins) ->
+         Alcotest.test_case ("golden " ^ factory.Registry.fs_name ^ " pins") `Quick
+           (test_baseline factory pins))
+       baseline_pins
