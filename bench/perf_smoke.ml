@@ -2,13 +2,15 @@
 
    Wall-clock assertions flake under CI load, so the perf regressions
    this guards are expressed as deterministic operation counts instead:
-   hash-probe work per table operation and pending-entries visited per
-   fence.  A regression that reintroduces O(all-pending) fence sweeps or
-   degenerate probe chains fails these budgets on any machine, loaded or
-   not. *)
+   hash-probe work per table operation, pending-entries visited per
+   fence, and minor-heap words allocated per device access.  A
+   regression that reintroduces O(all-pending) fence sweeps, degenerate
+   probe chains or a per-access allocation fails these budgets on any
+   machine, loaded or not. *)
 
 open Repro_util
 module Device = Repro_pmem.Device
+module Stats = Repro_stats.Stats
 
 let failures = ref 0
 
@@ -80,10 +82,53 @@ let fence_sweep_budget () =
   budget "fence sweep visits (10 empty fences)" ~actual:(Device.fence_sweep_visits dev - v1)
     ~limit:0
 
+(* Minor words allocated per call, averaged over [n] calls of [f]. *)
+let words_per_call n f =
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  int_of_float ((Gc.minor_words () -. w0) /. float_of_int n)
+
+let access_alloc_budget () =
+  (* The uninstrumented access path (no hook, tracking off, stats off)
+     must not allocate: an event record or a boxed [Some cpu] built per
+     access shows up here as words per call.  [read_u64] is left out —
+     its boxed int64 result is the caller's allocation. *)
+  let dev = Device.create ~size:(4 * Units.mib) () in
+  let cpu = Cpu.make ~id:0 () in
+  let src = Bytes.make 256 's' and dst = Bytes.create 256 in
+  let was = Stats.enabled () in
+  Stats.set_enabled false;
+  let n = 10_000 in
+  let off i = (i land 1023) * 256 in
+  let ops =
+    [
+      ("write", fun i -> Device.write dev cpu ~off:(off i) ~src ~src_off:0 ~len:256);
+      ("write_nt", fun i -> Device.write_nt dev cpu ~off:(off i) ~src ~src_off:0 ~len:256);
+      ("memset", fun i -> Device.memset dev cpu ~off:(off i) ~len:256 'm');
+      ("memset_nt", fun i -> Device.memset_nt dev cpu ~off:(off i) ~len:256 'm');
+      ("copy_within", fun i -> Device.copy_within dev cpu ~src:(off i) ~dst:(off (i + 1)) ~len:256);
+      ( "copy_within_nt",
+        fun i -> Device.copy_within_nt dev cpu ~src:(off i) ~dst:(off (i + 1)) ~len:256 );
+      ("write_u64", fun i -> Device.write_u64 dev cpu ~off:(off i) 7L);
+      ("read", fun i -> Device.read dev cpu ~off:(off i) ~len:256 ~dst ~dst_off:0);
+      ("touch_read", fun i -> Device.touch_read dev cpu ~off:(off i) ~len:256);
+      ("flush", fun i -> Device.flush dev cpu ~off:(off i) ~len:256);
+      ("fence", fun _ -> Device.fence dev cpu);
+    ]
+  in
+  List.iter
+    (fun (name, f) ->
+      budget ("minor words / " ^ name) ~actual:(words_per_call n f) ~limit:0)
+    ops;
+  Stats.set_enabled was
+
 let () =
   table_probe_budget ();
   table_tombstone_budget ();
   fence_sweep_budget ();
+  access_alloc_budget ();
   if !failures > 0 then begin
     Printf.printf "%d perf budget(s) exceeded\n" !failures;
     exit 1

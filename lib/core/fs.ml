@@ -163,15 +163,9 @@ let mount dev cfg =
      (the affected object — or the whole mount — degrades). *)
   let detected = ref 0 and repaired = ref 0 and refused = ref 0 in
   let degraded = ref false in
-  (* Superblock: primary at 0, replica at Layout.sb_replica_off; a
-     poisoned line reads as a checksum-class failure.  Either good copy
-     repairs the other in place (a full-line store clears poison). *)
-  let sb_read off =
-    let b = Bytes.create Codec.Superblock.bytes in
-    match Device.read dev cpu ~off ~len:Codec.Superblock.bytes ~dst:b ~dst_off:0 with
-    | () -> Codec.Superblock.decode_checked b
-    | exception Device.Media_error _ -> `Bad_csum
-  in
+  (* Superblock: primary at 0, replica at Layout.sb_replica_off.  Either
+     good copy repairs the other in place (a full-line store clears
+     poison). *)
   let sb_repair off sb =
     let b = Codec.Superblock.encode sb in
     Device.write dev cpu ~off ~src:b ~src_off:0 ~len:(Bytes.length b);
@@ -179,21 +173,21 @@ let mount dev cfg =
     incr repaired
   in
   let sb =
-    match (sb_read 0, sb_read Layout.sb_replica_off) with
-    | `Ok sb, `Ok _ -> sb
-    | `Ok sb, (`Bad_csum | `Bad_magic) ->
-        incr detected;
-        sb_repair Layout.sb_replica_off sb;
-        sb
-    | (`Bad_csum | `Bad_magic), `Ok sb ->
-        incr detected;
-        sb_repair 0 sb;
-        sb
-    | `Bad_magic, `Bad_magic -> Types.err EINVAL "not a WineFS image"
-    | _ ->
-        incr detected;
-        incr refused;
-        Types.err EIO "superblock corrupt in both copies"
+    Layout.read_superblock dev cpu ~reconcile:(function
+      | `Ok sb, `Ok _ -> sb
+      | `Ok sb, (`Bad_csum | `Bad_magic) ->
+          incr detected;
+          sb_repair Layout.sb_replica_off sb;
+          sb
+      | (`Bad_csum | `Bad_magic), `Ok sb ->
+          incr detected;
+          sb_repair 0 sb;
+          sb
+      | `Bad_magic, `Bad_magic -> Types.err EINVAL "not a WineFS image"
+      | _ ->
+          incr detected;
+          incr refused;
+          Types.err EIO "superblock corrupt in both copies")
   in
   let cfg = { cfg with Types.cpus = sb.cpus; inodes_per_cpu = sb.inodes_per_cpu } in
   let layout = Layout.compute ~size:sb.size ~cpus:sb.cpus ~inodes_per_cpu:sb.inodes_per_cpu in

@@ -1,4 +1,6 @@
 open Repro_util
+module Device = Repro_pmem.Device
+module Types = Repro_vfs.Types
 
 type t = {
   size : int;
@@ -25,6 +27,25 @@ let sb_bytes = 4096
    unused) 4K superblock page — no layout change, and far enough from the
    primary that one corrupt line never takes out both copies. *)
 let sb_replica_off = sb_bytes / 2
+
+(* The superblock reader mount and fsck share: both copies, a poisoned
+   line reading as a checksum-class failure, reconciled by the caller's
+   own repair (or finding) logic.  A device too short to hold the replica
+   is not a WineFS image, and one whose size the superblock does not
+   record would get a layout for space it lacks. *)
+let read_superblock dev cpu ~reconcile =
+  if Device.size dev < sb_replica_off + Codec.Superblock.bytes then
+    Types.err EINVAL "not a WineFS image";
+  let read off =
+    let b = Bytes.create Codec.Superblock.bytes in
+    match Device.read dev cpu ~off ~len:Codec.Superblock.bytes ~dst:b ~dst_off:0 with
+    | () -> Codec.Superblock.decode_checked b
+    | exception Device.Media_error _ -> `Bad_csum
+  in
+  let sb = reconcile (read 0, read sb_replica_off) in
+  if sb.Codec.Superblock.size <> Device.size dev then
+    Types.err EINVAL "device is %d bytes but the superblock says %d" (Device.size dev) sb.size;
+  sb
 
 let compute ~size ~cpus ~inodes_per_cpu =
   if cpus <= 0 then invalid_arg "Layout.compute: non-positive cpus";

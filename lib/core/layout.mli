@@ -32,6 +32,21 @@ val sb_replica_off : int
 (** Device offset of the superblock replica (2048): the second half of the
     4K superblock page, so mount can repair either copy from the other. *)
 
+val read_superblock :
+  Repro_pmem.Device.t ->
+  Repro_util.Cpu.t ->
+  reconcile:
+    ([ `Ok of Codec.Superblock.t | `Bad_magic | `Bad_csum ]
+     * [ `Ok of Codec.Superblock.t | `Bad_magic | `Bad_csum ] ->
+    Codec.Superblock.t) ->
+  Codec.Superblock.t
+(** The superblock reader mount and fsck share.  Reads the primary (at 0)
+    and the replica, a poisoned line reading as [`Bad_csum], and hands
+    the pair to [reconcile] (the caller's repair or finding logic, which
+    picks the copy to trust).  Raises {!Repro_vfs.Types.Error} [EINVAL]
+    when the device is too short to hold the replica, and when the
+    chosen superblock's size differs from the device's. *)
+
 val inline_extents : int
 (** Extents stored inline in the inode (8); more spill to overflow blocks. *)
 

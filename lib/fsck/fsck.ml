@@ -140,12 +140,6 @@ let region_of stripes off =
 (* Phase 1: superblock + replica reconcile                             *)
 
 let phase1 (c : ctx) =
-  let sb_read off =
-    let b = Bytes.create Codec.Superblock.bytes in
-    match Device.read c.dev c.cpu ~off ~len:Codec.Superblock.bytes ~dst:b ~dst_off:0 with
-    | () -> Codec.Superblock.decode_checked b
-    | exception Device.Media_error _ -> `Bad_csum
-  in
   let fix which off sb =
     record c ~phase:1 ~rule:("sb-" ^ which)
       ~obj:(Printf.sprintf "superblock %s" which)
@@ -153,23 +147,20 @@ let phase1 (c : ctx) =
     if c.repair then pm_write c ~off (Codec.Superblock.encode sb)
   in
   let sb =
-    match (sb_read 0, sb_read Layout.sb_replica_off) with
-    | `Ok p, `Ok r ->
-        if p <> r then fix "replica" Layout.sb_replica_off p;
-        p
-    | `Ok p, (`Bad_csum | `Bad_magic) ->
-        fix "replica" Layout.sb_replica_off p;
-        p
-    | (`Bad_csum | `Bad_magic), `Ok r ->
-        fix "primary" 0 r;
-        r
-    | `Bad_magic, `Bad_magic -> Types.err EINVAL "fsck: not a WineFS image"
-    | (`Bad_csum, (`Bad_csum | `Bad_magic)) | (`Bad_magic, `Bad_csum) ->
-        Types.err EIO "fsck: superblock corrupt in both copies"
+    Layout.read_superblock c.dev c.cpu ~reconcile:(function
+      | `Ok p, `Ok r ->
+          if p <> r then fix "replica" Layout.sb_replica_off p;
+          p
+      | `Ok p, (`Bad_csum | `Bad_magic) ->
+          fix "replica" Layout.sb_replica_off p;
+          p
+      | (`Bad_csum | `Bad_magic), `Ok r ->
+          fix "primary" 0 r;
+          r
+      | `Bad_magic, `Bad_magic -> Types.err EINVAL "fsck: not a WineFS image"
+      | (`Bad_csum, (`Bad_csum | `Bad_magic)) | (`Bad_magic, `Bad_csum) ->
+          Types.err EIO "fsck: superblock corrupt in both copies")
   in
-  if Device.size c.dev <> sb.Codec.Superblock.size then
-    Types.err EINVAL "fsck: device is %d bytes but the superblock says %d" (Device.size c.dev)
-      sb.Codec.Superblock.size;
   let layout =
     Layout.compute ~size:sb.Codec.Superblock.size ~cpus:sb.cpus ~inodes_per_cpu:sb.inodes_per_cpu
   in

@@ -57,7 +57,8 @@ type report = {
 val run : ?repair:bool -> Repro_pmem.Device.t -> report
 (** Check (and with [~repair:true] repair) the image.  Raises
     {!Repro_vfs.Types.Error} [EINVAL] when the device is not a WineFS
-    image and [EIO] when both superblock copies are corrupt. *)
+    image or not the size its superblock records, and [EIO] when both
+    superblock copies are corrupt. *)
 
 val to_string : report -> string
 (** Normalized, byte-stable rendering (excludes {!report.phase_ns}). *)

@@ -96,20 +96,25 @@ type hook = Cpu.t option -> Site.t -> event -> unit
 type hook_id = int
 
 (* Global stats registry wiring: when {!Repro_stats.Stats.enabled}, every
-   store/flush/fence is also counted per ambient {!Site} label.  Resolving
-   an instrument by (name, labels) renders strings per call, so the device
-   memoizes the counter cells per physically-distinct site, revalidating
-   against the registry generation (a {!Stats.reset} drops every
-   instrument, stranding cached cells). *)
+   access is counted per ambient {!Site} label under one of five
+   instruments.  Resolving an instrument by (name, labels) renders strings
+   per call, so the device memoizes the counter cells per
+   physically-distinct site, revalidating against the registry generation
+   (a {!Stats.reset} drops every instrument, stranding cached cells). *)
 module Stats = Repro_stats.Stats
+
+let i_store = 0
+let i_nt_store = 1
+let i_load = 2
+let i_flush_lines = 3
+let i_fences = 4
+
+let instruments =
+  [| "pm.store_bytes"; "pm.nt_store_bytes"; "pm.load_bytes"; "pm.flush_lines"; "pm.fences" |]
 
 type site_cells = {
   sc_site : Site.t; (* cache key: physical identity *)
-  mutable sc_store : Stats.Counter.t option;
-  mutable sc_nt_store : Stats.Counter.t option;
-  mutable sc_load : Stats.Counter.t option;
-  mutable sc_flush_lines : Stats.Counter.t option;
-  mutable sc_fences : Stats.Counter.t option;
+  sc_cells : Stats.Counter.t option array; (* indexed by instrument *)
 }
 
 type t = {
@@ -118,13 +123,6 @@ type t = {
   cost : Cost.t;
   numa_nodes : int;
   node_stripe : int;
-  counters : Counters.t;
-  (* Pre-resolved device counter cells: the per-access string lookups of
-     Counters.add were measurable on the datapath. *)
-  c_bytes_read : int ref;
-  c_bytes_written : int ref;
-  c_flushes : int ref;
-  c_fences : int ref;
   mutable tracking : bool;
   pending : pending Flat_table.t; (* cache-line index -> undo info *)
   flushed_lines : Flat_vec.t;
@@ -133,11 +131,10 @@ type t = {
          filtering every pending line *)
   mutable fence_sweep_visits : int; (* cumulative; observable for tests *)
   mutable fence_seq : int;
-  mutable fence_hook : (int -> unit) option;
+  mutable fence_hook : (int -> unit) option; (* crash_at's abort *)
   mutable site : Site.t;
   mutable hooks : (hook_id * hook) list; (* installation order *)
   mutable next_hook_id : int;
-  mutable legacy_hook : hook_id option; (* the set_event_hook slot *)
   poisoned : unit Flat_table.t; (* cache-line index -> MCE on load *)
   torn : unit Flat_table.t; (* 8-aligned offsets that tear at crash *)
   mutable stat_gen : int;
@@ -146,22 +143,16 @@ type t = {
 
 let cl = Units.cacheline
 
-let create ?(cost = Cost.optane) ?(numa_nodes = 1) ~size () =
-  if size <= 0 then invalid_arg "Device.create: non-positive size";
-  if numa_nodes <= 0 then invalid_arg "Device.create: non-positive numa_nodes";
-  let size = Units.round_up size cl in
-  let counters = Counters.create () in
+(* The one constructor: a fresh device and a crash image differ only in
+   their media bytes and the poison they inherit. *)
+let make ~cost ~numa_nodes ~poisoned data =
+  let size = Bytes.length data in
   {
-    data = Bytes.make size '\000';
+    data;
     size;
     cost;
     numa_nodes;
     node_stripe = Units.round_up (size / numa_nodes) cl;
-    counters;
-    c_bytes_read = Counters.cell counters "pm.bytes_read";
-    c_bytes_written = Counters.cell counters "pm.bytes_written";
-    c_flushes = Counters.cell counters "pm.flushes";
-    c_fences = Counters.cell counters "pm.fences";
     tracking = false;
     pending = Flat_table.create ~capacity:64 ~dummy:no_pending ();
     flushed_lines = Flat_vec.create ~capacity:64 ();
@@ -171,22 +162,25 @@ let create ?(cost = Cost.optane) ?(numa_nodes = 1) ~size () =
     site = Site.unknown;
     hooks = [];
     next_hook_id = 0;
-    legacy_hook = None;
-    poisoned = Flat_table.create ~capacity:8 ~dummy:() ();
+    poisoned;
     torn = Flat_table.create ~capacity:8 ~dummy:() ();
     stat_gen = -1;
     stat_cells = [];
   }
 
+let create ?(cost = Cost.optane) ?(numa_nodes = 1) ~size () =
+  if size <= 0 then invalid_arg "Device.create: non-positive size";
+  if numa_nodes <= 0 then invalid_arg "Device.create: non-positive numa_nodes";
+  make ~cost ~numa_nodes
+    ~poisoned:(Flat_table.create ~capacity:8 ~dummy:() ())
+    (Bytes.make (Units.round_up size cl) '\000')
+
 let size t = t.size
-let numa_nodes t = t.numa_nodes
 
 let node_of_offset t off =
   if t.numa_nodes = 1 then 0 else min (t.numa_nodes - 1) (off / t.node_stripe)
 
-let counters t = t.counters
 let cost t = t.cost
-let reset_counters t = Counters.reset t.counters
 
 let check_range t off len =
   if off < 0 || len < 0 || off + len > t.size then
@@ -228,33 +222,16 @@ let remote_factor t (cpu : Cpu.t) ~off ~write =
    O(1) in the number of lines touched. *)
 let pipeline_factor = 0.08
 
-let charge_read t (cpu : Cpu.t) ~off ~len =
+let charge t (cpu : Cpu.t) ~off ~len ~write =
   if len > 0 then begin
+    let per_cl = if write then t.cost.write_ns_per_cl else t.cost.read_ns_per_cl in
+    let per_byte = if write then t.cost.write_ns_per_byte else t.cost.read_ns_per_byte in
     let lo = off / cl and hi = (off + len - 1) / cl in
     let extra = float_of_int (hi - lo) in
-    let ns =
-      t.cost.read_ns_per_cl
-      +. (t.cost.read_ns_per_cl *. pipeline_factor *. extra)
-      +. (t.cost.read_ns_per_byte *. float_of_int len)
-    in
-    let ns = ns *. remote_factor t cpu ~off ~write:false in
+    let ns = per_cl +. (per_cl *. pipeline_factor *. extra) +. (per_byte *. float_of_int len) in
+    let ns = ns *. remote_factor t cpu ~off ~write in
     Simclock.advance cpu.clock (int_of_float ns)
-  end;
-  t.c_bytes_read := !(t.c_bytes_read) + len
-
-let charge_write t (cpu : Cpu.t) ~off ~len =
-  if len > 0 then begin
-    let lo = off / cl and hi = (off + len - 1) / cl in
-    let extra = float_of_int (hi - lo) in
-    let ns =
-      t.cost.write_ns_per_cl
-      +. (t.cost.write_ns_per_cl *. pipeline_factor *. extra)
-      +. (t.cost.write_ns_per_byte *. float_of_int len)
-    in
-    let ns = ns *. remote_factor t cpu ~off ~write:true in
-    Simclock.advance cpu.clock (int_of_float ns)
-  end;
-  t.c_bytes_written := !(t.c_bytes_written) + len
+  end
 
 (* The memoized per-site stat cells for the ambient site.  Capped: sites
    are module-level constants in practice, but a dynamically-created site
@@ -270,117 +247,41 @@ let site_cells t =
   let rec find = function
     | c :: rest -> if c.sc_site == site then c else find rest
     | [] ->
-        let c =
-          {
-            sc_site = site;
-            sc_store = None;
-            sc_nt_store = None;
-            sc_load = None;
-            sc_flush_lines = None;
-            sc_fences = None;
-          }
-        in
+        let c = { sc_site = site; sc_cells = Array.make (Array.length instruments) None } in
         if List.length t.stat_cells < 64 then t.stat_cells <- c :: t.stat_cells;
         c
   in
   find t.stat_cells
 
-let site_counter site name = Stats.Counter.v ~labels:[ ("site", Site.to_string site) ] name
-
-let stat_store t ~len ~nt =
+let stat t instrument n =
   if Stats.enabled () then begin
     let c = site_cells t in
     let cell =
-      if nt then
-        match c.sc_nt_store with
-        | Some r -> r
-        | None ->
-            let r = site_counter c.sc_site "pm.nt_store_bytes" in
-            c.sc_nt_store <- Some r;
-            r
-      else
-        match c.sc_store with
-        | Some r -> r
-        | None ->
-            let r = site_counter c.sc_site "pm.store_bytes" in
-            c.sc_store <- Some r;
-            r
-    in
-    Stats.Counter.add cell len
-  end
-
-let stat_load t ~len =
-  if Stats.enabled () then begin
-    let c = site_cells t in
-    let cell =
-      match c.sc_load with
+      match c.sc_cells.(instrument) with
       | Some r -> r
       | None ->
-          let r = site_counter c.sc_site "pm.load_bytes" in
-          c.sc_load <- Some r;
+          let r =
+            Stats.Counter.v
+              ~labels:[ ("site", Site.to_string c.sc_site) ]
+              instruments.(instrument)
+          in
+          c.sc_cells.(instrument) <- Some r;
           r
     in
-    Stats.Counter.add cell len
-  end
-
-let stat_flush t ~lines =
-  if Stats.enabled () then begin
-    let c = site_cells t in
-    let cell =
-      match c.sc_flush_lines with
-      | Some r -> r
-      | None ->
-          let r = site_counter c.sc_site "pm.flush_lines" in
-          c.sc_flush_lines <- Some r;
-          r
-    in
-    Stats.Counter.add cell lines
-  end
-
-let stat_fence t =
-  if Stats.enabled () then begin
-    let c = site_cells t in
-    let cell =
-      match c.sc_fences with
-      | Some r -> r
-      | None ->
-          let r = site_counter c.sc_site "pm.fences" in
-          c.sc_fences <- Some r;
-          r
-    in
-    Stats.Counter.add cell 1
+    Stats.Counter.add cell n
   end
 
 (* Event-stream instrumentation: every installed hook observes every
    charged access plus the protocol annotations, tagged with the ambient
    site and (for data movement) the accessing CPU — the race detector
    needs to see which simulated thread issued each store.  Hooks run in
-   installation order; uninstrumented devices pay one list check per
-   access.  The specialized emit_* entry points build the event record
-   only when a hook is installed, so the common uninstrumented access
-   allocates nothing. *)
-let dispatch ?cpu t ev =
-  (* The binding snapshots the (immutable) hook list before dispatch:
-     a hook that calls [remove_event_hook] — even on itself — replaces
-     [t.hooks] with a new list, so every sibling installed at emit time
-     still fires exactly once. *)
-  match t.hooks with
-  | [] -> ()
-  | hooks -> List.iter (fun (_, h) -> h cpu t.site ev) hooks
-
-let emit_store ?cpu t ~off ~len ~nt =
-  (match t.hooks with
-  | [] -> ()
-  | _ -> dispatch ?cpu t (Store { off; len; nt }));
-  stat_store t ~len ~nt
-
-let emit_load ?cpu t ~off ~len =
-  (match t.hooks with
-  | [] -> ()
-  | _ -> dispatch ?cpu t (Load { off; len }));
-  stat_load t ~len
-
-let current_site t = t.site
+   installation order.  Callers match [t.hooks] first and build the event
+   (and the [Some cpu]) only when it is non-empty, so the common
+   uninstrumented access allocates nothing.  The list is the snapshot
+   taken at emit time: a hook that calls [remove_event_hook] — even on
+   itself — replaces [t.hooks] with a new list, so every sibling
+   installed at emit time still fires exactly once. *)
+let dispatch t hooks cpu ev = List.iter (fun (_, h) -> h cpu t.site ev) hooks
 
 (* Hand-rolled unwind instead of Fun.protect: this brackets every
    persistence call, and the finally-closure allocation was visible in
@@ -405,29 +306,30 @@ let add_event_hook t hook =
 
 let remove_event_hook t id = t.hooks <- List.filter (fun (i, _) -> i <> id) t.hooks
 
-let set_event_hook t hook =
-  (match t.legacy_hook with
-  | Some id ->
-      remove_event_hook t id;
-      t.legacy_hook <- None
-  | None -> ());
-  match hook with None -> () | Some h -> t.legacy_hook <- Some (add_event_hook t h)
+let annotate t p = match t.hooks with [] -> () | hooks -> dispatch t hooks None (Protocol p)
 
-let annotate t p = dispatch t (Protocol p)
+(* ------------------------------------------------------------------ *)
+(* The access paths.  Every entry point validates its range(s) first,
+   then runs the shared prologue, its own byte move, and the shared
+   epilogue:
+     store: pending-line tracking, poison repair, charge | move | event, stat
+     load:  poison check, charge                          | move | event, stat
+   A copy is a load of its source and a store to its destination: both
+   ranges are validated before either prologue, the read is charged
+   before the write, and the Load event precedes the Store. *)
 
-let track_store ?(nt = false) t off len =
+let mark_flushed t p line =
+  if not p.flushed then begin
+    p.flushed <- true;
+    Flat_vec.push t.flushed_lines line
+  end
+
+let track_store t off len ~nt =
   if t.tracking && len > 0 then begin
     let lo = off / cl and hi = (off + len - 1) / cl in
     for line = lo to hi do
       match Flat_table.find t.pending line with
-      | Some p ->
-          if nt then begin
-            if not p.flushed then begin
-              p.flushed <- true;
-              Flat_vec.push t.flushed_lines line
-            end
-          end
-          else p.flushed <- false
+      | Some p -> if nt then mark_flushed t p line else p.flushed <- false
       | None ->
           let old_bytes = Bytes.sub t.data (line * cl) cl in
           Flat_table.set t.pending line { old_bytes; flushed = nt };
@@ -435,152 +337,124 @@ let track_store ?(nt = false) t off len =
     done
   end
 
-let read t cpu ~off ~len ~dst ~dst_off =
-  check_range t off len;
-  check_poison t off len;
-  charge_read t cpu ~off ~len;
-  Bytes.blit t.data off dst dst_off len;
-  emit_load ~cpu t ~off ~len
-
-let write t cpu ~off ~src ~src_off ~len =
-  check_range t off len;
-  track_store t off len;
+let store_begin t cpu ~off ~len ~nt =
+  track_store t off len ~nt;
   clear_poison_on_store t off len;
-  charge_write t cpu ~off ~len;
+  charge t cpu ~off ~len ~write:true
+
+let store_end t cpu ~off ~len ~nt =
+  (match t.hooks with
+  | [] -> ()
+  | hooks -> dispatch t hooks (Some cpu) (Store { off; len; nt }));
+  stat t (if nt then i_nt_store else i_store) len
+
+let load_begin t cpu ~off ~len =
+  check_poison t off len;
+  charge t cpu ~off ~len ~write:false
+
+let load_end t cpu ~off ~len =
+  (match t.hooks with [] -> () | hooks -> dispatch t hooks (Some cpu) (Load { off; len }));
+  stat t i_load len
+
+let store_bytes t cpu ~off ~src ~src_off ~len ~nt =
+  check_range t off len;
+  store_begin t cpu ~off ~len ~nt;
   Bytes.blit src src_off t.data off len;
-  emit_store ~cpu t ~off ~len ~nt:false
+  store_end t cpu ~off ~len ~nt
 
-let read_string t cpu ~off ~len =
+let store_fill t cpu ~off ~len c ~nt =
   check_range t off len;
-  check_poison t off len;
-  charge_read t cpu ~off ~len;
-  emit_load ~cpu t ~off ~len;
-  Bytes.sub_string t.data off len
+  store_begin t cpu ~off ~len ~nt;
+  Bytes.fill t.data off len c;
+  store_end t cpu ~off ~len ~nt
 
+let copy t cpu ~src ~dst ~len ~nt =
+  check_range t src len;
+  check_range t dst len;
+  load_begin t cpu ~off:src ~len;
+  store_begin t cpu ~off:dst ~len ~nt;
+  Bytes.blit t.data src t.data dst len;
+  load_end t cpu ~off:src ~len;
+  store_end t cpu ~off:dst ~len ~nt
+
+let write t cpu ~off ~src ~src_off ~len = store_bytes t cpu ~off ~src ~src_off ~len ~nt:false
+
+(* A string is only ever a blit source here, so viewing it as bytes is
+   safe. *)
 let write_string t cpu ~off s =
-  let len = String.length s in
-  check_range t off len;
-  track_store t off len;
-  clear_poison_on_store t off len;
-  charge_write t cpu ~off ~len;
-  Bytes.blit_string s 0 t.data off len;
-  emit_store ~cpu t ~off ~len ~nt:false
+  store_bytes t cpu ~off ~src:(Bytes.unsafe_of_string s) ~src_off:0 ~len:(String.length s)
+    ~nt:false
+
+let memset t cpu ~off ~len c = store_fill t cpu ~off ~len c ~nt:false
+let copy_within t cpu ~src ~dst ~len = copy t cpu ~src ~dst ~len ~nt:false
 
 (* Non-temporal stores: bypass the cache and become durable at the next
    fence without explicit clwb (the fast path PM file systems use for bulk
    data). *)
-let write_nt t cpu ~off ~src ~src_off ~len =
-  check_range t off len;
-  track_store ~nt:true t off len;
-  clear_poison_on_store t off len;
-  charge_write t cpu ~off ~len;
-  Bytes.blit src src_off t.data off len;
-  emit_store ~cpu t ~off ~len ~nt:true
-
+let write_nt t cpu ~off ~src ~src_off ~len = store_bytes t cpu ~off ~src ~src_off ~len ~nt:true
 let write_string_nt t cpu ~off s =
-  let len = String.length s in
-  check_range t off len;
-  track_store ~nt:true t off len;
-  clear_poison_on_store t off len;
-  charge_write t cpu ~off ~len;
-  Bytes.blit_string s 0 t.data off len;
-  emit_store ~cpu t ~off ~len ~nt:true
+  store_bytes t cpu ~off ~src:(Bytes.unsafe_of_string s) ~src_off:0 ~len:(String.length s)
+    ~nt:true
 
-let memset_nt t cpu ~off ~len c =
-  check_range t off len;
-  track_store ~nt:true t off len;
-  clear_poison_on_store t off len;
-  charge_write t cpu ~off ~len;
-  Bytes.fill t.data off len c;
-  emit_store ~cpu t ~off ~len ~nt:true
-
-let copy_within_nt t cpu ~src ~dst ~len =
-  check_range t src len;
-  check_range t dst len;
-  check_poison t src len;
-  charge_read t cpu ~off:src ~len;
-  track_store ~nt:true t dst len;
-  clear_poison_on_store t dst len;
-  charge_write t cpu ~off:dst ~len;
-  Bytes.blit t.data src t.data dst len;
-  emit_load ~cpu t ~off:src ~len;
-  emit_store ~cpu t ~off:dst ~len ~nt:true
-
-let memset t cpu ~off ~len c =
-  check_range t off len;
-  track_store t off len;
-  clear_poison_on_store t off len;
-  charge_write t cpu ~off ~len;
-  Bytes.fill t.data off len c;
-  emit_store ~cpu t ~off ~len ~nt:false
-
-let copy_within t cpu ~src ~dst ~len =
-  check_range t src len;
-  check_range t dst len;
-  check_poison t src len;
-  charge_read t cpu ~off:src ~len;
-  track_store t dst len;
-  clear_poison_on_store t dst len;
-  charge_write t cpu ~off:dst ~len;
-  Bytes.blit t.data src t.data dst len;
-  emit_load ~cpu t ~off:src ~len;
-  emit_store ~cpu t ~off:dst ~len ~nt:false
-
-let read_u64 t cpu ~off =
-  check_range t off 8;
-  check_poison t off 8;
-  charge_read t cpu ~off ~len:8;
-  emit_load ~cpu t ~off ~len:8;
-  Bytes.get_int64_le t.data off
+let memset_nt t cpu ~off ~len c = store_fill t cpu ~off ~len c ~nt:true
+let copy_within_nt t cpu ~src ~dst ~len = copy t cpu ~src ~dst ~len ~nt:true
 
 let write_u64 t cpu ~off v =
   check_range t off 8;
-  track_store t off 8;
-  charge_write t cpu ~off ~len:8;
+  store_begin t cpu ~off ~len:8 ~nt:false;
   Bytes.set_int64_le t.data off v;
-  emit_store ~cpu t ~off ~len:8 ~nt:false
+  store_end t cpu ~off ~len:8 ~nt:false
+
+let read t cpu ~off ~len ~dst ~dst_off =
+  check_range t off len;
+  load_begin t cpu ~off ~len;
+  Bytes.blit t.data off dst dst_off len;
+  load_end t cpu ~off ~len
+
+let read_string t cpu ~off ~len =
+  check_range t off len;
+  load_begin t cpu ~off ~len;
+  let s = Bytes.sub_string t.data off len in
+  load_end t cpu ~off ~len;
+  s
+
+let read_u64 t cpu ~off =
+  check_range t off 8;
+  load_begin t cpu ~off ~len:8;
+  let v = Bytes.get_int64_le t.data off in
+  load_end t cpu ~off ~len:8;
+  v
+
+let touch_read t cpu ~off ~len =
+  check_range t off len;
+  load_begin t cpu ~off ~len;
+  load_end t cpu ~off ~len
 
 let peek t ~off ~len ~dst ~dst_off =
   check_range t off len;
   check_poison t off len;
   Bytes.blit t.data off dst dst_off len
 
-let touch_read t cpu ~off ~len =
-  check_range t off len;
-  check_poison t off len;
-  charge_read t cpu ~off ~len;
-  emit_load ~cpu t ~off ~len
-
 let flush t (cpu : Cpu.t) ~off ~len =
   check_range t off len;
   if len > 0 then begin
     let lo = off / cl and hi = (off + len - 1) / cl in
     let n_lines = hi - lo + 1 in
-    t.c_flushes := !(t.c_flushes) + n_lines;
     Simclock.advance cpu.clock (int_of_float (t.cost.flush_ns *. float_of_int n_lines));
     if t.tracking then
       for line = lo to hi do
-        match Flat_table.find t.pending line with
-        | Some p ->
-            if not p.flushed then begin
-              p.flushed <- true;
-              Flat_vec.push t.flushed_lines line
-            end
-        | None -> ()
+        match Flat_table.find t.pending line with Some p -> mark_flushed t p line | None -> ()
       done;
-    (match t.hooks with
-    | [] -> ()
-    | _ -> dispatch ~cpu t (Flush { off; len }));
-    stat_flush t ~lines:n_lines
+    (match t.hooks with [] -> () | hooks -> dispatch t hooks (Some cpu) (Flush { off; len }));
+    stat t i_flush_lines n_lines
   end
 
 let fence t (cpu : Cpu.t) =
-  incr t.c_fences;
   Simclock.advance cpu.clock (int_of_float t.cost.fence_ns);
   t.fence_seq <- t.fence_seq + 1;
   (match t.fence_hook with Some hook -> hook t.fence_seq | None -> ());
-  (match t.hooks with [] -> () | _ -> dispatch ~cpu t Fence);
-  stat_fence t;
+  (match t.hooks with [] -> () | hooks -> dispatch t hooks (Some cpu) Fence);
+  stat t i_fences 1;
   if t.tracking then begin
     (* O(flushed): only lines recorded as flushed since the last fence
        are visited, not every pending line. *)
@@ -615,7 +489,7 @@ let fence_sweep_visits t = t.fence_sweep_visits
 (* ------------------------------------------------------------------ *)
 (* Fault injection.  Deterministic campaigns plant faults directly on
    the media; the checkers then verify the stack detects them.  Counted
-   per kind in the device counters and the global stats registry. *)
+   per kind in the global stats registry. *)
 
 let fault_kind_name = function
   | Bit_flip _ -> "bit_flip"
@@ -634,46 +508,17 @@ let inject t fault =
   | Poison_line { off } ->
       check_range t off 1;
       Flat_table.set t.poisoned (off / cl) ());
-  Counters.incr t.counters "pm.faults_injected";
   if Stats.enabled () then
     Stats.counter_add ~labels:[ ("kind", fault_kind_name fault) ] "fault.injected" 1
 
 let poisoned_lines t = Flat_table.keys_sorted t.poisoned
 
-let clear_faults t =
-  Flat_table.clear t.poisoned;
-  Flat_table.clear t.torn
-
 let crash_image t ~persisted =
   if not t.tracking then invalid_arg "Device.crash_image: tracking disabled";
-  let counters = Counters.create () in
+  (* Media faults survive a crash. *)
   let img =
-    {
-      data = Bytes.copy t.data;
-      size = t.size;
-      cost = t.cost;
-      numa_nodes = t.numa_nodes;
-      node_stripe = t.node_stripe;
-      counters;
-      c_bytes_read = Counters.cell counters "pm.bytes_read";
-      c_bytes_written = Counters.cell counters "pm.bytes_written";
-      c_flushes = Counters.cell counters "pm.flushes";
-      c_fences = Counters.cell counters "pm.fences";
-      tracking = false;
-      pending = Flat_table.create ~capacity:8 ~dummy:no_pending ();
-      flushed_lines = Flat_vec.create ~capacity:8 ();
-      fence_sweep_visits = 0;
-      fence_seq = 0;
-      fence_hook = None;
-      site = Site.unknown;
-      hooks = [];
-      next_hook_id = 0;
-      legacy_hook = None;
-      poisoned = Flat_table.copy t.poisoned (* media faults survive a crash *);
-      torn = Flat_table.create ~capacity:8 ~dummy:() ();
-      stat_gen = -1;
-      stat_cells = [];
-    }
+    make ~cost:t.cost ~numa_nodes:t.numa_nodes ~poisoned:(Flat_table.copy t.poisoned)
+      (Bytes.copy t.data)
   in
   Flat_table.keys_sorted t.pending
   |> List.iter (fun line ->
@@ -693,8 +538,6 @@ let crash_image t ~persisted =
   img
 
 let fence_seq t = t.fence_seq
-
-let set_fence_hook t hook = t.fence_hook <- hook
 
 let reset_fence_seq t = t.fence_seq <- 0
 

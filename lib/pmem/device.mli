@@ -4,9 +4,11 @@
     PM: a flat physical address space accessed by loads and stores at
     cache-line (64B) granularity, with [clwb]-style flushes and store
     fences.  Every access charges simulated nanoseconds to the accessing
-    {!Repro_util.Cpu.t}'s clock according to {!Cost.t} and bumps the device
-    counters ("pm.bytes_read", "pm.bytes_written", "pm.flushes",
-    "pm.fences").
+    {!Repro_util.Cpu.t}'s clock according to {!Cost.t}.  The device keeps
+    no counters of its own: when the {!Repro_stats.Stats} registry is
+    enabled, each access is counted there per ambient {!Site.t}
+    ("pm.store_bytes", "pm.nt_store_bytes", "pm.load_bytes",
+    "pm.flush_lines", "pm.fences").
 
     {2 Crash semantics}
 
@@ -41,10 +43,10 @@ end
 
 (** {2 Durability instrumentation}
 
-    The device exposes its access stream to one observer (the
-    {!Repro_sanitizer} durability lint): every charged store, load, flush
-    and fence, plus {e protocol annotations} through which journaling code
-    declares transactional intent.  Events carry the ambient {!Site.t}
+    The device exposes its access stream to observers (the
+    {!Repro_sanitizer} durability lint, the race detector): every charged
+    store, load, flush and fence, plus {e protocol annotations} through
+    which journaling code declares transactional intent.  Events carry the ambient {!Site.t}
     installed with {!with_site}, so diagnostics name the layer and
     operation at fault. *)
 
@@ -77,12 +79,10 @@ val create : ?cost:Cost.t -> ?numa_nodes:int -> size:int -> unit -> t
 (** A device of [size] bytes (rounded up to a cache line), zero-filled. *)
 
 val size : t -> int
-val numa_nodes : t -> int
 
 val node_of_offset : t -> int -> int
 (** NUMA node owning a physical offset (equal-sized stripes). *)
 
-val counters : t -> Repro_util.Counters.t
 val cost : t -> Cost.t
 
 (** {2 Data access}  All offsets/lengths are validated; out-of-range access
@@ -113,12 +113,12 @@ val write_u64 : t -> Repro_util.Cpu.t -> off:int -> int64 -> unit
     unit PM systems rely on for commit records. *)
 
 val peek : t -> off:int -> len:int -> dst:bytes -> dst_off:int -> unit
-(** Copy device contents without charging time or counters.  Used by the
-    memory simulator for data whose access cost was already accounted to
-    the processor-cache model. *)
+(** Copy device contents without charging time, emitting an event or
+    counting a stat.  Used by the memory simulator for data whose access
+    cost was already accounted to the processor-cache model. *)
 
 val touch_read : t -> Repro_util.Cpu.t -> off:int -> len:int -> unit
-(** Charge the time and counters of a read without copying data. *)
+(** Charge the time and stats of a read without copying data. *)
 
 (** {2 Persistence} *)
 
@@ -182,24 +182,15 @@ type fault =
           {!Media_error} until some store overwrites the entire line. *)
 
 val inject : t -> fault -> unit
-(** Plant one fault.  Bumps the "pm.faults_injected" device counter and,
-    when the stats registry is enabled, "fault.injected" (labelled by
-    kind). *)
+(** Plant one fault.  When the stats registry is enabled, bumps
+    "fault.injected" (labelled by kind). *)
 
 val poisoned_lines : t -> int list
 (** Currently-poisoned cache-line indices (sorted). *)
 
-val clear_faults : t -> unit
-(** Drop all poison and torn-word registrations (bit flips already
-    happened and are not undone). *)
-
-val reset_counters : t -> unit
-
 val with_site : t -> Site.t -> (unit -> 'a) -> 'a
 (** Run a thunk with the ambient access site set (restored on exit,
     including by exception).  Nested annotations shadow outer ones. *)
-
-val current_site : t -> Site.t
 
 type hook = Repro_util.Cpu.t option -> Site.t -> event -> unit
 (** An event observer.  Data-movement events ([Store]/[Load]/[Flush]/
@@ -220,24 +211,15 @@ val add_event_hook : t -> hook -> hook_id
 val remove_event_hook : t -> hook_id -> unit
 (** Uninstall one observer; unknown ids are ignored. *)
 
-val set_event_hook : t -> hook option -> unit
-(** Legacy single-slot interface: [Some h] replaces only the hook this
-    function previously installed (other {!add_event_hook} observers are
-    untouched); [None] removes it. *)
-
 val annotate : t -> protocol -> unit
 (** Forward a protocol annotation to the observers (no-op when none). *)
 
 (** {3 Crash-point injection}  The crash explorer aborts an operation at a
-    chosen fence by raising from the hook; the pending-store set at that
-    instant defines the reachable crash states. *)
+    chosen fence; the pending-store set at that instant defines the
+    reachable crash states. *)
 
 val fence_seq : t -> int
 (** Number of fences executed since creation (or {!reset_fence_seq}). *)
-
-val set_fence_hook : t -> (int -> unit) option -> unit
-(** Called with the fence sequence number {e before} the fence commits
-    flushed lines.  [None] uninstalls. *)
 
 val reset_fence_seq : t -> unit
 

@@ -281,6 +281,32 @@ let test_mini_torture () =
   Alcotest.(check int) "all iterations crashed" 6 r.Torturecheck.crashes;
   Alcotest.(check int) "no failures" 0 (List.length r.Torturecheck.failures)
 
+(* Mount and fsck read the superblock through one reader that refuses a
+   device shorter than the replica or of a size the superblock does not
+   record: EINVAL, never a layout computed for a size the device lacks or
+   an out-of-bounds Invalid_argument. *)
+let truncated ~bytes =
+  let src = Device.create ~cost:Device.Cost.free ~size:(16 * Units.mib) () in
+  let c = cpu () in
+  Fs.unmount (Fs.format src (cfg ())) c;
+  let keep = min bytes (Device.size src) in
+  let buf = Bytes.create keep in
+  Device.peek src ~off:0 ~len:keep ~dst:buf ~dst_off:0;
+  let dev = Device.create ~cost:Device.Cost.free ~size:bytes () in
+  Device.write dev c ~off:0 ~src:buf ~src_off:0 ~len:keep;
+  dev
+
+let expect_einval what f =
+  match f () with
+  | _ -> Alcotest.failf "%s accepted" what
+  | exception Types.Error (EINVAL, _) -> ()
+  | exception e -> Alcotest.failf "%s raised %s, not EINVAL" what (Printexc.to_string e)
+
+let test_size_mismatch ~bytes () =
+  let dev = truncated ~bytes in
+  expect_einval "mount" (fun () -> Fs.mount dev (cfg ()));
+  expect_einval "fsck" (fun () -> Fsck.run dev)
+
 let suite =
   [
     Alcotest.test_case "unlink crash: orphan reattached" `Quick test_unlink_orphan;
@@ -289,4 +315,8 @@ let suite =
     Alcotest.test_case "degraded image heals to writable" `Quick test_degraded_heals;
     Alcotest.test_case "fsck counters populate" `Quick test_counters;
     Alcotest.test_case "mini torture campaign" `Slow test_mini_torture;
+    Alcotest.test_case "16 MiB image truncated to 8 MiB" `Quick (test_size_mismatch ~bytes:(8 * Units.mib));
+    Alcotest.test_case "16 MiB image truncated to 1 MiB" `Quick (test_size_mismatch ~bytes:Units.mib);
+    Alcotest.test_case "1024-byte device" `Quick (test_size_mismatch ~bytes:1024);
+    Alcotest.test_case "64-byte device" `Quick (test_size_mismatch ~bytes:64);
   ]

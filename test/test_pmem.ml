@@ -2,6 +2,8 @@
 
 open Repro_util
 module Device = Repro_pmem.Device
+module Site = Repro_pmem.Site
+module Stats = Repro_stats.Stats
 
 let cpu () = Cpu.make ~id:0 ()
 
@@ -33,9 +35,7 @@ let test_cost_charged () =
   let t1 = Cpu.now c in
   Alcotest.(check bool) "write charges time" true (t1 > t0);
   ignore (Device.read_string d c ~off:0 ~len:4096);
-  Alcotest.(check bool) "read charges time" true (Cpu.now c > t1);
-  Alcotest.(check int) "bytes written counted" 4096
-    (Counters.get (Device.counters d) "pm.bytes_written")
+  Alcotest.(check bool) "read charges time" true (Cpu.now c > t1)
 
 let test_crash_unflushed_lost () =
   let d = Device.create ~cost:Device.Cost.free ~size:8192 () in
@@ -91,17 +91,6 @@ let test_partial_crash_subsets () =
   Alcotest.(check string) "A survived" "AAAA" (Device.read_string img c ~off:0 ~len:4);
   Alcotest.(check string) "B lost" "\000\000\000\000" (Device.read_string img c ~off:256 ~len:4);
   ignore b_line
-
-let test_fence_hook () =
-  let d = Device.create ~cost:Device.Cost.free ~size:8192 () in
-  let c = cpu () in
-  let fired = ref [] in
-  Device.set_fence_hook d (Some (fun n -> fired := n :: !fired));
-  Device.fence d c;
-  Device.fence d c;
-  Device.set_fence_hook d None;
-  Device.fence d c;
-  Alcotest.(check (list int)) "hook saw fences 1 and 2" [ 2; 1 ] !fired
 
 (* crash_at: the in-flight lines at the target fence (before it commits
    them), None when the thunk finishes first, no hook left behind. *)
@@ -281,39 +270,166 @@ let test_hook_cpu_tagging () =
   | [ (-1, Device.Protocol _); (3, Device.Store _) ] -> ()
   | _ -> Alcotest.fail "expected a cpu-tagged store then an untagged protocol event")
 
-let test_legacy_set_event_hook () =
-  (* The single-slot interface replaces only its own hook and leaves
-     add_event_hook observers alone. *)
-  let d = Device.create ~cost:Device.Cost.free ~size:4096 () in
-  let c = cpu () in
-  let multi = ref 0 and legacy1 = ref 0 and legacy2 = ref 0 in
-  ignore (Device.add_event_hook d (fun _ _ _ -> incr multi));
-  Device.set_event_hook d (Some (fun _ _ _ -> incr legacy1));
-  Device.write_u64 d c ~off:0 1L;
-  Device.set_event_hook d (Some (fun _ _ _ -> incr legacy2));
-  Device.write_u64 d c ~off:0 2L;
-  Device.set_event_hook d None;
-  Device.write_u64 d c ~off:0 3L;
-  Alcotest.(check int) "first legacy hook saw one store" 1 !legacy1;
-  Alcotest.(check int) "second legacy hook replaced the first" 1 !legacy2;
-  Alcotest.(check int) "multi hook saw all three" 3 !multi
+(* Device-stream pin.  A seeded random mix of every store and load entry
+   point plus flush, fence, persist, protocol annotations, poison
+   injections and rejected out-of-range copies, issued from two CPUs on a
+   2-node NUMA device under the Optane cost model (so remote charges
+   occur).  Tracking is on for two stretches of the stream, which ends in
+   a crash image with a torn word.  The final and crash image CRCs, both
+   CPU clocks, a digest of every observed event (kind, off, len, nt,
+   site, cpu id), a digest of every loaded byte and the per-site pm.*
+   stats must match the values captured before the device's store and
+   load paths were folded into one each. *)
+
+(* CRC32C of the media, line by line; a poisoned line (which [peek]
+   refuses) contributes a marker instead of its bytes. *)
+let device_crc dev =
+  let poisoned = Device.poisoned_lines dev in
+  let line = Bytes.create 64 in
+  let crc = ref Crc32c.init in
+  for l = 0 to (Device.size dev / 64) - 1 do
+    if List.mem l poisoned then crc := Crc32c.update_string !crc "poison" ~off:0 ~len:6
+    else begin
+      Device.peek dev ~off:(l * 64) ~len:64 ~dst:line ~dst_off:0;
+      crc := Crc32c.update !crc line ~off:0 ~len:64
+    end
+  done;
+  Crc32c.finish !crc
+
+(* Run [f] with the global stats registry enabled and freshly reset,
+   restoring the previous [enabled] flag afterwards. *)
+let with_stats f =
+  let was = Stats.enabled () in
+  Stats.set_enabled true;
+  Stats.reset ();
+  Fun.protect ~finally:(fun () -> Stats.set_enabled was) f
+
+let pm_stats () =
+  (Stats.snapshot ()).s_counters
+  |> List.filter_map (fun (name, labels, v) ->
+         if String.starts_with ~prefix:"pm." name then
+           let l = String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels) in
+           Some (Printf.sprintf "%s{%s}" name l, v)
+         else None)
+
+let run_device_stream () =
+  let size = 64 * 1024 in
+  let d = Device.create ~numa_nodes:2 ~size () in
+  let cpus = [| Cpu.make ~id:0 ~node:0 (); Cpu.make ~id:1 ~node:1 () |] in
+  let sites = [| Site.unknown; Site.v "test" "a"; Site.v "test" "b" |] in
+  let rng = Rng.create 0x5eed in
+  let crc_of acc s = Crc32c.update_string acc s ~off:0 ~len:(String.length s) in
+  let events = ref Crc32c.init and loaded = ref Crc32c.init in
+  let load s = loaded := crc_of !loaded s in
+  ignore
+    (Device.add_event_hook d (fun cpu site ev ->
+         let id = match cpu with Some (c : Cpu.t) -> c.id | None -> -1 in
+         let body =
+           match ev with
+           | Device.Store { off; len; nt } -> Printf.sprintf "S%d+%d%s" off len (if nt then "n" else "")
+           | Load { off; len } -> Printf.sprintf "L%d+%d" off len
+           | Flush { off; len } -> Printf.sprintf "F%d+%d" off len
+           | Fence -> "B"
+           | Protocol _ -> "P"
+         in
+         events := crc_of !events (Printf.sprintf "%s@%s#%d;" body (Site.to_string site) id)));
+  let buf = Bytes.create 4096 in
+  let n = 3000 in
+  for i = 0 to n - 1 do
+    if i = n / 4 then Device.set_tracking d true;
+    if i = n / 2 then Device.set_tracking d false;
+    if i = 5 * n / 8 then Device.set_tracking d true;
+    if i mod 250 = 0 then Device.inject d (Device.Poison_line { off = Rng.int rng size });
+    let c = cpus.(Rng.int rng 2) in
+    let len = if Rng.int rng 8 = 0 then Rng.int rng 4096 else Rng.int rng 200 in
+    let off = Rng.int rng (size - len + 1) in
+    let src = Rng.int rng (size - len + 1) in
+    let payload = String.init len (fun j -> Char.chr ((i + (j * 7)) land 0xff)) in
+    Bytes.blit_string payload 0 buf 0 len;
+    let ch = Char.chr (i land 0xff) in
+    Device.with_site d sites.(Rng.int rng 3) @@ fun () ->
+    try
+      match Rng.int rng 19 with
+      | 0 -> Device.write d c ~off ~src:buf ~src_off:0 ~len
+      | 1 -> Device.write_string d c ~off payload
+      | 2 -> Device.write_nt d c ~off ~src:buf ~src_off:0 ~len
+      | 3 -> Device.write_string_nt d c ~off payload
+      | 4 -> Device.memset d c ~off ~len ch
+      | 5 -> Device.memset_nt d c ~off ~len ch
+      | 6 -> Device.copy_within d c ~src ~dst:off ~len
+      | 7 -> Device.copy_within_nt d c ~src ~dst:off ~len
+      | 8 -> Device.write_u64 d c ~off:(off land lnot 7) (Rng.int64 rng)
+      | 9 ->
+          Device.read d c ~off ~len ~dst:buf ~dst_off:0;
+          load (Bytes.sub_string buf 0 len)
+      | 10 -> load (Device.read_string d c ~off ~len)
+      | 11 -> load (Int64.to_string (Device.read_u64 d c ~off:(off land lnot 7)))
+      | 12 -> Device.touch_read d c ~off ~len
+      | 13 -> Device.flush d c ~off ~len
+      | 14 -> Device.fence d c
+      | 15 -> Device.persist d c ~off ~len
+      | 16 -> Device.annotate d (Device.Fresh { addr = off; len })
+      | 17 -> Device.copy_within d c ~src ~dst:(size - len + 64) ~len:(len + 1)
+      | _ -> Device.copy_within_nt d c ~src:(size - 8) ~dst:off ~len:(len + 16)
+    with
+    | Device.Media_error { off } -> load (Printf.sprintf "E%d" off)
+    | Invalid_argument _ -> load "I"
+  done;
+  (match Device.pending_lines d with
+  | line :: _ -> Device.inject d (Device.Torn_word { off = (line * 64) + 8 })
+  | [] -> ());
+  let img = Device.crash_image d ~persisted:(fun line -> line mod 3 <> 0) in
+  ( (device_crc d, device_crc img),
+    (Cpu.now cpus.(0), Cpu.now cpus.(1)),
+    (Crc32c.finish !events, Crc32c.finish !loaded),
+    pm_stats () )
+
+let expected_stream_crcs = (0x57070d3d, 0x59002cb4)
+let expected_stream_clocks = (303262, 300669)
+let expected_stream_digests = (0x068eb317, 0x72cbd8fa)
+
+let expected_stream_stats =
+  [
+    ("pm.fences{site=?.?}", 99);
+    ("pm.fences{site=test.a}", 123);
+    ("pm.fences{site=test.b}", 112);
+    ("pm.flush_lines{site=?.?}", 728);
+    ("pm.flush_lines{site=test.a}", 650);
+    ("pm.flush_lines{site=test.b}", 551);
+    ("pm.load_bytes{site=?.?}", 78673);
+    ("pm.load_bytes{site=test.a}", 93186);
+    ("pm.load_bytes{site=test.b}", 104679);
+    ("pm.nt_store_bytes{site=?.?}", 61998);
+    ("pm.nt_store_bytes{site=test.a}", 55169);
+    ("pm.nt_store_bytes{site=test.b}", 64528);
+    ("pm.store_bytes{site=?.?}", 67392);
+    ("pm.store_bytes{site=test.a}", 83777);
+    ("pm.store_bytes{site=test.b}", 58339);
+  ]
+
+let test_device_stream () =
+  let crcs, clocks, digests, stats = with_stats run_device_stream in
+  let hex = Alcotest.testable (fun f v -> Format.fprintf f "0x%08x" v) ( = ) in
+  Alcotest.(check (pair hex hex)) "image, crash image CRC32C" expected_stream_crcs crcs;
+  Alcotest.(check (pair int int)) "cpu0, cpu1 clocks" expected_stream_clocks clocks;
+  Alcotest.(check (pair hex hex)) "event, load digests" expected_stream_digests digests;
+  Alcotest.(check (list (pair string int))) "per-site pm.* stats" expected_stream_stats stats
 
 let suite =
   [
     Alcotest.test_case "read/write" `Quick test_rw;
+    Alcotest.test_case "device stream pin" `Quick test_device_stream;
     Alcotest.test_case "multi hook fan-out" `Quick test_multi_hook;
     Alcotest.test_case "hook removal during dispatch" `Quick test_hook_removal_during_dispatch;
     Alcotest.test_case "torn word x crash subsets" `Quick test_torn_word_crash_subsets;
     Alcotest.test_case "poison line and repair" `Quick test_poison_and_repair;
     Alcotest.test_case "hook cpu tagging" `Quick test_hook_cpu_tagging;
-    Alcotest.test_case "legacy set_event_hook" `Quick test_legacy_set_event_hook;
     Alcotest.test_case "bounds" `Quick test_bounds;
     Alcotest.test_case "cost accounting" `Quick test_cost_charged;
     Alcotest.test_case "crash: unflushed lost" `Quick test_crash_unflushed_lost;
     Alcotest.test_case "crash: fence makes durable" `Quick test_fence_makes_durable;
     Alcotest.test_case "crash: nt stores" `Quick test_nt_stores;
     Alcotest.test_case "crash: partial subsets" `Quick test_partial_crash_subsets;
-    Alcotest.test_case "fence hook" `Quick test_fence_hook;
     Alcotest.test_case "crash_at" `Quick test_crash_at;
     Alcotest.test_case "numa cost" `Quick test_numa_cost;
     Alcotest.test_case "image save/load" `Quick test_save_load;
