@@ -3,7 +3,8 @@
    Wall-clock assertions flake under CI load, so the perf regressions
    this guards are expressed as deterministic operation counts instead:
    hash-probe work per table operation, pending-entries visited per
-   fence, and minor-heap words allocated per device access.  A
+   fence, minor-heap words allocated per device access, and major-heap
+   words allocated by a fresh device and its crash image.  A
    regression that reintroduces O(all-pending) fence sweeps, degenerate
    probe chains or a per-access allocation fails these budgets on any
    machine, loaded or not. *)
@@ -124,11 +125,29 @@ let access_alloc_budget () =
     ops;
   Stats.set_enabled was
 
+let image_alloc_budget () =
+  (* A fresh device and a crash image share chunks instead of copying
+     the media: on a 256 MiB device (32 Mwords of bytes), [create], 8
+     tracked line stores in 8 different chunks and one [crash_image]
+     that reverts them all stay within 1 Mword of major heap. *)
+  let w0 = (Gc.quick_stat ()).major_words in
+  let dev = Device.create ~cost:Device.Cost.free ~size:(256 * Units.mib) () in
+  let cpu = Cpu.make ~id:0 () in
+  Device.set_tracking dev true;
+  for i = 0 to 7 do
+    Device.write_u64 dev cpu ~off:(i * 32 * Units.mib) 1L
+  done;
+  let img = Device.crash_image dev ~persisted:(fun _ -> false) in
+  let words = int_of_float ((Gc.quick_stat ()).major_words -. w0) in
+  budget "major words / 256MiB image" ~actual:words ~limit:1_000_000;
+  ignore (Sys.opaque_identity img)
+
 let () =
   table_probe_budget ();
   table_tombstone_budget ();
   fence_sweep_budget ();
   access_alloc_budget ();
+  image_alloc_budget ();
   if !failures > 0 then begin
     Printf.printf "%d perf budget(s) exceeded\n" !failures;
     exit 1

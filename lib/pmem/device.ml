@@ -117,8 +117,22 @@ type site_cells = {
   sc_cells : Stats.Counter.t option array; (* indexed by instrument *)
 }
 
+(* The image is a table of fixed 64 KiB chunks.  A chunk the device
+   does not own -- the shared zero chunk, or one shared with a crash
+   image -- is read in place and copied before its first store, so a
+   fresh device and a crash image cost O(chunks written), not O(size).
+   Cache lines never straddle a chunk. *)
+let chunk_bits = 16
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+
+(* Every unwritten chunk of every device; never stored to. *)
+let zero_chunk = Bytes.make chunk_size '\000'
+
 type t = {
-  data : bytes;
+  chunks : bytes array;
+  owned : bool array; (* chunk i is this device's alone, safe to store to *)
+  word : bytes; (* staging for a u64 access that straddles two chunks *)
   size : int;
   cost : Cost.t;
   numa_nodes : int;
@@ -144,11 +158,12 @@ type t = {
 let cl = Units.cacheline
 
 (* The one constructor: a fresh device and a crash image differ only in
-   their media bytes and the poison they inherit. *)
-let make ~cost ~numa_nodes ~poisoned data =
-  let size = Bytes.length data in
+   their chunk table and the poison they inherit.  No chunk starts owned. *)
+let make ~cost ~numa_nodes ~poisoned ~size chunks =
   {
-    data;
+    chunks;
+    owned = Array.make (Array.length chunks) false;
+    word = Bytes.create 8;
     size;
     cost;
     numa_nodes;
@@ -171,9 +186,11 @@ let make ~cost ~numa_nodes ~poisoned data =
 let create ?(cost = Cost.optane) ?(numa_nodes = 1) ~size () =
   if size <= 0 then invalid_arg "Device.create: non-positive size";
   if numa_nodes <= 0 then invalid_arg "Device.create: non-positive numa_nodes";
+  let size = Units.round_up size cl in
   make ~cost ~numa_nodes
     ~poisoned:(Flat_table.create ~capacity:8 ~dummy:() ())
-    (Bytes.make (Units.round_up size cl) '\000')
+    ~size
+    (Array.make ((size + chunk_mask) lsr chunk_bits) zero_chunk)
 
 let size t = t.size
 
@@ -182,11 +199,19 @@ let node_of_offset t off =
 
 let cost t = t.cost
 
+(* Overflow-safe: [off + len] may wrap, [t.size - off] cannot once
+   [off >= 0].  Every range is validated before any charge or move. *)
 let check_range t off len =
-  if off < 0 || len < 0 || off + len > t.size then
+  if off < 0 || len < 0 || len > t.size - off then
+    invalid_arg (Printf.sprintf "Device: range [%d,+%d) out of bounds (size %d)" off len t.size)
+
+(* The caller's [src]/[dst] side of a byte move, checked the same way and
+   also before any charge, so a short buffer leaves the clock and the
+   pending lines untouched. *)
+let check_buf b boff len =
+  if boff < 0 || len < 0 || len > Bytes.length b - boff then
     invalid_arg
-      (Printf.sprintf "Device: range [%d,%d) out of bounds (size %d)" off (off + len)
-         t.size)
+      (Printf.sprintf "Device: buffer [%d,+%d) out of bounds (length %d)" boff len (Bytes.length b))
 
 (* A load touching a poisoned line consumes the MCE before any data moves
    or cost is charged (the CPU never sees the bytes). *)
@@ -318,6 +343,78 @@ let annotate t p = match t.hooks with [] -> () | hooks -> dispatch t hooks None 
    ranges are validated before either prologue, the read is charged
    before the write, and the Load event precedes the Store. *)
 
+(* The byte moves: each walks the chunk pieces of a validated range
+   with loop counters only, so no access allocates. *)
+
+let imin (a : int) b = if a <= b then a else b
+
+(* Chunk [i], copied first unless this device owns it. *)
+let writable t i =
+  if not t.owned.(i) then begin
+    t.chunks.(i) <- Bytes.copy t.chunks.(i);
+    t.owned.(i) <- true
+  end;
+  t.chunks.(i)
+
+let blit_in t ~src ~src_off ~off ~len =
+  let pos = ref off and s = ref src_off and rem = ref len in
+  while !rem > 0 do
+    let o = !pos land chunk_mask in
+    let n = imin !rem (chunk_size - o) in
+    Bytes.blit src !s (writable t (!pos lsr chunk_bits)) o n;
+    pos := !pos + n;
+    s := !s + n;
+    rem := !rem - n
+  done
+
+let blit_out t ~off ~len ~dst ~dst_off =
+  let pos = ref off and d = ref dst_off and rem = ref len in
+  while !rem > 0 do
+    let o = !pos land chunk_mask in
+    let n = imin !rem (chunk_size - o) in
+    Bytes.blit t.chunks.(!pos lsr chunk_bits) o dst !d n;
+    pos := !pos + n;
+    d := !d + n;
+    rem := !rem - n
+  done
+
+let fill_in t ~off ~len c =
+  let pos = ref off and rem = ref len in
+  while !rem > 0 do
+    let o = !pos land chunk_mask in
+    let n = imin !rem (chunk_size - o) in
+    Bytes.fill (writable t (!pos lsr chunk_bits)) o n c;
+    pos := !pos + n;
+    rem := !rem - n
+  done
+
+(* memmove semantics.  Each piece lies within one source and one
+   destination chunk; when the destination overlaps the source from
+   above, the pieces go last to first so none overwrites source bytes a
+   later piece still reads. *)
+let move t ~src ~dst ~len =
+  if src < dst && dst < src + len then begin
+    let rem = ref len in
+    while !rem > 0 do
+      let se = src + !rem and de = dst + !rem in
+      let n = imin !rem (imin (((se - 1) land chunk_mask) + 1) (((de - 1) land chunk_mask) + 1)) in
+      let d = writable t ((de - n) lsr chunk_bits) in
+      Bytes.blit t.chunks.((se - n) lsr chunk_bits) ((se - n) land chunk_mask) d
+        ((de - n) land chunk_mask) n;
+      rem := !rem - n
+    done
+  end
+  else begin
+    let k = ref 0 in
+    while !k < len do
+      let so = (src + !k) land chunk_mask and do_ = (dst + !k) land chunk_mask in
+      let n = imin (len - !k) (imin (chunk_size - so) (chunk_size - do_)) in
+      let d = writable t ((dst + !k) lsr chunk_bits) in
+      Bytes.blit t.chunks.((src + !k) lsr chunk_bits) so d do_ n;
+      k := !k + n
+    done
+  end
+
 let mark_flushed t p line =
   if not p.flushed then begin
     p.flushed <- true;
@@ -331,7 +428,8 @@ let track_store t off len ~nt =
       match Flat_table.find t.pending line with
       | Some p -> if nt then mark_flushed t p line else p.flushed <- false
       | None ->
-          let old_bytes = Bytes.sub t.data (line * cl) cl in
+          let old_bytes = Bytes.create cl in
+          blit_out t ~off:(line * cl) ~len:cl ~dst:old_bytes ~dst_off:0;
           Flat_table.set t.pending line { old_bytes; flushed = nt };
           if nt then Flat_vec.push t.flushed_lines line
     done
@@ -358,14 +456,15 @@ let load_end t cpu ~off ~len =
 
 let store_bytes t cpu ~off ~src ~src_off ~len ~nt =
   check_range t off len;
+  check_buf src src_off len;
   store_begin t cpu ~off ~len ~nt;
-  Bytes.blit src src_off t.data off len;
+  blit_in t ~src ~src_off ~off ~len;
   store_end t cpu ~off ~len ~nt
 
 let store_fill t cpu ~off ~len c ~nt =
   check_range t off len;
   store_begin t cpu ~off ~len ~nt;
-  Bytes.fill t.data off len c;
+  fill_in t ~off ~len c;
   store_end t cpu ~off ~len ~nt
 
 let copy t cpu ~src ~dst ~len ~nt =
@@ -373,7 +472,7 @@ let copy t cpu ~src ~dst ~len ~nt =
   check_range t dst len;
   load_begin t cpu ~off:src ~len;
   store_begin t cpu ~off:dst ~len ~nt;
-  Bytes.blit t.data src t.data dst len;
+  move t ~src ~dst ~len;
   load_end t cpu ~off:src ~len;
   store_end t cpu ~off:dst ~len ~nt
 
@@ -402,26 +501,41 @@ let copy_within_nt t cpu ~src ~dst ~len = copy t cpu ~src ~dst ~len ~nt:true
 let write_u64 t cpu ~off v =
   check_range t off 8;
   store_begin t cpu ~off ~len:8 ~nt:false;
-  Bytes.set_int64_le t.data off v;
+  let o = off land chunk_mask in
+  if o <= chunk_size - 8 then Bytes.set_int64_le (writable t (off lsr chunk_bits)) o v
+  else begin
+    Bytes.set_int64_le t.word 0 v;
+    blit_in t ~src:t.word ~src_off:0 ~off ~len:8
+  end;
   store_end t cpu ~off ~len:8 ~nt:false
 
 let read t cpu ~off ~len ~dst ~dst_off =
   check_range t off len;
+  check_buf dst dst_off len;
   load_begin t cpu ~off ~len;
-  Bytes.blit t.data off dst dst_off len;
+  blit_out t ~off ~len ~dst ~dst_off;
   load_end t cpu ~off ~len
 
 let read_string t cpu ~off ~len =
   check_range t off len;
   load_begin t cpu ~off ~len;
-  let s = Bytes.sub_string t.data off len in
+  let b = Bytes.create len in
+  blit_out t ~off ~len ~dst:b ~dst_off:0;
+  let s = Bytes.unsafe_to_string b in
   load_end t cpu ~off ~len;
   s
 
 let read_u64 t cpu ~off =
   check_range t off 8;
   load_begin t cpu ~off ~len:8;
-  let v = Bytes.get_int64_le t.data off in
+  let o = off land chunk_mask in
+  let v =
+    if o <= chunk_size - 8 then Bytes.get_int64_le t.chunks.(off lsr chunk_bits) o
+    else begin
+      blit_out t ~off ~len:8 ~dst:t.word ~dst_off:0;
+      Bytes.get_int64_le t.word 0
+    end
+  in
   load_end t cpu ~off ~len:8;
   v
 
@@ -432,8 +546,9 @@ let touch_read t cpu ~off ~len =
 
 let peek t ~off ~len ~dst ~dst_off =
   check_range t off len;
+  check_buf dst dst_off len;
   check_poison t off len;
-  Bytes.blit t.data off dst dst_off len
+  blit_out t ~off ~len ~dst ~dst_off
 
 let flush t (cpu : Cpu.t) ~off ~len =
   check_range t off len;
@@ -501,7 +616,8 @@ let inject t fault =
   | Bit_flip { off; bit } ->
       check_range t off 1;
       if bit < 0 || bit > 7 then invalid_arg "Device.inject: bit outside 0..7";
-      Bytes.set t.data off (Char.chr (Char.code (Bytes.get t.data off) lxor (1 lsl bit)))
+      let c = writable t (off lsr chunk_bits) and o = off land chunk_mask in
+      Bytes.set c o (Char.chr (Char.code (Bytes.get c o) lxor (1 lsl bit)))
   | Torn_word { off } ->
       check_range t off 8;
       Flat_table.set t.torn (off land lnot 7) ()
@@ -515,15 +631,19 @@ let poisoned_lines t = Flat_table.keys_sorted t.poisoned
 
 let crash_image t ~persisted =
   if not t.tracking then invalid_arg "Device.crash_image: tracking disabled";
-  (* Media faults survive a crash. *)
+  (* The image shares every chunk with [t]; a chunk reachable from two
+     devices is owned by neither, so whichever stores to it first copies
+     it.  Media faults survive a crash. *)
   let img =
     make ~cost:t.cost ~numa_nodes:t.numa_nodes ~poisoned:(Flat_table.copy t.poisoned)
-      (Bytes.copy t.data)
+      ~size:t.size (Array.copy t.chunks)
   in
+  Array.fill t.owned 0 (Array.length t.owned) false;
   Flat_table.keys_sorted t.pending
   |> List.iter (fun line ->
          match Flat_table.find t.pending line with
-         | Some p when not (persisted line) -> Bytes.blit p.old_bytes 0 img.data (line * cl) cl
+         | Some p when not (persisted line) ->
+             blit_in img ~src:p.old_bytes ~src_off:0 ~off:(line * cl) ~len:cl
          | _ -> ());
   (* Torn words compose with the surviving-line choice: even when the
      containing line is chosen as persisted, the registered 8-byte word
@@ -533,7 +653,7 @@ let crash_image t ~persisted =
   Flat_table.keys_sorted t.torn
   |> List.iter (fun off ->
          match Flat_table.find t.pending (off / cl) with
-         | Some p -> Bytes.blit p.old_bytes (off mod cl) img.data off 8
+         | Some p -> blit_in img ~src:p.old_bytes ~src_off:(off mod cl) ~off ~len:8
          | None -> ());
   img
 
@@ -560,13 +680,19 @@ let crash_at ?(on_crash = ignore) t ~fence f =
 
 let save_file t path =
   let oc = open_out_bin path in
-  output_bytes oc t.data;
+  Array.iteri
+    (fun i c -> output oc c 0 (imin chunk_size (t.size - (i * chunk_size))))
+    t.chunks;
   close_out oc
 
 let load_file ?cost ?numa_nodes path =
   let ic = open_in_bin path in
   let size = in_channel_length ic in
   let t = create ?cost ?numa_nodes ~size () in
-  really_input ic t.data 0 size;
+  Array.iteri
+    (fun i _ ->
+      let n = imin chunk_size (size - (i * chunk_size)) in
+      if n > 0 then really_input ic (writable t i) 0 n)
+    t.chunks;
   close_in ic;
   t

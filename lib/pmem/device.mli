@@ -10,6 +10,16 @@
     ("pm.store_bytes", "pm.nt_store_bytes", "pm.load_bytes",
     "pm.flush_lines", "pm.fences").
 
+    {2 Storage}
+
+    The image is a table of fixed 64 KiB chunks.  A fresh device points
+    every entry at one shared, never-written zero chunk, and a
+    {!crash_image} copies only the table: it shares every chunk with its
+    source.  A chunk reachable from two devices is owned by neither, and
+    whichever device first stores to it copies that one chunk.  Loads and
+    {!peek} read chunks in place and never copy one.  A fresh device or a
+    crash image therefore costs O(chunks written), not O(size).
+
     {2 Crash semantics}
 
     When tracking is enabled, stores since the last fence are recorded along
@@ -85,9 +95,11 @@ val node_of_offset : t -> int -> int
 
 val cost : t -> Cost.t
 
-(** {2 Data access}  All offsets/lengths are validated; out-of-range access
-    raises [Invalid_argument].  The {!Repro_util.Cpu.t} determines which
-    clock is charged and whether NUMA remote-access penalties apply. *)
+(** {2 Data access}  All offsets/lengths, on the device and in the
+    caller's [src]/[dst] buffer, are validated before any charge;
+    out-of-range access raises [Invalid_argument].  The
+    {!Repro_util.Cpu.t} determines which clock is charged and whether NUMA
+    remote-access penalties apply. *)
 
 val read : t -> Repro_util.Cpu.t -> off:int -> len:int -> dst:bytes -> dst_off:int -> unit
 val write : t -> Repro_util.Cpu.t -> off:int -> src:bytes -> src_off:int -> len:int -> unit

@@ -25,7 +25,35 @@ let test_bounds () =
   Alcotest.(check bool) "out of bounds rejected" true
     (match Device.write_string d c ~off:4090 "toolong" with
     | () -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true);
+  (* Ranges whose end overflows, and caller buffers too short for the
+     move, are refused before any charge. *)
+  let d = Device.create ~size:4096 () in
+  let refused ?(error = "range") name f =
+    let t0 = Cpu.now c in
+    (match f () with
+    | () -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (name ^ ": " ^ error ^ " error, not " ^ msg)
+          true
+          (String.starts_with ~prefix:("Device: " ^ error) msg));
+    Alcotest.(check int) (name ^ ": clock unchanged") t0 (Cpu.now c)
+  in
+  refused "read_string off 1 len max_int" (fun () ->
+      ignore (Device.read_string d c ~off:1 ~len:max_int));
+  refused "copy_within to max_int - 2" (fun () ->
+      Device.copy_within d c ~src:0 ~dst:(max_int - 2) ~len:8);
+  refused ~error:"buffer" "read into short dst" (fun () ->
+      Device.read d c ~off:0 ~len:4096 ~dst:(Bytes.create 10) ~dst_off:0);
+  refused ~error:"buffer" "read at negative dst_off" (fun () ->
+      Device.read d c ~off:0 ~len:8 ~dst:(Bytes.create 64) ~dst_off:(-1));
+  refused ~error:"buffer" "peek into short dst" (fun () ->
+      Device.peek d ~off:0 ~len:64 ~dst:(Bytes.create 64) ~dst_off:1);
+  refused ~error:"buffer" "write from short src" (fun () ->
+      Device.write d c ~off:0 ~src:(Bytes.create 10) ~src_off:0 ~len:4096);
+  refused ~error:"buffer" "write_nt at src_off past the end" (fun () ->
+      Device.write_nt d c ~off:0 ~src:(Bytes.create 8) ~src_off:max_int ~len:8)
 
 let test_cost_charged () =
   let d = Device.create ~size:(1 * Units.mib) () in
@@ -415,10 +443,194 @@ let test_device_stream () =
   Alcotest.(check (pair hex hex)) "event, load digests" expected_stream_digests digests;
   Alcotest.(check (list (pair string int))) "per-site pm.* stats" expected_stream_stats stats
 
+(* Differential test against a flat shadow.  The device stores its
+   image in 64 KiB chunks shared copy-on-write with its crash images; a
+   plain [Bytes] shadow mirrors every op, so any piece-walking or
+   ownership slip shows up as a byte difference.  Clocks, events and
+   stats are the stream pin's job; this checks bytes only.  The device
+   spans several chunks and is not a whole number of them, and offsets
+   cluster around chunk boundaries. *)
+
+let chunk = 64 * 1024 (* the device's chunk size *)
+
+(* [torn]: every word ever registered with [Torn_word] on [dev]. *)
+type mirrored = { dev : Device.t; shadow : bytes; mutable torn : int list }
+
+let same what m =
+  let size = Bytes.length m.shadow in
+  let img = Bytes.create size in
+  Device.peek m.dev ~off:0 ~len:size ~dst:img ~dst_off:0;
+  if not (Bytes.equal img m.shadow) then begin
+    let i = ref 0 in
+    while Bytes.get img !i = Bytes.get m.shadow !i do incr i done;
+    Alcotest.failf "%s: image differs from shadow first at byte %d" what !i
+  end
+
+(* Anywhere, or (two times in three) placed so that the range straddles
+   a chunk boundary give or take 32 bytes; [len] bytes always fit. *)
+let pick_off rng ~size ~len =
+  let hi = size - len in
+  if Rng.int rng 3 = 0 then Rng.int rng (hi + 1)
+  else
+    let b = chunk * (1 + Rng.int rng (size / chunk)) in
+    max 0 (min hi (b - len + Rng.int rng (len + 64) - 32))
+
+let pick_len rng =
+  match Rng.int rng 10 with
+  | 0 -> chunk + 1 + Rng.int rng (chunk + 64) (* spans three chunks *)
+  | 1 | 2 -> Rng.int rng 4096
+  | _ -> Rng.int rng 200
+
+(* Payloads are random slices of one random pool. *)
+let pool =
+  lazy
+    (let r = Rng.create 0x9001 in
+     Bytes.init (4 * chunk) (fun _ -> Char.chr (Rng.int r 256)))
+
+let step rng c m =
+  let size = Bytes.length m.shadow in
+  let len = pick_len rng in
+  let off = pick_off rng ~size ~len in
+  let pool = Lazy.force pool in
+  let payload = Bytes.sub pool (Rng.int rng (Bytes.length pool - len)) len in
+  let ch = Char.chr (Rng.int rng 256) in
+  let copy ~nt =
+    (* Overlapping in either direction about half the time. *)
+    let src =
+      if Rng.bool rng then max 0 (min (size - len) (off + Rng.int rng 129 - 64))
+      else pick_off rng ~size ~len
+    in
+    (if nt then Device.copy_within_nt else Device.copy_within) m.dev c ~src ~dst:off ~len;
+    Bytes.blit m.shadow src m.shadow off len
+  in
+  let u64_off () = if Rng.bool rng then chunk - 4 else min (size - 8) off in
+  match Rng.int rng 15 with
+  | 0 ->
+      Device.write m.dev c ~off ~src:payload ~src_off:0 ~len;
+      Bytes.blit payload 0 m.shadow off len
+  | 1 ->
+      Device.write_nt m.dev c ~off ~src:payload ~src_off:0 ~len;
+      Bytes.blit payload 0 m.shadow off len
+  | 2 ->
+      Device.write_string m.dev c ~off (Bytes.to_string payload);
+      Bytes.blit payload 0 m.shadow off len
+  | 3 ->
+      Device.write_string_nt m.dev c ~off (Bytes.to_string payload);
+      Bytes.blit payload 0 m.shadow off len
+  | 4 ->
+      Device.memset m.dev c ~off ~len ch;
+      Bytes.fill m.shadow off len ch
+  | 5 ->
+      Device.memset_nt m.dev c ~off ~len ch;
+      Bytes.fill m.shadow off len ch
+  | 6 -> copy ~nt:false
+  | 7 -> copy ~nt:true
+  | 8 ->
+      let off = u64_off () and v = Rng.int64 rng in
+      Device.write_u64 m.dev c ~off v;
+      Bytes.set_int64_le m.shadow off v
+  | 9 ->
+      let off = u64_off () in
+      Alcotest.(check int64) "read_u64" (Bytes.get_int64_le m.shadow off)
+        (Device.read_u64 m.dev c ~off)
+  | 10 ->
+      let dst = Bytes.create len in
+      Device.read m.dev c ~off ~len ~dst ~dst_off:0;
+      Alcotest.(check bool) "read" true (Bytes.equal dst (Bytes.sub m.shadow off len))
+  | 11 ->
+      Alcotest.(check string) "read_string" (Bytes.sub_string m.shadow off len)
+        (Device.read_string m.dev c ~off ~len)
+  | 12 ->
+      let off = min (size - 1) off and bit = Rng.int rng 8 in
+      Device.inject m.dev (Device.Bit_flip { off; bit });
+      Bytes.set m.shadow off (Char.chr (Char.code (Bytes.get m.shadow off) lxor (1 lsl bit)))
+  | 13 ->
+      (* A fill from the end of chunk k-1 to the start of chunk k+1. *)
+      let off = (chunk * (1 + Rng.int rng 2)) - 1 - Rng.int rng 100 in
+      let len = min (size - off) (chunk + 2 + Rng.int rng 200) in
+      (if Rng.bool rng then Device.memset else Device.memset_nt) m.dev c ~off ~len ch;
+      Bytes.fill m.shadow off len ch
+  | _ -> if Rng.bool rng then Device.persist m.dev c ~off ~len else Device.fence m.dev c
+
+(* The image [crash_image] must produce: the shadow with every dropped
+   pending line, then every torn word on a pending line, reverted. *)
+let expected_image m ~persisted =
+  let e = Bytes.copy m.shadow in
+  List.iter
+    (fun line ->
+      if not (persisted line) then
+        Option.iter (fun old -> Bytes.blit old 0 e (line * 64) 64) (Device.pending_old m.dev line))
+    (Device.pending_lines m.dev);
+  List.iter
+    (fun w ->
+      Option.iter (fun old -> Bytes.blit old (w mod 64) e w 8) (Device.pending_old m.dev (w / 64)))
+    m.torn;
+  e
+
+let crash rng m =
+  (match Device.pending_lines m.dev with
+  | [] -> ()
+  | lines ->
+      let line = List.nth lines (Rng.int rng (List.length lines)) in
+      let w = (line * 64) + (8 * Rng.int rng 8) in
+      Device.inject m.dev (Device.Torn_word { off = w });
+      m.torn <- w :: m.torn);
+  let salt = Rng.int rng 1_000_000 in
+  let persisted line = Hashtbl.hash (line, salt) land 1 = 0 in
+  let shadow = expected_image m ~persisted in
+  { dev = Device.crash_image m.dev ~persisted; shadow; torn = [] }
+
+let test_chunked_vs_shadow () =
+  let size = (3 * chunk) + 4096 + 192 in
+  let c = cpu () in
+  let rng = Rng.create 0xc0de in
+  let m =
+    ref
+      { dev = Device.create ~cost:Device.Cost.free ~size (); shadow = Bytes.make size '\000';
+        torn = [] }
+  in
+  let steps n x = for _ = 1 to n do step rng c x done in
+  for round = 1 to 12 do
+    let src = !m in
+    Device.set_tracking src.dev true;
+    steps 150 src;
+    same (Printf.sprintf "round %d source" round) src;
+    let img = crash rng src in
+    same (Printf.sprintf "round %d crash image" round) img;
+    (* Independence: stores on the source after the image, stores and
+       bit flips on the image, and an image of the image. *)
+    steps 60 src;
+    steps 60 img;
+    same (Printf.sprintf "round %d source after image" round) src;
+    same (Printf.sprintf "round %d image after stores" round) img;
+    Device.set_tracking img.dev true;
+    steps 60 img;
+    let img2 = crash rng img in
+    steps 40 img;
+    steps 40 img2;
+    steps 40 src;
+    same (Printf.sprintf "round %d source at end" round) src;
+    same (Printf.sprintf "round %d image at end" round) img;
+    same (Printf.sprintf "round %d image of image" round) img2;
+    (* Every third round continues from a save/load round trip. *)
+    if round mod 3 = 0 then begin
+      let path = Filename.temp_file "winefs" ".pm" in
+      Device.save_file src.dev path;
+      let loaded =
+        { dev = Device.load_file ~cost:Device.Cost.free path; shadow = src.shadow; torn = [] }
+      in
+      Sys.remove path;
+      Alcotest.(check int) "loaded size" size (Device.size loaded.dev);
+      same (Printf.sprintf "round %d loaded" round) loaded;
+      m := loaded
+    end
+  done
+
 let suite =
   [
     Alcotest.test_case "read/write" `Quick test_rw;
     Alcotest.test_case "device stream pin" `Quick test_device_stream;
+    Alcotest.test_case "chunked image vs flat shadow" `Quick test_chunked_vs_shadow;
     Alcotest.test_case "multi hook fan-out" `Quick test_multi_hook;
     Alcotest.test_case "hook removal during dispatch" `Quick test_hook_removal_during_dispatch;
     Alcotest.test_case "torn word x crash subsets" `Quick test_torn_word_crash_subsets;
