@@ -171,94 +171,67 @@ let alloc_cpu t (cpu : Cpu.t) =
 
 let allocate t cpu (f : file) ~len =
   let goal = if t.preset.goal_alloc then Some f.p.goal else None in
-  match Alloc.alloc ?goal t.ns.alloc ~cpu:(alloc_cpu t cpu) ~len with
-  | Some exts ->
-      (match List.rev exts with
-      | last :: _ -> f.p.goal <- last.Alloc.off + last.Alloc.len
-      | [] -> ());
-      exts
-  | None -> Types.err ENOSPC "allocating %d bytes" len
+  let exts = Dram_ns.alloc ?goal t.ns ~cpu:(alloc_cpu t cpu) ~len in
+  (match List.rev exts with last :: _ -> f.p.goal <- last.Alloc.off + last.Alloc.len | [] -> ());
+  exts
 
 (* Back every hole in [off, off+len) with block-granular extents;
    [unwritten] marks the new space as fallocate-style unwritten. *)
 let ensure_backing t cpu (f : file) ~off ~len ~unwritten =
-  let lo = Units.round_down off block and hi = Units.round_up (off + len) block in
-  let cur = ref lo in
-  while !cur < hi do
-    match Block_map.lookup f.bmap ~file_off:!cur with
-    | Some (_, run) -> cur := !cur + run
-    | None ->
-        let hole_end =
-          match Block_map.next_mapped f.bmap ~file_off:(!cur + 1) with
-          | Some o -> min hi o
-          | None -> hi
-        in
-        let exts = allocate t cpu f ~len:(hole_end - !cur) in
-        let fo = ref !cur in
+  Dram_ns.iter_holes f ~off ~len (fun ~off ~len ->
+      let exts = allocate t cpu f ~len in
+      Dram_ns.map_extents f ~file_off:off exts;
+      if unwritten then begin
+        if Option.is_none f.p.unwritten then f.p.unwritten <- Some (Extent_tree.create ());
+        Extent_tree.insert_free (Option.get f.p.unwritten) ~off ~len
+      end
+      else if t.preset.zero_on_fallocate then
         List.iter
           (fun (e : Alloc.extent) ->
-            Block_map.insert f.bmap ~file_off:!fo ~phys:e.off ~len:e.len;
-            if unwritten then begin
-              let tr =
-                match f.p.unwritten with
-                | Some tr -> tr
-                | None ->
-                    let tr = Extent_tree.create () in
-                    f.p.unwritten <- Some tr;
-                    tr
-              in
-              Extent_tree.insert_free tr ~off:!fo ~len:e.len
-            end
-            else if t.preset.zero_on_fallocate then
-              Device.with_site t.dev site_zero (fun () ->
-                  Device.memset_nt t.dev cpu ~off:e.off ~len:e.len '\000';
-                  Device.fence t.dev cpu);
-            fo := !fo + e.len)
+            Dram_ns.zero_extent t.dev cpu ~site:site_zero ~off:e.off ~len:e.len)
           exts;
-        (* Metadata: extent tree insertion journaled (one record). *)
-        meta_buffered t cpu ~addr:f.p.meta_addr ~bytes:64;
-        cur := hole_end
-  done
+      (* Metadata: extent tree insertion journaled (one record). *)
+      meta_buffered t cpu ~addr:f.p.meta_addr ~bytes:64)
 
-(* Clear the unwritten flag over a range, zeroing the partial edges the
-   write will not cover (ext4 semantics). *)
-let mark_written t cpu (f : file) ~off ~len =
+(* Drop the unwritten flag over [off, off+len), returning the pieces
+   that had it in file order; zeroing them is the caller's business. *)
+let clear_unwritten (f : file) ~off ~len =
   match f.p.unwritten with
-  | None -> () (* the file never fallocated: nothing can be unwritten *)
-  | Some unwritten ->
+  | None -> []
+  | Some tr ->
+      let pieces = ref [] in
+      Extent_tree.iter_range tr ~off ~len (fun ~off:u_off ~len:u_len ->
+          pieces := (max off u_off, min (off + len) (u_off + u_len)) :: !pieces);
+      List.iter (fun (lo, hi) -> ignore (Extent_tree.alloc_exact tr ~off:lo ~len:(hi - lo))) !pieces;
+      List.rev !pieces
+
+(* ext4 reads unwritten extents as zeros: zero them in the file bytes
+   [off, off+len) that [dst] holds from [dst_off]. *)
+let zero_unwritten (f : file) ~off ~len dst ~dst_off =
+  match f.p.unwritten with
+  | None -> ()
+  | Some tr ->
+      Extent_tree.iter_range tr ~off ~len (fun ~off:u_off ~len:u_len ->
+          let lo = max off u_off and hi = min (off + len) (u_off + u_len) in
+          Bytes.fill dst (dst_off + (lo - off)) (hi - lo) '\000')
+
+(* Clear the unwritten flag over the written blocks, zeroing the partial
+   edges the write will not cover (ext4 semantics). *)
+let mark_written t cpu (f : file) ~off ~len =
+  let zero_edge lo hi =
+    if hi > lo then
+      match Block_map.lookup f.bmap ~file_off:lo with
+      | Some (phys, run) ->
+          Device.with_site t.dev site_zero (fun () ->
+              Device.memset_nt t.dev cpu ~off:phys ~len:(min run (hi - lo)) '\000')
+      | None -> ()
+  in
   let lo = Units.round_down off block and hi = Units.round_up (off + len) block in
-  let cur = ref lo in
-  while !cur < hi do
-    match Extent_tree.extent_at unwritten ~off:!cur with
-    | Some (u_off, u_len) ->
-        let clear_lo = max u_off lo and clear_hi = min (u_off + u_len) hi in
-        ignore (Extent_tree.alloc_exact unwritten ~off:clear_lo ~len:(clear_hi - clear_lo));
-        (* Zero the block-aligned edges outside the written range. *)
-        let zero_edge file_lo file_hi =
-          if file_hi > file_lo then
-            match Block_map.lookup f.bmap ~file_off:file_lo with
-            | Some (phys, run) ->
-                Device.with_site t.dev site_zero (fun () ->
-                    Device.memset_nt t.dev cpu ~off:phys ~len:(min run (file_hi - file_lo))
-                      '\000')
-            | None -> ()
-        in
-        if clear_lo < off then zero_edge clear_lo (min off clear_hi);
-        if clear_hi > off + len then zero_edge (max (off + len) clear_lo) clear_hi;
-        cur := clear_hi
-    | None -> (
-        match Extent_tree.to_list unwritten with
-        | [] -> cur := hi
-        | _ ->
-            (* Jump to the next unwritten range inside [cur, hi). *)
-            let next =
-              List.fold_left
-                (fun acc (o, _) -> if o > !cur && o < acc then o else acc)
-                hi
-                (Extent_tree.to_list unwritten)
-            in
-            cur := next)
-  done
+  List.iter
+    (fun (clear_lo, clear_hi) ->
+      if clear_lo < off then zero_edge clear_lo (min off clear_hi);
+      if clear_hi > off + len then zero_edge (max (off + len) clear_lo) clear_hi)
+    (clear_unwritten f ~off:lo ~len:(hi - lo))
 
 (* ------------------------------------------------------------------ *)
 (* Namespace: DRAM dentry update, then the journal record              *)
@@ -277,17 +250,8 @@ let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
     Sched.with_lock f.lock (fun () ->
         ensure_backing t cpu f ~off ~len ~unwritten:false;
         mark_written t cpu f ~off ~len;
-        let src_b = Bytes.unsafe_of_string src in
-        Device.with_site t.dev site_data (fun () ->
-            let cur = ref off in
-            while !cur < off + len do
-              let phys, run = Option.get (Block_map.lookup f.bmap ~file_off:!cur) in
-              let n = min (off + len - !cur) run in
-              Device.write_nt t.dev cpu ~off:phys ~src:src_b
-                ~src_off:(src_off + (!cur - off)) ~len:n;
-              f.p.dirty_bytes <- f.p.dirty_bytes + n;
-              cur := !cur + n
-            done);
+        Dram_ns.write_mapped t.dev cpu ~site:site_data f ~off ~src ~src_off ~len;
+        f.p.dirty_bytes <- f.p.dirty_bytes + len;
         if off + len > f.size then begin
           f.size <- off + len;
           meta_buffered t cpu ~addr:f.p.meta_addr ~bytes:32
@@ -313,12 +277,13 @@ include Dram_ns.Make (struct
   let persist_truncate t cpu (f : file) update =
     Sched.with_lock f.lock (fun () ->
         update ();
+        f.p.unwritten <- None;
         meta_sync t cpu ~addr:f.p.meta_addr ~bytes:64)
 
   let release t f = Dram_ns.free_blocks t.ns f
   let size _ (f : file) = f.size
   let log_bytes _ = 0
-  let read_overlay _ _ _ ~off:_ ~len:_ _ = ()
+  let read_overlay _ _ f ~off ~len dst = zero_unwritten f ~off ~len dst ~dst_off:0
   let pwrite_sub = pwrite_sub
 end)
 
@@ -327,13 +292,8 @@ end)
 let fsync t cpu fd =
   Cost.charge_syscall cpu;
   let f = Dram_ns.file_of_fd t.ns fd in
-  if f.p.dirty_bytes > 0 then begin
-    let lines = (f.p.dirty_bytes + Units.cacheline - 1) / Units.cacheline in
-    Simclock.advance cpu.clock
-      (int_of_float ((Device.cost t.dev).flush_ns *. float_of_int lines));
-    Device.with_site t.dev site_fsync (fun () -> Device.fence t.dev cpu);
-    f.p.dirty_bytes <- 0
-  end;
+  Dram_ns.flush_dirty t.dev cpu ~site:site_fsync f.p.dirty_bytes;
+  f.p.dirty_bytes <- 0;
   journal_fsync t cpu;
   Counters.incr t.ns.counters "fs.fsync"
 
@@ -350,13 +310,8 @@ let fallocate t cpu fd ~off ~len =
 let ftruncate t cpu fd new_size =
   let f = Dram_ns.ftruncate_prologue t.ns cpu fd new_size in
   Sched.with_lock f.lock (fun () ->
-      if new_size < f.size then begin
-        let lo = Units.round_up new_size block in
-        if f.size > lo then begin
-          let freed = Block_map.remove_range f.bmap ~file_off:lo ~len:(f.size - lo) in
-          List.iter (fun (o, l) -> Alloc.free t.ns.alloc ~off:o ~len:l) freed
-        end
-      end;
+      ignore (Dram_ns.shrink t.dev cpu ~site:site_zero t.ns f new_size : int option);
+      if new_size < f.size then ignore (clear_unwritten f ~off:new_size ~len:(f.size - new_size));
       f.size <- new_size;
       meta_sync t cpu ~addr:f.p.meta_addr ~bytes:64);
   Counters.incr t.ns.counters "fs.ftruncate"
@@ -364,80 +319,22 @@ let ftruncate t cpu fd new_size =
 (* ------------------------------------------------------------------ *)
 (* mmap: hugepages only by accident (§2.5)                             *)
 
-let fault_zero t cpu (f : file) ~file_off ~phys ~len =
-  (* ext4-class zeroing on first fault into an unwritten extent. *)
-  match f.p.unwritten with
-  | None -> ()
-  | Some unwritten ->
-      if Extent_tree.extent_at unwritten ~off:file_off <> None then begin
-        ignore (Extent_tree.alloc_exact unwritten ~off:file_off ~len);
-        Device.with_site t.dev site_fault (fun () ->
-            Device.memset_nt t.dev cpu ~off:phys ~len '\000';
-            Device.fence t.dev cpu)
-      end
-
+(* A fault clears the unwritten flag over all it maps: a fresh page or
+   chunk, or one whose first page is unwritten, is zeroed whole (ext4),
+   otherwise only its unwritten pieces are.  ext4 DAX's PMD fault
+   allocates 2MB ([huge_fault_alloc]), but with no alignment preference
+   it rarely maps huge. *)
 let mmap_backing t fd : Vmem.backing =
   let ino = (Fd_table.get t.ns.fds fd).ino in
+  let fill cpu f ~off ~len = ensure_backing t cpu f ~off ~len ~unwritten:false in
+  let touch cpu (f : file) ~fresh ~file_off ~phys ~len =
+    let zero ~off ~len = Dram_ns.zero_extent t.dev cpu ~site:site_fault ~off ~len in
+    match clear_unwritten f ~off:file_off ~len with
+    | (lo, _) :: _ when lo = file_off -> zero ~off:phys ~len
+    | _ when fresh -> zero ~off:phys ~len
+    | pieces -> List.iter (fun (lo, hi) -> zero ~off:(phys + lo - file_off) ~len:(hi - lo)) pieces
+  in
   fun cpu ~file_off ~huge_ok ->
-    let f = Dram_ns.find_file t.ns ino in
-    if huge_ok then begin
-      match Block_map.huge_candidate f.bmap ~chunk_off:file_off with
-      | Some phys ->
-          fault_zero t cpu f ~file_off ~phys ~len:huge;
-          Vmem.Huge phys
-      | None ->
-          if Block_map.lookup f.bmap ~file_off <> None then begin
-            match Block_map.lookup f.bmap ~file_off with
-            | Some (phys, _) ->
-                fault_zero t cpu f ~file_off ~phys ~len:block;
-                Vmem.Base phys
-            | None -> Vmem.Sigbus
-          end
-          else if t.preset.huge_fault_alloc then begin
-            (* ext4 DAX PMD fault: allocate 2MB, but with no alignment
-               preference it rarely maps huge. *)
-            Sched.with_lock f.lock (fun () ->
-                ensure_backing t cpu f ~off:file_off ~len:huge ~unwritten:false);
-            match Block_map.huge_candidate f.bmap ~chunk_off:file_off with
-            | Some phys ->
-                Device.with_site t.dev site_fault (fun () ->
-                    Device.memset_nt t.dev cpu ~off:phys ~len:huge '\000';
-                    Device.fence t.dev cpu);
-                Vmem.Huge phys
-            | None -> (
-                match Block_map.lookup f.bmap ~file_off with
-                | Some (phys, _) ->
-                    Device.with_site t.dev site_fault (fun () ->
-                        Device.memset_nt t.dev cpu ~off:phys ~len:block '\000';
-                        Device.fence t.dev cpu);
-                    Vmem.Base phys
-                | None -> Vmem.Sigbus)
-          end
-          else begin
-            Sched.with_lock f.lock (fun () ->
-                ensure_backing t cpu f ~off:file_off ~len:block ~unwritten:false);
-            match Block_map.lookup f.bmap ~file_off with
-            | Some (phys, _) ->
-                Device.with_site t.dev site_fault (fun () ->
-                    Device.memset_nt t.dev cpu ~off:phys ~len:block '\000';
-                    Device.fence t.dev cpu);
-                Vmem.Base phys
-            | None -> Vmem.Sigbus
-          end
-    end
-    else begin
-      match Block_map.lookup f.bmap ~file_off with
-      | Some (phys, _) ->
-          fault_zero t cpu f ~file_off ~phys ~len:block;
-          Vmem.Base phys
-      | None ->
-          Sched.with_lock f.lock (fun () ->
-              ensure_backing t cpu f ~off:file_off ~len:block ~unwritten:false);
-          (match Block_map.lookup f.bmap ~file_off with
-          | Some (phys, _) ->
-              Device.with_site t.dev site_fault (fun () ->
-                  Device.memset_nt t.dev cpu ~off:phys ~len:block '\000';
-                  Device.fence t.dev cpu);
-              Vmem.Base phys
-          | None -> Vmem.Sigbus)
-    end
+    Dram_ns.fault cpu (Dram_ns.find_file t.ns ino) ~file_off ~huge_ok
+      ~fill_len:(if huge_ok && t.preset.huge_fault_alloc then huge else block)
+      ~fill ~touch

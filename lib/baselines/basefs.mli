@@ -79,6 +79,12 @@ val meta_sync : t -> Cpu.t -> addr:int -> bytes:int -> unit
 (** Journal and persist a metadata update at [addr] immediately (undo
     flavour) or buffer it in the running transaction (redo flavour). *)
 
+val clear_unwritten : file -> off:int -> len:int -> (int * int) list
+(** Unflag [[off, off+len)], unzeroed; the [(lo, hi)] pieces that had it. *)
+
+val zero_unwritten : file -> off:int -> len:int -> Bytes.t -> dst_off:int -> unit
+(** Zero the unwritten file bytes [[off, off+len)] held from [dst_off]. *)
+
 (** {2 The Fs_intf.S operations} *)
 
 val mkdir : t -> Cpu.t -> string -> unit

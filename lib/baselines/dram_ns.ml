@@ -14,6 +14,10 @@ module Fd_table = Repro_vfs.Fd_table
 module Block_map = Repro_vfs.Block_map
 module Cost = Repro_vfs.Fs_intf.Cost
 module Alloc = Repro_alloc.Pool_alloc
+module Vmem = Repro_memsim.Vmem
+
+let block = Units.base_page
+let huge = Units.huge_page
 
 type 'p file = {
   ino : int;
@@ -173,6 +177,130 @@ let read_blocks dev cpu f ~off ~len =
         | None -> cur := off + len)
   done;
   dst
+
+(* ------------------------------------------------------------------ *)
+(* Block-mapped data                                                   *)
+
+let alloc ?goal ns ~cpu ~len =
+  match Alloc.alloc ?goal ns.alloc ~cpu ~len with
+  | Some exts -> exts
+  | None -> Types.err ENOSPC "allocating %d bytes" len
+
+let iter_holes f ~off ~len back =
+  let lo = Units.round_down off block and hi = Units.round_up (off + len) block in
+  let cur = ref lo in
+  while !cur < hi do
+    match Block_map.lookup f.bmap ~file_off:!cur with
+    | Some (_, run) -> cur := !cur + run
+    | None ->
+        let hole_end =
+          match Block_map.next_mapped f.bmap ~file_off:(!cur + 1) with
+          | Some o -> min hi o
+          | None -> hi
+        in
+        back ~off:!cur ~len:(hole_end - !cur);
+        cur := hole_end
+  done
+
+let map_extents f ~file_off exts =
+  let fo = ref file_off in
+  List.iter
+    (fun (e : Alloc.extent) ->
+      Block_map.insert f.bmap ~file_off:!fo ~phys:e.off ~len:e.len;
+      fo := !fo + e.len)
+    exts
+
+let free_runs ns runs = List.iter (fun (o, l) -> Alloc.free ns.alloc ~off:o ~len:l) runs
+
+let remap ns f ~file_off ~len exts ~commit =
+  let freed = Block_map.remove_range f.bmap ~file_off ~len in
+  map_extents f ~file_off exts;
+  commit (List.length freed);
+  free_runs ns freed
+
+let zero_extent dev cpu ~site ~off ~len =
+  Device.with_site dev site (fun () ->
+      Device.memset_nt dev cpu ~off ~len '\000';
+      Device.fence dev cpu)
+
+let write_mapped dev cpu ~site f ~off ~src ~src_off ~len =
+  let src_b = Bytes.unsafe_of_string src in
+  Device.with_site dev site (fun () ->
+      let cur = ref off in
+      while !cur < off + len do
+        let phys, run = Option.get (Block_map.lookup f.bmap ~file_off:!cur) in
+        let n = min (off + len - !cur) run in
+        Device.write_nt dev cpu ~off:phys ~src:src_b ~src_off:(src_off + (!cur - off)) ~len:n;
+        cur := !cur + n
+      done)
+
+let preserve dev cpu ~site f ~off ~len ~dst =
+  Device.with_site dev site (fun () ->
+      let stop = off + len in
+      let cur = ref off and copied = ref 0 in
+      while !cur < stop do
+        match Block_map.lookup f.bmap ~file_off:!cur with
+        | Some (old_phys, old_run) ->
+            let n = min old_run (stop - !cur) in
+            Device.copy_within_nt dev cpu ~src:old_phys ~dst:(dst + (!cur - off)) ~len:n;
+            copied := !copied + n;
+            cur := !cur + n
+        | None ->
+            Device.memset_nt dev cpu ~off:(dst + (!cur - off)) ~len:(stop - !cur) '\000';
+            cur := stop
+      done;
+      !copied)
+
+let shrink dev cpu ~site ns f size =
+  let lo = Units.round_up size block in
+  if size < f.size && lo > size then
+    Option.iter
+      (fun (phys, _) -> zero_extent dev cpu ~site ~off:phys ~len:(lo - size))
+      (Block_map.lookup f.bmap ~file_off:size);
+  if f.size <= lo then None
+  else begin
+    let freed = Block_map.remove_range f.bmap ~file_off:lo ~len:(f.size - lo) in
+    free_runs ns freed;
+    Some (List.length freed)
+  end
+
+let flush_dirty dev (cpu : Cpu.t) ~site bytes =
+  if bytes > 0 then begin
+    let lines = (bytes + Units.cacheline - 1) / Units.cacheline in
+    Simclock.advance cpu.clock (int_of_float ((Device.cost dev).flush_ns *. float_of_int lines));
+    Device.with_site dev site (fun () -> Device.fence dev cpu)
+  end
+
+let huge_at f off ok = if ok then Block_map.huge_candidate f.bmap ~chunk_off:off else None
+
+(* The answer is read after [touch] on a mapped page: Strata's [touch]
+   takes the inode lock, a scheduling point. *)
+let fault cpu f ~file_off ~huge_ok ~fill_len ~fill ~touch =
+  match huge_at f file_off huge_ok with
+  | Some phys -> touch cpu f ~fresh:false ~file_off ~phys ~len:huge; Vmem.Huge phys
+  | None -> (
+      match Block_map.lookup f.bmap ~file_off with
+      | Some (phys, _) -> (
+          touch cpu f ~fresh:false ~file_off ~phys ~len:block;
+          match Block_map.lookup f.bmap ~file_off with
+          | Some (phys, _) -> Vmem.Base phys
+          | None -> Vmem.Sigbus)
+      | None -> (
+          (* Out of space for [fill_len], back one page; failing that, Sigbus. *)
+          (try
+             Sched.with_lock f.lock (fun () ->
+                 try fill cpu f ~off:file_off ~len:fill_len
+                 with Types.Error (ENOSPC, _) when fill_len > block ->
+                   fill cpu f ~off:file_off ~len:block)
+           with Types.Error (ENOSPC, _) -> ());
+          match huge_at f file_off (huge_ok && fill_len = huge) with
+          | Some phys -> touch cpu f ~fresh:true ~file_off ~phys ~len:huge; Vmem.Huge phys
+          | None -> (
+              match Block_map.lookup f.bmap ~file_off with
+              | Some (phys, _) ->
+                  touch cpu f ~fresh:true ~file_off ~phys ~len:block;
+                  Vmem.Base phys
+              | None -> Vmem.Sigbus)))
 
 (* ------------------------------------------------------------------ *)
 (* Engines                                                             *)

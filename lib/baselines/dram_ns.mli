@@ -8,7 +8,9 @@
     allocation and fault behaviour.  This module owns everything else:
     the inode table, the path walk, the fd table, the bodies of the
     namespace operations, the read/write prologues, the block-map read
-    loop and [statfs].
+    loop, [statfs] and the block-mapped data path (hole walk, remap, store
+    loop, copy-on-write preserve, shrink, dirty flush, fault skeleton): an
+    engine keeps only its allocation, zeroing and durability steps.
 
     An engine plugs in through {!ENGINE}.  Every durability hook receives
     the DRAM dentry update as a thunk, so the engine states its own order
@@ -83,6 +85,66 @@ val fallocate_prologue : 'p t -> Cpu.t -> int -> off:int -> len:int -> 'p file
 
 val ftruncate_prologue : 'p t -> Cpu.t -> int -> int -> 'p file
 (** EINVAL for a negative size. *)
+
+(** {2 Block-mapped data}
+
+    Plain functions of a {!file}.  A helper that stores to PM takes the
+    caller's [~site] and runs under [Device.with_site]; none fences
+    unless it says so. *)
+
+val alloc : ?goal:int -> 'p t -> cpu:int -> len:int -> Repro_alloc.Pool_alloc.extent list
+(** Data-area extents for [len] bytes; ENOSPC when there are none. *)
+
+val iter_holes : 'p file -> off:int -> len:int -> (off:int -> len:int -> unit) -> unit
+(** Call the function on each unmapped run of [[off, off+len)] rounded out
+    to blocks, in file order. *)
+
+val map_extents : 'p file -> file_off:int -> Repro_alloc.Pool_alloc.extent list -> unit
+(** Map the extents back to back from [file_off]. *)
+
+val remap :
+  'p t -> 'p file -> file_off:int -> len:int -> Repro_alloc.Pool_alloc.extent list ->
+  commit:(int -> unit) -> unit
+(** Unmap the range, map the extents over it, pass the number of old runs
+    to [commit], then free them (so [commit] cannot allocate one). *)
+
+val zero_extent :
+  Repro_pmem.Device.t -> Cpu.t -> site:Repro_pmem.Site.t -> off:int -> len:int -> unit
+(** [memset_nt] zeros over PM [[off, off+len)], then a fence. *)
+
+val write_mapped :
+  Repro_pmem.Device.t -> Cpu.t -> site:Repro_pmem.Site.t -> 'p file -> off:int -> src:string ->
+  src_off:int -> len:int -> unit
+(** Non-temporal stores of [src] over the runs backing [[off, off+len)],
+    all of which must be mapped. *)
+
+val preserve :
+  Repro_pmem.Device.t -> Cpu.t -> site:Repro_pmem.Site.t -> 'p file -> off:int -> len:int ->
+  dst:int -> int
+(** Copy-on-write preserve: copy the file's bytes of [[off, off+len)] to
+    PM at [dst], zeroing from the first hole on; returns the bytes copied. *)
+
+val shrink :
+  Repro_pmem.Device.t -> Cpu.t -> site:Repro_pmem.Site.t -> 'p t -> 'p file -> int -> int option
+(** [ftruncate] below [f.size]: zero the kept block's mapped tail past the
+    new size (fenced), then free every block past it: [Some] runs freed,
+    [None] if no whole block lay past it.  The caller sets [f.size]. *)
+
+val flush_dirty : Repro_pmem.Device.t -> Cpu.t -> site:Repro_pmem.Site.t -> int -> unit
+(** fsync of that many in-place bytes: a flush charge per line, a fence. *)
+
+val fault :
+  Cpu.t -> 'p file -> file_off:int -> huge_ok:bool -> fill_len:int ->
+  fill:(Cpu.t -> 'p file -> off:int -> len:int -> unit) ->
+  touch:(Cpu.t -> 'p file -> fresh:bool -> file_off:int -> phys:int -> len:int -> unit) ->
+  Repro_memsim.Vmem.fault_result
+(** The fault skeleton: a mapped aligned chunk (if [huge_ok]) is [Huge],
+    else a mapped page is [Base], each [touch]ed [~fresh:false].  Else
+    [fill] backs [fill_len] bytes under the inode lock (one page if that
+    raises ENOSPC) and the retried answer (the chunk only if [fill_len]
+    is a hugepage) is [touch]ed [~fresh:true]; no page mapped after that
+    is [Sigbus].  Build [fill] and [touch] once per mapping: faults are
+    hot. *)
 
 (** {2 Engines} *)
 

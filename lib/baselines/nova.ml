@@ -21,7 +21,6 @@ module Vmem = Repro_memsim.Vmem
 module Sched = Repro_sched.Sched
 module Types = Repro_vfs.Types
 module Fd_table = Repro_vfs.Fd_table
-module Block_map = Repro_vfs.Block_map
 module Cost = Repro_vfs.Fs_intf.Cost
 module Alloc = Repro_alloc.Pool_alloc
 module Site = Repro_pmem.Site
@@ -179,37 +178,18 @@ let config t = t.cfg
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
 
-let allocate t cpu ~len =
-  match Alloc.alloc t.ns.alloc ~cpu:(alloc_cpu t cpu) ~len with
-  | Some exts -> exts
-  | None -> Types.err ENOSPC "allocating %d bytes" len
+let allocate t cpu ~len = Dram_ns.alloc t.ns ~cpu:(alloc_cpu t cpu) ~len
 
 let ensure_backing t cpu (f : file) ~off ~len ~zero =
-  let lo = Units.round_down off block and hi = Units.round_up (off + len) block in
-  let cur = ref lo in
-  while !cur < hi do
-    match Block_map.lookup f.bmap ~file_off:!cur with
-    | Some (_, run) -> cur := !cur + run
-    | None ->
-        let hole_end =
-          match Block_map.next_mapped f.bmap ~file_off:(!cur + 1) with
-          | Some o -> min hi o
-          | None -> hi
-        in
-        let exts = allocate t cpu ~len:(hole_end - !cur) in
-        let fo = ref !cur in
+  Dram_ns.iter_holes f ~off ~len (fun ~off ~len ->
+      let exts = allocate t cpu ~len in
+      Dram_ns.map_extents f ~file_off:off exts;
+      if zero then
         List.iter
           (fun (e : Alloc.extent) ->
-            Block_map.insert f.bmap ~file_off:!fo ~phys:e.off ~len:e.len;
-            if zero then
-              Device.with_site t.dev site_zero (fun () ->
-                  Device.memset_nt t.dev cpu ~off:e.off ~len:e.len '\000';
-                  Device.fence t.dev cpu);
-            fo := !fo + e.len)
+            Dram_ns.zero_extent t.dev cpu ~site:site_zero ~off:e.off ~len:e.len)
           exts;
-        log_append t cpu f;
-        cur := hole_end
-  done
+      log_append t cpu f)
 
 (* ------------------------------------------------------------------ *)
 (* Namespace: log entries first, then the DRAM dentry update           *)
@@ -259,8 +239,7 @@ let strict t = t.cfg.mode = Types.Strict
    appends (§5.5). *)
 let write_cow t cpu (f : file) ~off ~src ~src_off ~len =
   let blo = Units.round_down off block and bhi = Units.round_up (off + len) block in
-  let cow_len = bhi - blo in
-  let exts = allocate t cpu ~len:cow_len in
+  let exts = allocate t cpu ~len:(bhi - blo) in
   let src_b = Bytes.unsafe_of_string src in
   let pf = ref blo in
   List.iter
@@ -268,44 +247,25 @@ let write_cow t cpu (f : file) ~off ~src ~src_off ~len =
       let ov_lo = max !pf off and ov_hi = min (!pf + e.len) (off + len) in
       (* Preserve only the uncovered block edges (NOVA copies partial
          blocks, not data the write replaces). *)
+      let preserve lo hi =
+        Dram_ns.preserve t.dev cpu ~site:site_cow f ~off:lo ~len:(hi - lo) ~dst:(e.off + (lo - !pf))
+      in
+      let head = preserve !pf (min ov_lo (!pf + e.len)) in
+      let copied = head + preserve (max ov_hi !pf) (!pf + e.len) in
+      if copied > 0 then Counters.add t.ns.counters "fs.cow_copy_bytes" copied;
       Device.with_site t.dev site_cow (fun () ->
-          let preserve lo stop =
-            let cur = ref lo in
-            while !cur < stop do
-              (match Block_map.lookup f.bmap ~file_off:!cur with
-              | Some (old_phys, old_run) ->
-                  let n = min old_run (stop - !cur) in
-                  Device.copy_within_nt t.dev cpu ~src:old_phys ~dst:(e.off + (!cur - !pf))
-                    ~len:n;
-                  Counters.add t.ns.counters "fs.cow_copy_bytes" n;
-                  cur := !cur + n
-              | None ->
-                  Device.memset_nt t.dev cpu ~off:(e.off + (!cur - !pf)) ~len:(stop - !cur)
-                    '\000';
-                  cur := stop)
-            done
-          in
-          preserve !pf (min ov_lo (!pf + e.len));
-          preserve (max ov_hi !pf) (!pf + e.len);
           if ov_hi > ov_lo then
             Device.write_nt t.dev cpu ~off:(e.off + (ov_lo - !pf)) ~src:src_b
               ~src_off:(src_off + (ov_lo - off)) ~len:(ov_hi - ov_lo);
           Device.fence t.dev cpu);
       pf := !pf + e.len)
     exts;
-  (* Commit: append a write entry, invalidate superseded entries, free the
-     old blocks. *)
-  let freed = Block_map.remove_range f.bmap ~file_off:blo ~len:cow_len in
-  let pf = ref blo in
-  List.iter
-    (fun (e : Alloc.extent) ->
-      Block_map.insert f.bmap ~file_off:!pf ~phys:e.off ~len:e.len;
-      pf := !pf + e.len)
-    exts;
-  log_append t cpu f;
-  log_invalidate t cpu f (List.length freed);
-  maybe_gc t cpu f;
-  List.iter (fun (o, l) -> Alloc.free t.ns.alloc ~off:o ~len:l) freed
+  (* Commit: append a write entry and invalidate the superseded ones
+     before the old blocks are freed. *)
+  Dram_ns.remap t.ns f ~file_off:blo ~len:(bhi - blo) exts ~commit:(fun superseded ->
+      log_append t cpu f;
+      log_invalidate t cpu f superseded;
+      maybe_gc t cpu f)
 
 let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
   let f = Dram_ns.write_prologue t.ns cpu fd ~off ~src ~src_off ~len in
@@ -315,17 +275,8 @@ let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
         if strict t then write_cow t cpu f ~off ~src ~src_off ~len
         else begin
           ensure_backing t cpu f ~off ~len ~zero:false;
-          let src_b = Bytes.unsafe_of_string src in
-          Device.with_site t.dev site_data (fun () ->
-              let cur = ref off in
-              while !cur < off + len do
-                let phys, run = Option.get (Block_map.lookup f.bmap ~file_off:!cur) in
-                let n = min (off + len - !cur) run in
-                Device.write_nt t.dev cpu ~off:phys ~src:src_b
-                  ~src_off:(src_off + (!cur - off)) ~len:n;
-                f.p.dirty_bytes <- f.p.dirty_bytes + n;
-                cur := !cur + n
-              done);
+          Dram_ns.write_mapped t.dev cpu ~site:site_data f ~off ~src ~src_off ~len;
+          f.p.dirty_bytes <- f.p.dirty_bytes + len;
           log_append t cpu f
         end;
         if off + len > f.size then f.size <- off + len);
@@ -357,16 +308,13 @@ include Dram_ns.Make (struct
   let pwrite_sub = pwrite_sub
 end)
 
+(* Strict-mode writes are copy-on-write and fenced, so only relaxed
+   mode leaves dirty bytes to flush. *)
 let fsync t cpu fd =
   Cost.charge_syscall cpu;
   let f = Dram_ns.file_of_fd t.ns fd in
-  if (not (strict t)) && f.p.dirty_bytes > 0 then begin
-    let lines = (f.p.dirty_bytes + Units.cacheline - 1) / Units.cacheline in
-    Simclock.advance cpu.clock
-      (int_of_float ((Device.cost t.dev).flush_ns *. float_of_int lines));
-    Device.with_site t.dev site_fsync (fun () -> Device.fence t.dev cpu);
-    f.p.dirty_bytes <- 0
-  end;
+  Dram_ns.flush_dirty t.dev cpu ~site:site_fsync f.p.dirty_bytes;
+  f.p.dirty_bytes <- 0;
   Counters.incr t.ns.counters "fs.fsync"
 
 let fallocate t cpu fd ~off ~len =
@@ -380,14 +328,9 @@ let fallocate t cpu fd ~off ~len =
 let ftruncate t cpu fd new_size =
   let f = Dram_ns.ftruncate_prologue t.ns cpu fd new_size in
   Sched.with_lock f.lock (fun () ->
-      if new_size < f.size then begin
-        let lo = Units.round_up new_size block in
-        if f.size > lo then begin
-          let freed = Block_map.remove_range f.bmap ~file_off:lo ~len:(f.size - lo) in
-          List.iter (fun (o, l) -> Alloc.free t.ns.alloc ~off:o ~len:l) freed;
-          log_invalidate t cpu f (List.length freed)
-        end
-      end;
+      (* Each freed run supersedes a write entry. *)
+      Option.iter (log_invalidate t cpu f)
+        (Dram_ns.shrink t.dev cpu ~site:site_zero t.ns f new_size);
       f.size <- new_size;
       log_append t cpu f);
   Counters.incr t.ns.counters "fs.ftruncate"
@@ -397,24 +340,7 @@ let ftruncate t cpu fd new_size =
 
 let mmap_backing t fd : Vmem.backing =
   let ino = (Fd_table.get t.ns.fds fd).ino in
+  let fill cpu f ~off ~len = ensure_backing t cpu f ~off ~len ~zero:true in
   fun cpu ~file_off ~huge_ok ->
-    let f = Dram_ns.find_file t.ns ino in
-    let fault_alloc len =
-      Sched.with_lock f.lock (fun () ->
-          ensure_backing t cpu f ~off:file_off ~len ~zero:true)
-    in
-    if huge_ok then begin
-      match Block_map.huge_candidate f.bmap ~chunk_off:file_off with
-      | Some phys -> Vmem.Huge phys
-      | None -> (
-          if Block_map.lookup f.bmap ~file_off = None then fault_alloc block;
-          match Block_map.lookup f.bmap ~file_off with
-          | Some (phys, _) -> Vmem.Base phys
-          | None -> Vmem.Sigbus)
-    end
-    else begin
-      if Block_map.lookup f.bmap ~file_off = None then fault_alloc block;
-      match Block_map.lookup f.bmap ~file_off with
-      | Some (phys, _) -> Vmem.Base phys
-      | None -> Vmem.Sigbus
-    end
+    Dram_ns.fault cpu (Dram_ns.find_file t.ns ino) ~file_off ~huge_ok ~fill_len:block ~fill
+      ~touch:(fun _ _ ~fresh:_ ~file_off:_ ~phys:_ ~len:_ -> ())

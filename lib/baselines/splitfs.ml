@@ -10,8 +10,6 @@
 
 open Repro_util
 module Device = Repro_pmem.Device
-module Vmem = Repro_memsim.Vmem
-module Sched = Repro_sched.Sched
 module Types = Repro_vfs.Types
 module Fd_table = Repro_vfs.Fd_table
 module Block_map = Repro_vfs.Block_map
@@ -106,28 +104,16 @@ let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
   else if off + len <= f.size && Block_map.covered f.bmap ~file_off:off ~len
   then begin
     (* User-space overwrite through the file's mmap. *)
-    let src_b = Bytes.unsafe_of_string src in
-    Device.with_site (dev_of t) site_mmap (fun () ->
-        let cur = ref off in
-        while !cur < off + len do
-          let phys, run = Option.get (Block_map.lookup f.bmap ~file_off:!cur) in
-          let n = min (off + len - !cur) run in
-          Device.write_nt (dev_of t) cpu ~off:phys ~src:src_b
-            ~src_off:(src_off + (!cur - off)) ~len:n;
-          cur := !cur + n
-        done;
-        Device.fence (dev_of t) cpu);
+    Dram_ns.write_mapped (dev_of t) cpu ~site:site_mmap f ~off ~src ~src_off ~len;
+    Device.with_site (dev_of t) site_mmap (fun () -> Device.fence (dev_of t) cpu);
+    ignore (Basefs.clear_unwritten f ~off ~len);
     len
   end
   else begin
     (* Staged append path: allocate staging space, write there; the
        relink happens at fsync. *)
     let s = staged_for t f.ino in
-    let exts =
-      match Alloc.alloc t.inner.ns.alloc ~cpu:0 ~len:(Units.round_up len Units.base_page) with
-      | Some exts -> exts
-      | None -> Types.err ENOSPC "staging allocation"
-    in
+    let exts = Dram_ns.alloc t.inner.ns ~cpu:0 ~len:(Units.round_up len Units.base_page) in
     let src_b = Bytes.unsafe_of_string src in
     let fo = ref off and written = ref 0 in
     Device.with_site (dev_of t) site_staging (fun () ->
@@ -187,6 +173,7 @@ let pread t cpu fd ~off ~len =
               | Some (phys, run) ->
                   let n = min (limit - !cur) run in
                   Device.read (dev_of t) cpu ~off:phys ~len:n ~dst ~dst_off:(!cur - off);
+                  Basefs.zero_unwritten f ~off:!cur ~len:n dst ~dst_off:(!cur - off);
                   cur := !cur + n
               | None -> cur := max (!cur + 1) limit)
         done;
@@ -202,9 +189,8 @@ let fsync t cpu fd =
       let f = Dram_ns.find_file t.inner.ns e.ino in
       List.iter
         (fun (fo, phys, len) ->
-          let clobbered = Block_map.remove_range f.bmap ~file_off:fo ~len in
-          List.iter (fun (o, l) -> Alloc.free t.inner.ns.alloc ~off:o ~len:l) clobbered;
-          Block_map.insert f.bmap ~file_off:fo ~phys ~len)
+          Dram_ns.remap t.inner.ns f ~file_off:fo ~len [ { Alloc.off = phys; len } ] ~commit:ignore;
+          ignore (Basefs.clear_unwritten f ~off:fo ~len))
         (Block_map.extents s.smap);
       let new_size = max f.size (staged_size s) in
       f.size <- new_size;

@@ -16,7 +16,6 @@ module Vmem = Repro_memsim.Vmem
 module Sched = Repro_sched.Sched
 module Types = Repro_vfs.Types
 module Fd_table = Repro_vfs.Fd_table
-module Block_map = Repro_vfs.Block_map
 module Cost = Repro_vfs.Fs_intf.Cost
 module Alloc = Repro_alloc.Pool_alloc
 module Site = Repro_pmem.Site
@@ -105,30 +104,16 @@ let digest t cpu lg =
       | Some f ->
           let blo = Units.round_down p.p_off block in
           let bhi = Units.round_up (p.p_off + p.p_len) block in
-          let exts =
-            match Alloc.alloc t.ns.alloc ~cpu:0 ~len:(bhi - blo) with
-            | Some exts -> exts
-            | None -> Types.err ENOSPC "digestion allocation"
-          in
+          let exts = Dram_ns.alloc t.ns ~cpu:0 ~len:(bhi - blo) in
+          (* Preserve previously digested bytes of partial blocks. *)
+          let fo = ref blo in
+          List.iter
+            (fun (e : Alloc.extent) ->
+              ignore
+                (Dram_ns.preserve t.dev cpu ~site:site_digest f ~off:!fo ~len:e.len ~dst:e.off);
+              fo := !fo + e.len)
+            exts;
           Device.with_site t.dev site_digest (fun () ->
-              let fo = ref blo in
-              List.iter
-                (fun (e : Alloc.extent) ->
-                  (* Preserve previously digested bytes of partial blocks. *)
-                  let copied = ref 0 in
-                  while !copied < e.len do
-                    (match Block_map.lookup f.bmap ~file_off:(!fo + !copied) with
-                    | Some (old_phys, old_run) ->
-                        let n = min old_run (e.len - !copied) in
-                        Device.copy_within_nt t.dev cpu ~src:old_phys ~dst:(e.off + !copied) ~len:n;
-                        copied := !copied + n
-                    | None ->
-                        Device.memset_nt t.dev cpu ~off:(e.off + !copied) ~len:(e.len - !copied)
-                          '\000';
-                        copied := e.len)
-                  done;
-                  fo := !fo + e.len)
-                exts;
               (* Copy the logged data over the fresh blocks. *)
               let in_piece = p.p_off - blo in
               (match exts with
@@ -152,14 +137,7 @@ let digest t cpu lg =
                     exts);
               Device.fence t.dev cpu);
           Counters.add t.ns.counters "fs.digested_bytes" p.p_len;
-          let freed = Block_map.remove_range f.bmap ~file_off:blo ~len:(bhi - blo) in
-          let fo = ref blo in
-          List.iter
-            (fun (e : Alloc.extent) ->
-              Block_map.insert f.bmap ~file_off:!fo ~phys:e.off ~len:e.len;
-              fo := !fo + e.len)
-            exts;
-          List.iter (fun (o, l) -> Alloc.free t.ns.alloc ~off:o ~len:l) freed)
+          Dram_ns.remap t.ns f ~file_off:blo ~len:(bhi - blo) exts ~commit:ignore)
     pending;
   Counters.incr t.ns.counters "fs.digests"
 
@@ -267,34 +245,21 @@ let fsync t cpu _fd =
   Device.with_site t.dev site_fsync (fun () -> Device.fence t.dev cpu);
   Counters.incr t.ns.counters "fs.fsync"
 
+(* Back the holes of [off, off+len) from the shared area, zeroed, one fence. *)
+let back t cpu (f : file) ~site ~off ~len =
+  Dram_ns.iter_holes f ~off ~len (fun ~off ~len ->
+      let exts = Dram_ns.alloc t.ns ~cpu:0 ~len in
+      Dram_ns.map_extents f ~file_off:off exts;
+      Device.with_site t.dev site (fun () ->
+          List.iter
+            (fun (e : Alloc.extent) -> Device.memset_nt t.dev cpu ~off:e.off ~len:e.len '\000')
+            exts;
+          Device.fence t.dev cpu))
+
 let fallocate t cpu fd ~off ~len =
   let f = Dram_ns.fallocate_prologue t.ns cpu fd ~off ~len in
   Sched.with_lock f.lock (fun () ->
-      let lo = Units.round_down off block and hi = Units.round_up (off + len) block in
-      let cur = ref lo in
-      while !cur < hi do
-        match Block_map.lookup f.bmap ~file_off:!cur with
-        | Some (_, run) -> cur := !cur + run
-        | None ->
-            let hole_end =
-              match Block_map.next_mapped f.bmap ~file_off:(!cur + 1) with
-              | Some o -> min hi o
-              | None -> hi
-            in
-            (match Alloc.alloc t.ns.alloc ~cpu:0 ~len:(hole_end - !cur) with
-            | Some exts ->
-                let fo = ref !cur in
-                Device.with_site t.dev site_zero (fun () ->
-                    List.iter
-                      (fun (e : Alloc.extent) ->
-                        Device.memset_nt t.dev cpu ~off:e.off ~len:e.len '\000';
-                        Block_map.insert f.bmap ~file_off:!fo ~phys:e.off ~len:e.len;
-                        fo := !fo + e.len)
-                      exts;
-                    Device.fence t.dev cpu)
-            | None -> Types.err ENOSPC "fallocate");
-            cur := hole_end
-      done;
+      back t cpu f ~site:site_zero ~off ~len;
       if off + len > f.size then f.size <- off + len);
   Counters.incr t.ns.counters "fs.fallocate"
 
@@ -303,51 +268,21 @@ let ftruncate t cpu fd new_size =
   (* Pending log entries must become visible before the size change. *)
   digest_all t cpu;
   Sched.with_lock f.lock (fun () ->
-      if new_size < f.size then begin
-        let lo = Units.round_up new_size block in
-        if f.size > lo then begin
-          let freed = Block_map.remove_range f.bmap ~file_off:lo ~len:(f.size - lo) in
-          List.iter (fun (o, l) -> Alloc.free t.ns.alloc ~off:o ~len:l) freed
-        end
-      end;
+      ignore (Dram_ns.shrink t.dev cpu ~site:site_zero t.ns f new_size : int option);
       f.size <- new_size;
       log_meta t cpu);
   Counters.incr t.ns.counters "fs.ftruncate"
 
+(* Strata takes the inode lock on every base-page fault, even when the
+   page is already mapped. *)
+let touch _ (f : file) ~fresh ~file_off:_ ~phys:_ ~len =
+  if (not fresh) && len = block then Sched.with_lock f.lock ignore
+
 (* mmap requires digestion first (data must be in the shared area). *)
 let mmap_backing t fd : Vmem.backing =
   let ino = (Fd_table.get t.ns.fds fd).ino in
+  let fill cpu f ~off ~len = back t cpu f ~site:site_fault ~off ~len in
   fun cpu ~file_off ~huge_ok ->
     digest_all t cpu;
-    let f = Dram_ns.find_file t.ns ino in
-    let fault_alloc () =
-      Sched.with_lock f.lock (fun () ->
-          if Block_map.lookup f.bmap ~file_off = None then
-            match Alloc.alloc t.ns.alloc ~cpu:0 ~len:block with
-            | Some exts ->
-                let fo = ref file_off in
-                Device.with_site t.dev site_fault (fun () ->
-                    List.iter
-                      (fun (e : Alloc.extent) ->
-                        Device.memset_nt t.dev cpu ~off:e.off ~len:e.len '\000';
-                        Block_map.insert f.bmap ~file_off:!fo ~phys:e.off ~len:e.len;
-                        fo := !fo + e.len)
-                      exts;
-                    Device.fence t.dev cpu)
-            | None -> ())
-    in
-    if huge_ok then begin
-      match Block_map.huge_candidate f.bmap ~chunk_off:file_off with
-      | Some phys -> Vmem.Huge phys
-      | None -> (
-          fault_alloc ();
-          match Block_map.lookup f.bmap ~file_off with
-          | Some (phys, _) -> Vmem.Base phys
-          | None -> Vmem.Sigbus)
-    end
-    else begin
-      fault_alloc ();
-      match Block_map.lookup f.bmap ~file_off with
-      | Some (phys, _) -> Vmem.Base phys
-      | None -> Vmem.Sigbus
-    end
+    Dram_ns.fault cpu (Dram_ns.find_file t.ns ino) ~file_off ~huge_ok ~fill_len:block ~fill
+      ~touch

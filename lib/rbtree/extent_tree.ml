@@ -429,6 +429,17 @@ let iter t f =
     done
   done
 
+let iter_range t ~off ~len f =
+  let r = t.by_off in
+  let p = off_last_leq t off in
+  let c = ref (if p >= 0 then p else cur 0 0) in
+  while run_valid r !c && run_a r !c < off + len do
+    let e_off = run_a r !c and e_len = run_b r !c in
+    if e_off + e_len > off then f ~off:e_off ~len:e_len;
+    let bi = cur_bi !c and si = cur_si !c in
+    c := if si + 1 < r.bc.(bi) then cur bi (si + 1) else cur (bi + 1) 0
+  done
+
 let to_list t =
   let acc = ref [] in
   iter t (fun ~off ~len -> acc := (off, len) :: !acc);

@@ -57,6 +57,10 @@ val largest : t -> int
 val iter : t -> (off:int -> len:int -> unit) -> unit
 (** Ascending offset order. *)
 
+val iter_range : t -> off:int -> len:int -> (off:int -> len:int -> unit) -> unit
+(** The free extents that overlap [off, off+len), whole, in ascending
+    offset order; [f] must not modify the tree. *)
+
 val to_list : t -> (int * int) list
 
 val aligned_region_count : t -> align:int -> int

@@ -220,6 +220,15 @@ let test_extent_differential () =
           (Printf.sprintf "step %d: extent_at" step)
           (Extent_tree_ref.extent_at refr ~off:goal)
           (Extent_tree.extent_at flat ~off:goal);
+        let overlapping = ref [] in
+        Extent_tree.iter_range flat ~off:goal ~len (fun ~off ~len ->
+            overlapping := (off, len) :: !overlapping);
+        Alcotest.(check (list (pair int int)))
+          (Printf.sprintf "step %d: iter_range" step)
+          (List.filter
+             (fun (o, l) -> o < goal + len && o + l > goal)
+             (Extent_tree_ref.to_list refr))
+          (List.rev !overlapping);
         Alcotest.(check int)
           (Printf.sprintf "step %d: aligned census" step)
           (Extent_tree_ref.aligned_region_count refr ~align:huge)

@@ -12,8 +12,8 @@ let mib = Units.mib
 
 type visitor = { visit : 'a. (module Fs_intf.S with type t = 'a) -> 'a -> unit }
 
-let with_fs (factory : Registry.factory) (v : visitor) =
-  let dev = Device.create ~cost:Device.Cost.free ~size:(64 * mib) () in
+let with_fs ?(size = 64 * mib) (factory : Registry.factory) (v : visitor) =
+  let dev = Device.create ~cost:Device.Cost.free ~size () in
   let cfg = Types.config ~cpus:2 ~inodes_per_cpu:512 () in
   let (Fs_intf.Handle ((module F), fs)) = factory.make dev cfg in
   v.visit (module F) fs
@@ -148,6 +148,169 @@ let bad_ranges (factory : Registry.factory) () =
       Alcotest.(check string) "truncate still works" "hello" (F.pread fs c fd ~off:0 ~len:11);
       F.close fs c fd); }
 
+(* Shrinking to an unaligned size and growing again reads zeros past the
+   old size: the kept block's tail must not resurface. *)
+let shrink_then_grow (factory : Registry.factory) () =
+  with_fs factory
+    { visit = (fun (type a) (module F : Fs_intf.S with type t = a) (fs : a) ->
+      let c = Cpu.make ~id:0 () in
+      let fd = F.create fs c "/s" in
+      ignore (F.pwrite fs c fd ~off:0 ~src:(String.make 200 'x'));
+      F.fsync fs c fd;
+      F.ftruncate fs c fd 100;
+      F.ftruncate fs c fd 8192;
+      Alcotest.(check string) "kept bytes" (String.make 100 'x') (F.pread fs c fd ~off:0 ~len:100);
+      Alcotest.(check string) "grown tail reads zeros" (String.make 8092 '\000')
+        (F.pread fs c fd ~off:100 ~len:8092);
+      F.close fs c fd); }
+
+(* A fault the file system cannot back answers Sigbus, with or without
+   hugepages allowed; it never raises ENOSPC out of the fault handler. *)
+let fault_on_full_device (factory : Registry.factory) () =
+  with_fs ~size:(16 * mib) factory
+    { visit = (fun (type a) (module F : Fs_intf.S with type t = a) (fs : a) ->
+      let c = Cpu.make ~id:0 () in
+      let fd = F.create fs c "/hole" in
+      F.ftruncate fs c fd (4 * mib);
+      let fill = F.create fs c "/fill" in
+      let off = ref 0 in
+      List.iter
+        (fun len ->
+          try
+            while true do
+              F.fallocate fs c fill ~off:!off ~len;
+              off := !off + len
+            done
+          with Types.Error (ENOSPC, _) -> ())
+        [ mib; 64 * 1024; Units.base_page ];
+      let backing = F.mmap_backing fs fd in
+      List.iter
+        (fun huge_ok ->
+          match backing c ~file_off:0 ~huge_ok with
+          | Repro_memsim.Vmem.Sigbus -> ()
+          | Huge _ | Base _ -> Alcotest.failf "huge_ok=%b: a full device backed the fault" huge_ok
+          | exception e -> Alcotest.failf "huge_ok=%b: raised %s" huge_ok (Printexc.to_string e))
+        [ true; false ];
+      F.close fs c fill;
+      F.close fs c fd); }
+
+(* With less than a hugepage free, a hugepage-allowed fault on a hole
+   still maps a base page, whether the hole spans the whole chunk or
+   sits before a written page. *)
+let fault_with_little_space (factory : Registry.factory) () =
+  with_fs ~size:(16 * mib) factory
+    { visit = (fun (type a) (module F : Fs_intf.S with type t = a) (fs : a) ->
+      let c = Cpu.make ~id:0 () in
+      let fd = F.create fs c "/sparse" in
+      F.ftruncate fs c fd (4 * mib);
+      ignore (F.pwrite fs c fd ~off:Units.base_page ~src:"w");
+      let spare = F.create fs c "/spare" in
+      F.fallocate fs c spare ~off:0 ~len:mib;
+      F.close fs c spare;
+      let fill = F.create fs c "/fill" in
+      let off = ref 0 in
+      List.iter
+        (fun len ->
+          try
+            while true do
+              F.fallocate fs c fill ~off:!off ~len;
+              off := !off + len
+            done
+          with Types.Error (ENOSPC, _) -> ())
+        [ mib; 64 * 1024; Units.base_page ];
+      F.unlink fs c "/spare";
+      let backing = F.mmap_backing fs fd in
+      List.iter
+        (fun file_off ->
+          match backing c ~file_off ~huge_ok:true with
+          | Repro_memsim.Vmem.Base _ -> ()
+          | Huge _ -> Alcotest.failf "file_off=%d: a hugepage with 1 MiB free" file_off
+          | Sigbus -> Alcotest.failf "file_off=%d: Sigbus with 1 MiB free" file_off
+          | exception e -> Alcotest.failf "file_off=%d: raised %s" file_off (Printexc.to_string e))
+        [ 0; 2 * mib ];
+      F.close fs c fill;
+      F.close fs c fd); }
+
+(* A fallocated range reads zeros even when its blocks last held a
+   deleted file's bytes, before and after an append past it. *)
+let fallocate_reads_zeros (factory : Registry.factory) () =
+  with_fs factory
+    { visit = (fun (type a) (module F : Fs_intf.S with type t = a) (fs : a) ->
+      let c = Cpu.make ~id:0 () in
+      let fd = F.create fs c "/old" in
+      ignore (F.pwrite fs c fd ~off:0 ~src:(String.make mib 'x'));
+      F.fsync fs c fd;
+      F.close fs c fd;
+      F.unlink fs c "/old";
+      let fd = F.create fs c "/new" in
+      F.fallocate fs c fd ~off:0 ~len:mib;
+      let zeros = String.make mib '\000' in
+      Alcotest.(check bool) "fallocated range reads zeros" true
+        (F.pread fs c fd ~off:0 ~len:mib = zeros);
+      ignore (F.append fs c fd ~src:"tail");
+      Alcotest.(check bool) "zeros after an append" true (F.pread fs c fd ~off:0 ~len:mib = zeros);
+      Alcotest.(check string) "appended bytes" "tail" (F.pread fs c fd ~off:mib ~len:4);
+      F.fsync fs c fd;
+      ignore (F.pwrite fs c fd ~off:5000 ~src:"data");
+      Alcotest.(check string) "write inside the range reads back"
+        (String.make 10 '\000' ^ "data" ^ String.make 10 '\000')
+        (F.pread fs c fd ~off:4990 ~len:24);
+      ignore (F.pwrite fs c fd ~off:(mib - 2) ~src:"relinked");
+      F.fsync fs c fd;
+      Alcotest.(check string) "write across the end reads back" "relinked"
+        (F.pread fs c fd ~off:(mib - 2) ~len:8);
+      F.close fs c fd); }
+
+(* Space a truncate gave back can be fallocated again and reads zeros;
+   bytes stored through a mapping of a fallocated range read back, and
+   the mapping shows no deleted file's bytes. *)
+let refallocate (factory : Registry.factory) () =
+  with_fs factory
+    { visit = (fun (type a) (module F : Fs_intf.S with type t = a) (fs : a) ->
+      let c = Cpu.make ~id:0 () in
+      let page = Units.base_page in
+      let fd = F.create fs c "/old" in
+      ignore (F.pwrite fs c fd ~off:0 ~src:(String.make (4 * mib) 'y'));
+      F.fsync fs c fd;
+      F.close fs c fd;
+      F.unlink fs c "/old";
+      let fd = F.create fs c "/page0" in
+      F.fallocate fs c fd ~off:0 ~len:(4 * mib);
+      ignore (F.pwrite fs c fd ~off:0 ~src:(String.make page 'p'));
+      let vm = Repro_memsim.Vmem.create (F.device fs) in
+      let r = Repro_memsim.Vmem.mmap vm ~len:(4 * mib) ~backing:(F.mmap_backing fs fd) () in
+      Repro_memsim.Vmem.write vm c r ~off:(2 * page) ~src:"mapped";
+      Repro_memsim.Vmem.persist vm c r ~off:(2 * page) ~len:6;
+      Alcotest.(check string) "mapped bytes past a written page read back" "mapped"
+        (F.pread fs c fd ~off:(2 * page) ~len:6);
+      Alcotest.(check string) "written page reads back" (String.make page 'p')
+        (F.pread fs c fd ~off:0 ~len:page);
+      let seen = Bytes.make page 'z' in
+      Repro_memsim.Vmem.read_into vm c r ~off:(3 * page) ~dst:seen ~dst_off:0 ~len:page;
+      Alcotest.(check string) "mapped unwritten page reads zeros" (String.make page '\000')
+        (Bytes.to_string seen);
+      F.close fs c fd;
+      let len = 64 * 1024 in
+      let fd = F.create fs c "/re" in
+      F.fallocate fs c fd ~off:0 ~len;
+      F.ftruncate fs c fd 0;
+      F.fallocate fs c fd ~off:0 ~len;
+      F.close fs c fd;
+      let fd = F.openf fs c "/re" { Types.o_rdwr with trunc = true } in
+      F.fallocate fs c fd ~off:0 ~len;
+      Alcotest.(check bool) "refallocated range reads zeros" true
+        (F.pread fs c fd ~off:0 ~len = String.make len '\000');
+      F.close fs c fd;
+      let fd = F.create fs c "/mapped" in
+      F.fallocate fs c fd ~off:0 ~len:(4 * mib);
+      ignore (F.pwrite fs c fd ~off:(mib + 100) ~src:"written");
+      let vm = Repro_memsim.Vmem.create (F.device fs) in
+      let r = Repro_memsim.Vmem.mmap vm ~len:(4 * mib) ~backing:(F.mmap_backing fs fd) () in
+      Repro_memsim.Vmem.write vm c r ~off:4096 ~src:"mapped";
+      Repro_memsim.Vmem.persist vm c r ~off:4096 ~len:6;
+      Alcotest.(check string) "mapped bytes read back" "mapped" (F.pread fs c fd ~off:4096 ~len:6);
+      F.close fs c fd); }
+
 let throughput_sanity (factory : Registry.factory) () =
   (* With the real cost model, doing more work must cost more time. *)
   let dev = Device.create ~size:(32 * mib) () in
@@ -172,5 +335,14 @@ let suite =
         Alcotest.test_case (factory.fs_name ^ " mmap") `Quick (mmap_contract factory);
         Alcotest.test_case (factory.fs_name ^ " costs") `Quick (throughput_sanity factory);
         Alcotest.test_case (factory.fs_name ^ " bad ranges") `Quick (bad_ranges factory);
+        Alcotest.test_case (factory.fs_name ^ " shrink then grow reads zeros") `Quick
+          (shrink_then_grow factory);
+        Alcotest.test_case (factory.fs_name ^ " fault on a full device is Sigbus") `Quick
+          (fault_on_full_device factory);
+        Alcotest.test_case (factory.fs_name ^ " fault with little space maps a base page") `Quick
+          (fault_with_little_space factory);
+        Alcotest.test_case (factory.fs_name ^ " fallocate reads zeros") `Quick
+          (fallocate_reads_zeros factory);
+        Alcotest.test_case (factory.fs_name ^ " refallocate") `Quick (refallocate factory);
       ])
     Registry.all

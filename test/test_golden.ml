@@ -14,6 +14,8 @@ open Repro_util
 module Device = Repro_pmem.Device
 module Types = Repro_vfs.Types
 module Fs_intf = Repro_vfs.Fs_intf
+module Vmem = Repro_memsim.Vmem
+module Sched = Repro_sched.Sched
 module Registry = Repro_baselines.Registry
 
 let mib = Units.mib
@@ -223,6 +225,83 @@ let test_baseline (factory : Registry.factory) (crc, counters, clocks) () =
   Alcotest.(check (list (pair string int))) "counter snapshot" counters got_counters;
   Alcotest.(check (pair int int)) "cpu0/cpu1 clocks" clocks got_clocks
 
+(* Fault-path pins.  The workload above maps nothing, so this one drives
+   every baseline's fault handler under the Optane cost model: a
+   fallocated file with one partial write, mapped with hugepages allowed;
+   a sparse file with a few chunks mapped huge, then every page mapped
+   without hugepages; and two Sched fibers faulting a third sparse file.
+   Pinned: the image CRC32C, a digest of every fault answer (offset,
+   huge_ok, Huge/Base/Sigbus and the physical address), both CPUs' clocks
+   and the Sched makespan. *)
+let run_mmap_workload (make : Device.t -> Types.config -> Fs_intf.handle) =
+  let dev = Device.create ~cost:Device.Cost.optane ~size:(64 * mib) () in
+  let cfg = Types.config ~cpus:2 ~mode:Types.Strict ~inodes_per_cpu:256 () in
+  let (Fs_intf.Handle ((module Fs), fs)) = make dev cfg in
+  let c0 = Cpu.make ~id:0 () in
+  let c1 = Cpu.make ~id:1 () in
+  let answers = ref Crc32c.init in
+  let recorded fd : Vmem.backing =
+    let backing = Fs.mmap_backing fs fd in
+    fun cpu ~file_off ~huge_ok ->
+      let r = backing cpu ~file_off ~huge_ok in
+      let s =
+        match r with
+        | Vmem.Huge p -> Printf.sprintf "H%d:%d;" file_off p
+        | Base p -> Printf.sprintf "B%d:%b:%d;" file_off huge_ok p
+        | Sigbus -> Printf.sprintf "S%d:%b;" file_off huge_ok
+      in
+      answers := Crc32c.update_string !answers s ~off:0 ~len:(String.length s);
+      r
+  in
+  let vm = Vmem.create dev in
+  let fd = Fs.create fs c0 "/fa" in
+  Fs.fallocate fs c0 fd ~off:0 ~len:(4 * mib);
+  ignore (Fs.pwrite fs c0 fd ~off:(mib + 100) ~src:(pattern 10_000 5));
+  let r = Vmem.mmap vm ~len:(4 * mib) ~backing:(recorded fd) ~huge_ok:true () in
+  Vmem.write vm c0 r ~off:(3 * mib) ~src:(pattern 512 6);
+  Vmem.persist vm c0 r ~off:(3 * mib) ~len:512;
+  Vmem.prefault vm c0 r;
+  let fd2 = Fs.create fs c1 "/sparse" in
+  Fs.ftruncate fs c1 fd2 (6 * mib);
+  ignore (Fs.pwrite fs c1 fd2 ~off:((2 * mib) + 8192) ~src:(pattern 3000 7));
+  let r2 = Vmem.mmap vm ~len:(6 * mib) ~backing:(recorded fd2) ~huge_ok:true () in
+  List.iter
+    (fun off -> Vmem.read vm c1 r2 ~off ~len:64)
+    [ 0; (2 * mib) + 8192; (4 * mib) + 4096 ];
+  let r3 = Vmem.mmap vm ~len:(6 * mib) ~backing:(recorded fd2) ~huge_ok:false () in
+  Vmem.prefault vm c1 r3;
+  let fd3 = Fs.create fs c0 "/shared" in
+  Fs.ftruncate fs c0 fd3 (2 * mib);
+  ignore (Fs.pwrite fs c0 fd3 ~off:16384 ~src:(pattern 6000 8));
+  let stats =
+    Sched.run ~threads:2 (fun (cpu : Cpu.t) ->
+        let r = Vmem.mmap vm ~len:(2 * mib) ~backing:(recorded fd3) ~huge_ok:(cpu.id = 0) () in
+        for i = 0 to 31 do
+          let page = if cpu.id = 0 then i else 31 - i in
+          Vmem.read vm cpu r ~off:(page * 16 * Units.base_page) ~len:64
+        done)
+  in
+  (image_crc dev, Crc32c.finish !answers, (Cpu.now c0, Cpu.now c1), stats.makespan_ns)
+
+(* (image CRC32C, fault-answer digest, (cpu0, cpu1) clocks, makespan). *)
+let mmap_pins =
+  [
+    (Registry.ext4_dax, (0xbe15bd27, 0x99c6184a, (1064675, 3516841), 58032));
+    (Registry.xfs_dax, (0x395e053c, 0x4f204319, (2818638, 4224692), 75308));
+    (Registry.pmfs, (0x84c89d3f, 0x4f204319, (2701181, 7196060), 107442));
+    (Registry.nova, (0x322b392c, 0x7d495ac1, (1882488, 4744194), 80771));
+    (Registry.nova_relaxed, (0x5f340501, 0xfd3c9a90, (1064135, 4744191), 80771));
+    (Registry.splitfs, (0x618cae66, 0xc0e4d657, (1063470, 3516871), 530682));
+    (Registry.strata, (0xf1e4a1c2, 0xe4c6e9fb, (1888122, 4225719), 112254));
+  ]
+
+let test_mmap (factory : Registry.factory) (crc, digest, clocks, makespan) () =
+  let got_crc, got_digest, got_clocks, got_makespan = run_mmap_workload factory.make in
+  Alcotest.(check int) "PM image CRC32C" crc got_crc;
+  Alcotest.(check int) "fault-answer digest" digest got_digest;
+  Alcotest.(check (pair int int)) "cpu0/cpu1 clocks" clocks got_clocks;
+  Alcotest.(check int) "Sched makespan" makespan got_makespan
+
 let suite =
   Alcotest.test_case "golden image CRC" `Quick test_image_crc
   :: Alcotest.test_case "golden counter totals" `Quick test_counter_totals
@@ -231,3 +310,8 @@ let suite =
          Alcotest.test_case ("golden " ^ factory.Registry.fs_name ^ " pins") `Quick
            (test_baseline factory pins))
        baseline_pins
+  @ List.map
+      (fun (factory, pins) ->
+        Alcotest.test_case ("golden " ^ factory.Registry.fs_name ^ " mmap pins") `Quick
+          (test_mmap factory pins))
+      mmap_pins
