@@ -3,8 +3,9 @@
    Wall-clock assertions flake under CI load, so the perf regressions
    this guards are expressed as deterministic operation counts instead:
    hash-probe work per table operation, pending-entries visited per
-   fence, minor-heap words allocated per device access, and major-heap
-   words allocated by a fresh device and its crash image.  A
+   fence, minor-heap words allocated per device access and per
+   zeroed-field CRC, major-heap words allocated by a fresh device and its
+   crash image, and heap words allocated by a recovery mount.  A
    regression that reintroduces O(all-pending) fence sweeps, degenerate
    probe chains or a per-access allocation fails these budgets on any
    machine, loaded or not. *)
@@ -12,6 +13,7 @@
 open Repro_util
 module Device = Repro_pmem.Device
 module Stats = Repro_stats.Stats
+module Types = Repro_vfs.Types
 
 let failures = ref 0
 
@@ -142,12 +144,67 @@ let image_alloc_budget () =
   budget "major words / 256MiB image" ~actual:words ~limit:1_000_000;
   ignore (Sys.opaque_identity img)
 
+(* The crash workload's recovery probe: a 32 MiB, 4-CPU, 1024-inodes-
+   per-CPU WineFS image crashed (remounted without unmount) over and
+   over.  The mount's rebuild sweeps every inode-table slot in place and
+   reuses one scan buffer per mount, so its major-heap words grow with
+   the live files' DRAM state only (no per-file slot buffer), and an
+   empty image allocates a few words per table slot at most (no closure
+   or header copy per blank slot). *)
+let mount_alloc_budget () =
+  let cfg = Types.config ~cpus:4 ~inodes_per_cpu:1024 () in
+  let image files =
+    let dev = Device.create ~size:(32 * Units.mib) () in
+    let fs = Winefs.Fs.format dev cfg in
+    let cpu = Cpu.make ~id:0 () in
+    let page = String.make Units.base_page 'r' in
+    for i = 0 to files - 1 do
+      let fd = Winefs.Fs.create fs cpu (Printf.sprintf "/p%d" i) in
+      ignore (Winefs.Fs.pwrite fs cpu fd ~off:0 ~src:page);
+      Winefs.Fs.close fs cpu fd
+    done;
+    dev
+  in
+  (* Words per mount over a few crash mounts, after one that settles the
+     image into its crashed (dirty superblock) state. *)
+  let per_mount dev =
+    ignore (Sys.opaque_identity (Winefs.Fs.mount dev cfg));
+    let mounts = 4 in
+    let minor0 = Gc.minor_words () and major0 = (Gc.quick_stat ()).major_words in
+    for _ = 1 to mounts do
+      ignore (Sys.opaque_identity (Winefs.Fs.mount dev cfg))
+    done;
+    let minor1 = Gc.minor_words () and major1 = (Gc.quick_stat ()).major_words in
+    let per w = int_of_float (w /. float_of_int mounts) in
+    (per (minor1 -. minor0), per (major1 -. major0))
+  in
+  let files = 512 in
+  let _, major = per_mount (image files) in
+  budget "major words / mount / live file" ~actual:(major / files) ~limit:250;
+  let minor_empty, _ = per_mount (image 0) in
+  budget "minor words / empty-image mount" ~actual:minor_empty ~limit:45_000
+
+let crc_alloc_budget () =
+  (* Every inode-header verify and persist, undo entry and redo record
+     folds a zeroed checksum field: it must not cost a buffer per call. *)
+  let b = Bytes.make 64 'h' in
+  Crc32c.set_zeroed b ~off:0 ~len:64 ~csum_off:56;
+  let n = 10_000 in
+  budget "minor words / digest_zeroed"
+    ~actual:(words_per_call n (fun _ -> ignore (Crc32c.digest_zeroed b ~off:0 ~len:64 ~csum_off:56)))
+    ~limit:0;
+  budget "minor words / verify_zeroed"
+    ~actual:(words_per_call n (fun _ -> ignore (Crc32c.verify_zeroed b ~off:0 ~len:64 ~csum_off:56)))
+    ~limit:0
+
 let () =
   table_probe_budget ();
   table_tombstone_budget ();
   fence_sweep_budget ();
   access_alloc_budget ();
   image_alloc_budget ();
+  crc_alloc_budget ();
+  mount_alloc_budget ();
   if !failures > 0 then begin
     Printf.printf "%d perf budget(s) exceeded\n" !failures;
     exit 1

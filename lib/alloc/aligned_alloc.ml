@@ -346,21 +346,14 @@ let alloc ?contig_after t ~cpu ~len ~prefer_aligned =
     result
   end
 
-(* Offline occupancy computation (mount's free-list recompute and fsck's
-   extent cross-check): one tree per region, so free space never
-   coalesces across stripe boundaries the way a single shadow tree
-   would — restoring such a merged extent could place it in the wrong
-   pool. *)
+(* Mount's free-list recompute from the used-extent set: sort the used
+   extents once, then take each region's complement in the same linear
+   sweep.  Every region keeps its own cursor and its own gap list, so
+   free space never coalesces across stripe boundaries — restoring such a
+   merged extent could place it in the wrong pool.  In sorted order an
+   overlap is an extent that starts before its region's cursor. *)
 let free_lists_of_used ~regions ~used =
   let n = Array.length regions in
-  let trees =
-    Array.map
-      (fun (off, len) ->
-        let tr = Extent_tree.create () in
-        Extent_tree.insert_free tr ~off ~len;
-        tr)
-      regions
-  in
   let region_of off =
     let rec find i =
       if i >= n then None
@@ -370,7 +363,9 @@ let free_lists_of_used ~regions ~used =
     in
     find 0
   in
-  let rec claim = function
+  let cursor = Array.map fst regions in
+  let gaps = Array.make n [] in
+  let rec sweep = function
     | [] -> Ok ()
     | (off, len) :: rest -> (
         if len <= 0 then
@@ -382,18 +377,23 @@ let free_lists_of_used ~regions ~used =
               let roff, rlen = regions.(i) in
               if off + len > roff + rlen then
                 Error (Printf.sprintf "extent [%d,%d) crosses region boundary" off (off + len))
-              else if not (Extent_tree.alloc_exact trees.(i) ~off ~len) then
+              else if off < cursor.(i) then
                 Error (Printf.sprintf "extent [%d,%d) double-used" off (off + len))
-              else claim rest)
+              else begin
+                if off > cursor.(i) then gaps.(i) <- (cursor.(i), off - cursor.(i)) :: gaps.(i);
+                cursor.(i) <- off + len;
+                sweep rest
+              end)
   in
-  match claim used with
+  match sweep (List.sort (fun (a, _) (b, _) -> Int.compare a b) used) with
   | Error _ as e -> e
   | Ok () ->
       let free = ref [] in
       for i = n - 1 downto 0 do
-        let acc = ref [] in
-        Extent_tree.iter trees.(i) (fun ~off ~len -> acc := (off, len) :: !acc);
-        free := List.rev_append !acc !free
+        let roff, rlen = regions.(i) in
+        let tail = roff + rlen - cursor.(i) in
+        let rest = if tail > 0 then (cursor.(i), tail) :: !free else !free in
+        free := List.rev_append gaps.(i) rest
       done;
       Ok !free
 

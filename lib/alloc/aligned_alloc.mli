@@ -74,9 +74,10 @@ val restore : cpus:int -> regions:(int * int) array -> free:(int * int) list -> 
 val free_lists_of_used :
   regions:(int * int) array -> used:(int * int) list -> ((int * int) list, string) result
 (** On-PM occupancy export: the free extents of each region once every
-    [used] extent is claimed, ascending, computed with one tree per
-    region so free space never coalesces across stripe boundaries.
-    [Error] names the first overlapping, out-of-region, or empty used
-    extent (a double allocation from fsck's point of view). *)
+    [used] extent is claimed, ascending, computed by one sweep over the
+    sorted used extents with a cursor per region, so free space never
+    coalesces across stripe boundaries.  [Error] names the first
+    overlapping (double-used), out-of-region, region-crossing or empty
+    used extent in ascending offset order. *)
 
 val check_invariants : t -> (unit, string) result

@@ -85,23 +85,40 @@ module Inode = struct
     Crc.set_zeroed b ~off:0 ~len:header_bytes ~csum_off;
     b
 
-  let header_csum_ok b = Crc.verify_zeroed b ~off:0 ~len:header_bytes ~csum_off
+  (* The [_at] forms read a header in place at a byte offset of a larger
+     buffer: the mount-time sweep tests, verifies and decodes each header
+     where the bulk table read left it, with no per-header copy. *)
+  let header_csum_ok_at b off =
+    Crc.verify_zeroed b ~off ~len:header_bytes ~csum_off:(off + csum_off)
 
-  let header_is_blank b =
-    let rec blank i = i >= header_bytes || (Bytes.get b i = '\000' && blank (i + 1)) in
-    blank 0
+  let header_csum_ok b = header_csum_ok_at b 0
+  let word_zero b off = Int64.equal (Bytes.get_int64_le b off) 0L
 
-  let decode_header b =
-    let flags = g64 b 0 in
+  let header_is_blank_at b off =
+    word_zero b off
+    && word_zero b (off + 8)
+    && word_zero b (off + 16)
+    && word_zero b (off + 24)
+    && word_zero b (off + 32)
+    && word_zero b (off + 40)
+    && word_zero b (off + 48)
+    && word_zero b (off + 56)
+
+  let header_is_blank b = header_is_blank_at b 0
+
+  let decode_header_at b off =
+    let flags = g64 b off in
     {
       valid = flags land 1 <> 0;
       is_dir = flags land 2 <> 0;
       xattr_align = flags land 4 <> 0;
-      size = g64 b 8;
-      nlink = g64 b 16;
-      extent_count = g64 b 24;
-      overflow = g64 b 32;
+      size = g64 b (off + 8);
+      nlink = g64 b (off + 16);
+      extent_count = g64 b (off + 24);
+      overflow = g64 b (off + 32);
     }
+
+  let decode_header b = decode_header_at b 0
 
   let extent_bytes = 24
   let extent_slot_off i = header_bytes + (i * extent_bytes)
@@ -118,13 +135,15 @@ module Inode = struct
     b
 
   let decode_extent b = (g64 b 0, g64 b 8, g64 b 16)
-
-  (* Decode straight out of a bulk-read buffer: the mount-time slot walk
-     reads whole slot regions in one device access and decodes records in
-     place, with no per-record [Bytes.sub]. *)
-  let decode_extent_at b off = (g64 b off, g64 b (off + 8), g64 b (off + 16))
-
   let split_len_field lf = (lf land lnot asrc_bit, lf land asrc_bit <> 0)
+
+  (* Field readers for a record in a bulk-read slot region: the mount-time
+     slot walk reads each region in one device access and takes the
+     fields straight from the buffer, with no tuple per slot. *)
+  let extent_file_off_at b off = g64 b off
+  let extent_phys_at b off = g64 b (off + 8)
+  let extent_len_at b off = g64 b (off + 16) land lnot asrc_bit
+  let extent_asrc_at b off = g64 b (off + 16) land asrc_bit <> 0
 end
 
 module Dentry = struct

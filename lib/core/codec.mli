@@ -66,6 +66,12 @@ module Inode : sig
   val header_is_blank : bytes -> bool
   (** All 64 bytes zero: an inode slot that has never held a header. *)
 
+  val decode_header_at : bytes -> int -> header
+  val header_csum_ok_at : bytes -> int -> bool
+  val header_is_blank_at : bytes -> int -> bool
+  (** {!decode_header}, {!header_csum_ok} and {!header_is_blank} for the
+      header at a byte offset of a bulk-read buffer (no copy). *)
+
   val extent_slot_off : int -> int
   (** Byte offset within the 256B inode of inline extent slot [i]. *)
 
@@ -75,15 +81,19 @@ module Inode : sig
   val encode_extent : file_off:int -> phys:int -> len:int -> bytes
   val decode_extent : bytes -> int * int * int
 
-  val decode_extent_at : bytes -> int -> int * int * int
-  (** Decode the record at a byte offset of a bulk-read buffer (no
-      per-record allocation). *)
-
   val asrc_bit : int
   (** Bit 62 of the stored length field marks aligned-pool provenance. *)
 
   val split_len_field : int -> int * bool
   (** Decode a raw length field into [(len, asrc)]. *)
+
+  val extent_file_off_at : bytes -> int -> int
+  val extent_phys_at : bytes -> int -> int
+  val extent_len_at : bytes -> int -> int
+  val extent_asrc_at : bytes -> int -> bool
+  (** The fields of the record at a byte offset of a bulk-read buffer,
+      read in place: [extent_len_at] is the length with the provenance
+      bit cleared, [extent_asrc_at] that bit (see {!split_len_field}). *)
 end
 
 module Dentry : sig

@@ -255,9 +255,10 @@ let mount dev cfg =
   (* Directory indexes (reads only — safe after layer assembly).  A dentry
      block on a poisoned line refuses the directory (paths through it then
      fail with EIO) but not the mount. *)
+  let dentry_buf = ref Bytes.empty in
   Inode.iter t.inodes (fun f ->
       if Option.is_some f.dir then
-        try Namespace.load_dir_index t.ns cpu f
+        try Namespace.load_dir_index t.ns cpu ~buf:dentry_buf f
         with Device.Media_error _ ->
           if f.ino = root_ino then Types.err EIO "corrupt image: root directory unreadable";
           incr detected;

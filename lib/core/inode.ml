@@ -194,119 +194,123 @@ let refuse t ino why = Hashtbl.replace t.bad_inos ino why
 let is_bad t ino = Hashtbl.mem t.bad_inos ino
 let refused t = Hashtbl.length t.bad_inos
 
-let load_file t cpu ino (h : Codec.Inode.header) =
+(* Mount-time loading.  One scan owns one [slots] scratch buffer, sized
+   for an overflow block's records, and every file reuses it: the chain
+   walk reads each overflow header into it, and each slot region (the
+   inline area, then each overflow block) is one bulk device read decoded
+   in place.  Nothing here allocates per slot. *)
+let rec read_chain t cpu slots blk acc =
+  if blk = 0 then List.rev acc
+  else begin
+    Device.read t.dev cpu ~off:blk ~len:Codec.Overflow.header_bytes ~dst:slots ~dst_off:0;
+    let next, _count = Codec.Overflow.decode_header slots in
+    read_chain t cpu slots next (blk :: acc)
+  end
+
+(* Live records have len > 0; every other slot is free. *)
+let load_region t cpu slots f ~addr ~first_slot ~count =
+  let eb = Codec.Inode.extent_bytes in
+  Device.read t.dev cpu ~off:addr ~len:(count * eb) ~dst:slots ~dst_off:0;
+  for i = 0 to count - 1 do
+    let off = i * eb in
+    let len = Codec.Inode.extent_len_at slots off in
+    if len > 0 then
+      Int_map.insert f.records
+        (Codec.Inode.extent_file_off_at slots off)
+        {
+          slot = first_slot + i;
+          phys = Codec.Inode.extent_phys_at slots off;
+          len;
+          asrc = Codec.Inode.extent_asrc_at slots off;
+        }
+    else f.free_slots <- (first_slot + i) :: f.free_slots
+  done
+
+let rec load_overflow t cpu slots f ~first_slot = function
+  | [] -> ()
+  | blk :: rest ->
+      load_region t cpu slots f
+        ~addr:(blk + Codec.Overflow.record_off 0)
+        ~first_slot ~count:Codec.Overflow.capacity;
+      load_overflow t cpu slots f ~first_slot:(first_slot + Codec.Overflow.capacity) rest
+
+let load_file t cpu slots ino (h : Codec.Inode.header) =
   let kind = if h.is_dir then Types.Directory else Types.Regular in
   let f = install t ino kind in
   f.size <- h.size;
   f.nlink <- h.nlink;
   f.xattr_align <- h.xattr_align;
-  (* Overflow chain. *)
-  let rec chain blk acc =
-    if blk = 0 then List.rev acc
-    else begin
-      let hdr = Bytes.create Codec.Overflow.header_bytes in
-      Device.read t.dev cpu ~off:blk ~len:Codec.Overflow.header_bytes ~dst:hdr ~dst_off:0;
-      let next, _count = Codec.Overflow.decode_header hdr in
-      chain next (blk :: acc)
-    end
-  in
-  f.overflow <- chain h.overflow [];
+  f.overflow <- read_chain t cpu slots h.overflow [];
   f.slot_cap <- Layout.inline_extents + (List.length f.overflow * Codec.Overflow.capacity);
-  (* Walk every slot; live records have len > 0.  Slots live in contiguous
-     regions (the inline area, then each overflow block), so each region is
-     one bulk device read decoded in place instead of a 24B read per slot. *)
-  let buf = Bytes.create (Codec.Overflow.capacity * Codec.Inode.extent_bytes) in
-  let scan_region ~addr ~first_slot ~count =
-    Device.read t.dev cpu ~off:addr ~len:(count * Codec.Inode.extent_bytes) ~dst:buf
-      ~dst_off:0;
-    for i = 0 to count - 1 do
-      let slot = first_slot + i in
-      let file_off, phys, len_field =
-        Codec.Inode.decode_extent_at buf (i * Codec.Inode.extent_bytes)
-      in
-      let len, asrc = Codec.Inode.split_len_field len_field in
-      if len > 0 then Int_map.insert f.records file_off { slot; phys; len; asrc }
-      else f.free_slots <- slot :: f.free_slots
-    done
-  in
-  scan_region
+  load_region t cpu slots f
     ~addr:(inode_addr t f.ino + Codec.Inode.extent_slot_off 0)
     ~first_slot:0 ~count:Layout.inline_extents;
-  List.iteri
-    (fun i blk ->
-      scan_region
-        ~addr:(blk + Codec.Overflow.record_off 0)
-        ~first_slot:(Layout.inline_extents + (i * Codec.Overflow.capacity))
-        ~count:Codec.Overflow.capacity)
-    f.overflow;
+  load_overflow t cpu slots f ~first_slot:Layout.inline_extents f.overflow;
   f
 
 let scan_tables t cpu ~on_refuse =
   let layout = t.layout in
   let used = ref [] in
   (* Inode tables are contiguous per CPU, so the header sweep reads whole
-     table chunks in one device access and blits each 64B header out of
-     the chunk.  A poisoned line anywhere in a chunk fails the bulk read
-     before any cost is charged; that chunk falls back to the original
-     per-header reads so refusal stays per-inode. *)
+     table chunks in one device access and tests, verifies and decodes
+     each 64B header in place in the chunk.  A poisoned line anywhere in a
+     chunk fails the bulk read before any cost is charged; that chunk
+     falls back to per-header reads into [hb] so refusal stays
+     per-inode. *)
   let chunk_inodes = 256 in
   let ib = Layout.inode_bytes in
   let cbuf = Bytes.create (chunk_inodes * ib) in
   let hb = Bytes.create Codec.Inode.header_bytes in
+  let slots = Bytes.create (Codec.Overflow.capacity * Codec.Inode.extent_bytes) in
+  let refuse_ino ino why =
+    refuse t ino why;
+    on_refuse ino why
+  in
+  (* The header of inode [ino] (table index [idx]) sits at [off] in [b]. *)
+  let visit free ~idx ino b off =
+    if Codec.Inode.header_is_blank_at b off then free := idx :: !free
+    else if not (Codec.Inode.header_csum_ok_at b off) then
+      (* A non-blank header failing its CRC cannot be trusted in any
+         field — the corrupt bit may be [valid] itself — so the slot is
+         never scrubbed or reused, only refused. *)
+      refuse_ino ino "inode header failed CRC"
+    else begin
+      let h = Codec.Inode.decode_header_at b off in
+      if h.valid then begin
+        match load_file t cpu slots ino h with
+        | f ->
+            Int_map.iter f.records (fun _ r -> used := (r.phys, r.len) :: !used);
+            List.iter (fun blk -> used := (blk, block) :: !used) f.overflow
+        | exception Device.Media_error _ ->
+            forget t ~site:"fs.scrub" ino;
+            refuse_ino ino "media error loading extent metadata"
+      end
+      else free := idx :: !free
+    end
+  in
   for c = 0 to layout.Layout.cpus - 1 do
     let free = ref [] in
     let base = ref 0 in
     while !base < layout.Layout.inodes_per_cpu do
       let n = min chunk_inodes (layout.Layout.inodes_per_cpu - !base) in
       let chunk_off = Layout.inode_off layout (Layout.ino_of layout ~cpu:c ~idx:!base) in
-      let bulk_ok =
-        match Device.read t.dev cpu ~off:chunk_off ~len:(n * ib) ~dst:cbuf ~dst_off:0 with
-        | () -> true
-        | exception Device.Media_error _ -> false
-      in
-      for i = 0 to n - 1 do
-        let idx = !base + i in
-        let ino = Layout.ino_of layout ~cpu:c ~idx in
-        let header_ok =
-          if bulk_ok then begin
-            Bytes.blit cbuf (i * ib) hb 0 Codec.Inode.header_bytes;
-            true
-          end
-          else
+      (match Device.read t.dev cpu ~off:chunk_off ~len:(n * ib) ~dst:cbuf ~dst_off:0 with
+      | () ->
+          for i = 0 to n - 1 do
+            let idx = !base + i in
+            visit free ~idx (Layout.ino_of layout ~cpu:c ~idx) cbuf (i * ib)
+          done
+      | exception Device.Media_error _ ->
+          for i = 0 to n - 1 do
+            let idx = !base + i in
+            let ino = Layout.ino_of layout ~cpu:c ~idx in
             match
               Device.read t.dev cpu ~off:(Layout.inode_off layout ino)
                 ~len:Codec.Inode.header_bytes ~dst:hb ~dst_off:0
             with
-            | () -> true
-            | exception Device.Media_error _ -> false
-        in
-        if not header_ok then begin
-          refuse t ino "poisoned inode header";
-          on_refuse ino "poisoned inode header"
-        end
-        else if Codec.Inode.header_is_blank hb then free := idx :: !free
-        else if not (Codec.Inode.header_csum_ok hb) then begin
-          (* A non-blank header failing its CRC cannot be trusted in any
-             field — the corrupt bit may be [valid] itself — so the slot
-             is never scrubbed or reused, only refused. *)
-          refuse t ino "inode header failed CRC";
-          on_refuse ino "inode header failed CRC"
-        end
-        else begin
-          let h = Codec.Inode.decode_header hb in
-          if h.valid then begin
-            match load_file t cpu ino h with
-            | f ->
-                Int_map.iter f.records (fun _ r -> used := (r.phys, r.len) :: !used);
-                List.iter (fun blk -> used := (blk, block) :: !used) f.overflow
-            | exception Device.Media_error _ ->
-                forget t ~site:"fs.scrub" ino;
-                refuse t ino "media error loading extent metadata";
-                on_refuse ino "media error loading extent metadata"
-          end
-          else free := idx :: !free
-        end
-      done;
+            | () -> visit free ~idx ino hb 0
+            | exception Device.Media_error _ -> refuse_ino ino "poisoned inode header"
+          done);
       base := !base + n
     done;
     t.free.(c) <- List.rev !free

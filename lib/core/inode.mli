@@ -103,10 +103,6 @@ val refused : t -> int
 
 (* -- Mount-time loading (§3.6 recovery scan) -- *)
 
-val load_file : t -> Cpu.t -> int -> Codec.Inode.header -> file
-(** Read one file's persistent extent list (inline slots + overflow
-    chain) into a fresh {!file}. *)
-
 val scan_tables : t -> Cpu.t -> on_refuse:(int -> string -> unit) -> (int * int) list
 (** Scan the per-CPU inode tables (parallel in the paper; the simulated
     cost model charges the reads), loading every valid inode and

@@ -229,12 +229,13 @@ let readdir t cpu path =
 (* ------------------------------------------------------------------ *)
 (* Mount-time index rebuild                                            *)
 
-let load_dir_index t cpu (f : Inode.file) =
+let load_dir_index t cpu ~buf (f : Inode.file) =
   let idx = Option.get f.dir in
   let free = ref [] in
   (* One bulk read per directory extent, decoded slot by slot in place —
      dentries are contiguous within an extent, so the per-dentry 64B
-     device reads collapse into one access per extent. *)
+     device reads collapse into one access per extent.  [buf] is the
+     mount's scratch buffer, grown to the largest extent read so far. *)
   Int_map.iter f.records (fun file_off (r : Inode.record) ->
       let slots = r.len / Codec.dentry_bytes in
       let live =
@@ -242,9 +243,10 @@ let load_dir_index t cpu (f : Inode.file) =
         else min slots ((f.size - file_off + Codec.dentry_bytes - 1) / Codec.dentry_bytes)
       in
       if live > 0 then begin
-        let buf = Bytes.create (live * Codec.dentry_bytes) in
-        Device.read t.dev cpu ~off:r.phys ~len:(live * Codec.dentry_bytes) ~dst:buf
-          ~dst_off:0;
+        let len = live * Codec.dentry_bytes in
+        if Bytes.length !buf < len then buf := Bytes.create (max len (2 * Bytes.length !buf));
+        let buf = !buf in
+        Device.read t.dev cpu ~off:r.phys ~len ~dst:buf ~dst_off:0;
         for i = 0 to live - 1 do
           let phys = r.phys + (i * Codec.dentry_bytes) in
           match Codec.Dentry.decode_at buf (i * Codec.dentry_bytes) with

@@ -36,9 +36,11 @@ val rmdir : t -> Cpu.t -> string -> unit
 val rename : t -> Cpu.t -> old_path:string -> new_path:string -> unit
 val readdir : t -> Cpu.t -> string -> string list
 
-val load_dir_index : t -> Cpu.t -> Inode.file -> unit
+val load_dir_index : t -> Cpu.t -> buf:bytes ref -> Inode.file -> unit
 (** Mount: rebuild a directory's DRAM index (and its children's
-    parent/name backpointers) from its dentry blocks. *)
+    parent/name backpointers) from its dentry blocks.  [buf] is scratch
+    space the caller shares across directories; it is replaced by a
+    larger buffer when an extent does not fit. *)
 
 (* -- Rewriter support (§3.6 atomic swap) -- *)
 

@@ -240,12 +240,16 @@ let phase2 (c : ctx) (layout : Layout.t) =
 (* ------------------------------------------------------------------ *)
 (* Phase 3: inode table scan                                           *)
 
-let scan_chain (c : ctx) (layout : Layout.t) inf =
-  let obj = Printf.sprintf "inode %d" inf.i_ino in
-  let nblocks = max 1 (layout.meta_pool_len / block) in
-  let seen = Array.make nblocks false in
+(* The finding's object name, built only when a finding is recorded: the
+   scan visits every inode slot, and most record nothing. *)
+let inode_obj ino = Printf.sprintf "inode %d" ino
+
+(* [hb] is the phase's scratch buffer; the chain walk reads each overflow
+   header into it.  A revisited block is one already in [acc], the chain
+   walked so far, so a cycle is caught without a per-inode bitmap. *)
+let scan_chain (c : ctx) (layout : Layout.t) hb inf =
   let truncate detail =
-    record c ~phase:3 ~rule:"overflow-chain" ~obj ~severity:Repair ~detail
+    record c ~phase:3 ~rule:"overflow-chain" ~obj:(inode_obj inf.i_ino) ~severity:Repair ~detail
       ~action:"truncate the extent-overflow chain";
     inf.i_meta_dirty <- true
   in
@@ -255,29 +259,22 @@ let scan_chain (c : ctx) (layout : Layout.t) inf =
       truncate (Printf.sprintf "overflow pointer %d outside the metadata pool" blk);
       List.rev acc
     end
-    else begin
-      let idx = (blk - layout.meta_pool_off) / block in
-      if seen.(idx) then begin
-        truncate (Printf.sprintf "overflow chain revisits block %d" blk);
-        List.rev acc
-      end
-      else begin
-        seen.(idx) <- true;
-        let hb = Bytes.create Codec.Overflow.header_bytes in
-        match Device.read c.dev c.cpu ~off:blk ~len:Codec.Overflow.header_bytes ~dst:hb ~dst_off:0 with
-        | exception Device.Media_error _ ->
-            truncate (Printf.sprintf "media error reading overflow block %d" blk);
-            List.rev acc
-        | () ->
-            let next, _count = Codec.Overflow.decode_header hb in
-            walk next (blk :: acc)
-      end
+    else if List.mem blk acc then begin
+      truncate (Printf.sprintf "overflow chain revisits block %d" blk);
+      List.rev acc
     end
+    else
+      match Device.read c.dev c.cpu ~off:blk ~len:Codec.Overflow.header_bytes ~dst:hb ~dst_off:0 with
+      | exception Device.Media_error _ ->
+          truncate (Printf.sprintf "media error reading overflow block %d" blk);
+          List.rev acc
+      | () ->
+          let next, _count = Codec.Overflow.decode_header hb in
+          walk next (blk :: acc)
   in
   inf.i_overflow <- walk inf.i_hdr.Codec.Inode.overflow []
 
 let scan_slots (c : ctx) (layout : Layout.t) inf =
-  let obj = Printf.sprintf "inode %d" inf.i_ino in
   let ino_off = Layout.inode_off layout inf.i_ino in
   let slot_addrs =
     List.init Layout.inline_extents (fun i -> ino_off + Codec.Inode.extent_slot_off i)
@@ -291,7 +288,7 @@ let scan_slots (c : ctx) (layout : Layout.t) inf =
     (fun addr ->
       match Device.read c.dev c.cpu ~off:addr ~len:Codec.Inode.extent_bytes ~dst:buf ~dst_off:0 with
       | exception Device.Media_error _ ->
-          record c ~phase:3 ~rule:"extent-media" ~obj ~severity:Repair
+          record c ~phase:3 ~rule:"extent-media" ~obj:(inode_obj inf.i_ino) ~severity:Repair
             ~detail:(Printf.sprintf "media error reading the extent slot at %d" addr)
             ~action:"drop the extent record";
           inf.i_meta_dirty <- true
@@ -305,7 +302,7 @@ let scan_slots (c : ctx) (layout : Layout.t) inf =
                  (Layout.in_meta_pool layout ~off:phys ~len
                  || Layout.in_data_area layout ~off:phys ~len)
           then begin
-            record c ~phase:3 ~rule:"extent-bounds" ~obj ~severity:Repair
+            record c ~phase:3 ~rule:"extent-bounds" ~obj:(inode_obj inf.i_ino) ~severity:Repair
               ~detail:
                 (Printf.sprintf "extent (file_off %d, phys %d, len %d) out of bounds" file_off
                    phys len)
@@ -326,7 +323,7 @@ let scan_slots (c : ctx) (layout : Layout.t) inf =
       (fun r ->
         if Extent_tree.alloc_exact span ~off:r.x_file_off ~len:r.x_len then true
         else begin
-          record c ~phase:3 ~rule:"extent-overlap" ~obj ~severity:Repair
+          record c ~phase:3 ~rule:"extent-overlap" ~obj:(inode_obj inf.i_ino) ~severity:Repair
             ~detail:
               (Printf.sprintf "extent at file offset %d overlaps an earlier record" r.x_file_off)
             ~action:"drop the extent record";
@@ -340,20 +337,21 @@ let scan_slots (c : ctx) (layout : Layout.t) inf =
 let phase3 (c : ctx) (layout : Layout.t) =
   let max_ino = Layout.max_ino layout in
   let table = Array.make (max_ino + 1) None in
+  let hb = Bytes.create Codec.Inode.header_bytes in
+  let clear ino rule detail =
+    record c ~phase:3 ~rule ~obj:(inode_obj ino) ~severity:Repair ~detail
+      ~action:"clear the inode record";
+    c.clear_inos <- ino :: c.clear_inos
+  in
   for ino = 1 to max_ino do
-    let obj = Printf.sprintf "inode %d" ino in
     let off = Layout.inode_off layout ino in
-    let hb = Bytes.create Codec.Inode.header_bytes in
-    let clear rule detail =
-      record c ~phase:3 ~rule ~obj ~severity:Repair ~detail ~action:"clear the inode record";
-      c.clear_inos <- ino :: c.clear_inos
-    in
     match Device.read c.dev c.cpu ~off ~len:Codec.Inode.header_bytes ~dst:hb ~dst_off:0 with
-    | exception Device.Media_error _ -> clear "inode-media" "media error reading the inode header"
+    | exception Device.Media_error _ ->
+        clear ino "inode-media" "media error reading the inode header"
     | () ->
         if Codec.Inode.header_is_blank hb then ()
         else if not (Codec.Inode.header_csum_ok hb) then
-          clear "inode-crc" "inode header checksum mismatch"
+          clear ino "inode-crc" "inode header checksum mismatch"
         else begin
           let hdr = Codec.Inode.decode_header hb in
           if hdr.Codec.Inode.valid then begin
@@ -362,7 +360,7 @@ let phase3 (c : ctx) (layout : Layout.t) =
                 i_parent = None; i_refs = 0; i_meta_dirty = false; i_dents_dirty = false;
                 i_cleared = false }
             in
-            scan_chain c layout inf;
+            scan_chain c layout hb inf;
             scan_slots c layout inf;
             table.(ino) <- Some inf
           end
@@ -450,7 +448,7 @@ let phase4 (c : ctx) (layout : Layout.t) sb table =
     (fun l ->
       match l with
       | `Blk (inf, blk) -> (
-          let obj = Printf.sprintf "inode %d" inf.i_ino in
+          let obj = inode_obj inf.i_ino in
           (match Extent_tree.alloc_first_fit meta_tree ~len:block with
           | Some clone ->
               record c ~phase:4 ~rule:"overflow-double-alloc" ~obj ~severity:Repair
@@ -466,7 +464,7 @@ let phase4 (c : ctx) (layout : Layout.t) sb table =
               inf.i_overflow <- List.filter (fun b -> b <> blk) inf.i_overflow);
           inf.i_meta_dirty <- true)
       | `Rec (inf, r) -> (
-          let obj = Printf.sprintf "inode %d" inf.i_ino in
+          let obj = inode_obj inf.i_ino in
           let pool =
             if Layout.in_meta_pool layout ~off:r.x_read_phys ~len:r.x_len then Some meta_tree
             else Option.map (fun i -> data_trees.(i)) (region_of stripes r.x_read_phys)
@@ -492,7 +490,7 @@ let phase4 (c : ctx) (layout : Layout.t) sb table =
               inf.i_meta_dirty <- true)
       | `RecBounds (inf, r) ->
           record c ~phase:4 ~rule:"extent-bounds"
-            ~obj:(Printf.sprintf "inode %d" inf.i_ino)
+            ~obj:(inode_obj inf.i_ino)
             ~severity:Repair
             ~detail:
               (Printf.sprintf "extent (phys %d, len %d) crosses a region boundary" r.x_read_phys
@@ -510,7 +508,7 @@ let phase4 (c : ctx) (layout : Layout.t) sb table =
         let n = List.length inf.i_recs in
         if n > cap then begin
           record c ~phase:4 ~rule:"extent-dropped"
-            ~obj:(Printf.sprintf "inode %d" ino)
+            ~obj:(inode_obj ino)
             ~severity:Repair
             ~detail:(Printf.sprintf "%d extent records no longer fit the overflow chain" (n - cap))
             ~action:"drop the highest-offset records";
@@ -778,7 +776,7 @@ let phase5 (c : ctx) (layout : Layout.t) table meta_tree data_trees =
   let reattach inf kind =
     let home = get_lf () in
     let name = Printf.sprintf "ino_%d" inf.i_ino in
-    let obj = Printf.sprintf "inode %d" inf.i_ino in
+    let obj = inode_obj inf.i_ino in
     if
       home.i_ino <> inf.i_ino
       && (not (List.exists (fun d -> d.d_name = name) home.i_dents))
@@ -808,7 +806,7 @@ let phase5 (c : ctx) (layout : Layout.t) table meta_tree data_trees =
         else if inf.i_refs = 0 then
           if inf.i_hdr.Codec.Inode.nlink = 0 then begin
             record c ~phase:5 ~rule:"orphan-free"
-              ~obj:(Printf.sprintf "inode %d" ino)
+              ~obj:(inode_obj ino)
               ~severity:Repair
               ~detail:"unreferenced file with zero link count (interrupted delete)"
               ~action:"free the inode and its extents";
@@ -833,7 +831,7 @@ let phase5 (c : ctx) (layout : Layout.t) table meta_tree data_trees =
         if want <> inf.i_hdr.Codec.Inode.nlink then begin
           if not (List.mem ino c.fresh_inos) then
             record c ~phase:5 ~rule:"nlink"
-              ~obj:(Printf.sprintf "inode %d" ino)
+              ~obj:(inode_obj ino)
               ~severity:Repair
               ~detail:
                 (Printf.sprintf "link count %d but %d references found"

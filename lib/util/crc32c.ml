@@ -78,12 +78,15 @@ let digest_string s = digest (Bytes.unsafe_of_string s)
 (* Checksum of a structure that embeds its own checksum field: compute
    over the whole [len] bytes with the [csum_off, csum_off+4) field
    treated as zero, so every other bit is covered. *)
+(* Shared and immutable: every header verify and persist, undo entry and
+   redo record folds these four bytes, so they are not rebuilt per call. *)
+let zero_field = "\000\000\000\000"
+
 let digest_zeroed b ~off ~len ~csum_off =
   if csum_off < off || csum_off + 4 > off + len then
     invalid_arg "Crc32c.digest_zeroed: csum field outside range";
   let c = update init b ~off ~len:(csum_off - off) in
-  let z = Bytes.make 4 '\000' in
-  let c = update c z ~off:0 ~len:4 in
+  let c = update_string c zero_field ~off:0 ~len:4 in
   finish (update c b ~off:(csum_off + 4) ~len:(off + len - csum_off - 4))
 
 let put b ~csum_off v = Bytes.set_int32_le b csum_off (Int32.of_int (v land mask32))

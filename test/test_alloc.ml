@@ -126,6 +126,79 @@ let prop_churn_conserves_space =
       | Error m -> QCheck.Test.fail_reportf "invariants: %s" m);
       A.free_bytes a + held_bytes = capacity)
 
+(* --- mount-time free-list rebuild --- *)
+
+(* Three 4 KiB-block regions with a gap before the last, so a used
+   extent can fall outside every region or cross a boundary. *)
+let rebuild_regions = [| (0, 16 * 4096); (16 * 4096, 16 * 4096); (48 * 4096, 8 * 4096) |]
+
+(* The claim-per-extent rebuild: one free tree per region, an exact
+   claim for each used extent in list order. *)
+let free_lists_reference ~regions ~used =
+  let trees =
+    Array.map
+      (fun (off, len) ->
+        let t = Repro_rbtree.Extent_tree.create () in
+        Repro_rbtree.Extent_tree.insert_free t ~off ~len;
+        t)
+      regions
+  in
+  let claim (off, len) =
+    len > 0
+    &&
+    let rec find i =
+      i < Array.length regions
+      &&
+      let roff, rlen = regions.(i) in
+      if off >= roff && off < roff + rlen then
+        off + len <= roff + rlen && Repro_rbtree.Extent_tree.alloc_exact trees.(i) ~off ~len
+      else find (i + 1)
+    in
+    find 0
+  in
+  if List.for_all claim used then
+    Some
+      (List.concat_map
+         (fun t ->
+           let acc = ref [] in
+           Repro_rbtree.Extent_tree.iter t (fun ~off ~len -> acc := (off, len) :: !acc);
+           List.rev !acc)
+         (Array.to_list trees))
+  else None
+
+let prop_free_lists_match_reference =
+  QCheck.Test.make ~name:"free_lists_of_used matches the claim-per-extent rebuild" ~count:500
+    QCheck.(list_of_size Gen.(int_range 0 10) (pair (int_bound 59) (int_range 1 5)))
+    (fun blocks ->
+      let used = List.map (fun (b, n) -> (b * 4096, n * 4096)) blocks in
+      match
+        ( A.free_lists_of_used ~regions:rebuild_regions ~used,
+          free_lists_reference ~regions:rebuild_regions ~used )
+      with
+      | Ok got, Some want -> got = want
+      | Error _, None -> true
+      | Ok _, None | Error _, Some _ -> false)
+
+let test_free_lists_errors () =
+  let k = 4096 in
+  let rebuild used =
+    match A.free_lists_of_used ~regions:rebuild_regions ~used with
+    | Ok l -> Ok l
+    | Error m -> Error (List.nth (String.split_on_char ')' m) 1)
+  in
+  Alcotest.(check (result (list (pair int int)) string))
+    "complement per region, never coalesced across a boundary"
+    (Ok [ (0, 15 * k); (16 * k, 16 * k); (48 * k, 2 * k); (51 * k, 5 * k) ])
+    (rebuild [ (50 * k, k); (15 * k, k) ]);
+  Alcotest.(check (result (list (pair int int)) string)) "outside every region"
+    (Error " outside every region") (rebuild [ (40 * k, k) ]);
+  Alcotest.(check (result (list (pair int int)) string)) "crosses a region"
+    (Error " crosses region boundary") (rebuild [ (15 * k, 2 * k) ]);
+  Alcotest.(check (result (list (pair int int)) string)) "double-used"
+    (Error " double-used") (rebuild [ (3 * k, 4 * k); (0, 4 * k) ]);
+  Alcotest.(check (result (list (pair int int)) string)) "non-positive length"
+    (Error ": non-positive length") (rebuild [ (3 * k, 0) ])
+
 (* --- baseline pool allocator --- *)
 
 let pool_cfg per_cpu policy =
@@ -203,6 +276,8 @@ let suite =
     Alcotest.test_case "cross-CPU stealing" `Quick test_cross_cpu_stealing;
     Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
     QCheck_alcotest.to_alcotest prop_churn_conserves_space;
+    QCheck_alcotest.to_alcotest prop_free_lists_match_reference;
+    Alcotest.test_case "free-list rebuild errors" `Quick test_free_lists_errors;
     Alcotest.test_case "pool allocator basics" `Quick test_pool_basic;
     Alcotest.test_case "pool goal allocation" `Quick test_pool_goal;
     Alcotest.test_case "pool fragmented multi-extent" `Quick test_pool_fragmented_multi_extent;

@@ -302,6 +302,84 @@ let test_mmap (factory : Registry.factory) (crc, digest, clocks, makespan) () =
   Alcotest.(check (pair int int)) "cpu0/cpu1 clocks" clocks got_clocks;
   Alcotest.(check int) "Sched makespan" makespan got_makespan
 
+(* Recovery-mount pins.  The crash workload's probe image: 32 MiB under
+   the Optane cost model, 4 CPUs with 1024 inodes each, 512 one-page
+   files, crashed (remounted without unmount).  The variant poisons the
+   header line of one inode and flips a bit in another inode's header in
+   a different table chunk, so the mount takes the per-header fallback
+   for the poisoned chunk and refuses a CRC-bad header found in place.
+   Pinned: recovery_ns, a digest of every [Load {off; len}] the mount
+   issues, in order, the refused-inode count, statfs, and the root
+   listing's length and digest. *)
+let recovery_cfg = Types.config ~cpus:4 ~inodes_per_cpu:1024 ()
+
+let recovery_image () =
+  let dev = Device.create ~size:(32 * mib) () in
+  let fs = Winefs.Fs.format dev recovery_cfg in
+  let cpu = Cpu.make ~id:0 () in
+  let page = pattern Units.base_page 11 in
+  for i = 0 to 511 do
+    let fd = Winefs.Fs.create fs cpu (Printf.sprintf "/p%d" i) in
+    ignore (Winefs.Fs.pwrite fs cpu fd ~off:0 ~src:page);
+    Winefs.Fs.close fs cpu fd
+  done;
+  dev
+
+let digest_strings l =
+  Crc32c.finish
+    (List.fold_left
+       (fun c s -> Crc32c.update_string c s ~off:0 ~len:(String.length s))
+       Crc32c.init l)
+
+let run_recovery_mount ~damaged =
+  let dev = recovery_image () in
+  if damaged then begin
+    let layout = Winefs.Layout.compute ~size:(32 * mib) ~cpus:4 ~inodes_per_cpu:1024 in
+    let header idx = Winefs.Layout.inode_off layout (Winefs.Layout.ino_of layout ~cpu:0 ~idx) in
+    Device.inject dev (Poison_line { off = header 100 });
+    Device.inject dev (Bit_flip { off = header 300 + 8; bit = 3 })
+  end;
+  let loads = ref [] in
+  let hook =
+    Device.add_event_hook dev (fun _ _ -> function
+      | Device.Load { off; len } -> loads := Printf.sprintf "%d:%d;" off len :: !loads
+      | _ -> ())
+  in
+  let fs = Winefs.Fs.mount dev recovery_cfg in
+  Device.remove_event_hook dev hook;
+  let st = Winefs.Fs.statfs fs in
+  let names = Winefs.Fs.readdir fs (Cpu.make ~id:0 ()) "/" in
+  ( Winefs.Fs.recovery_ns fs,
+    digest_strings (List.rev !loads),
+    Winefs.Fs.refused_inodes fs,
+    [ st.capacity; st.used; st.free; st.free_extents; st.largest_free; st.aligned_free_2m ],
+    (List.length names, digest_strings names) )
+
+let test_recovery_mount ~damaged (ns, loads, refused, statfs, listing) () =
+  let got_ns, got_loads, got_refused, got_statfs, got_listing = run_recovery_mount ~damaged in
+  Alcotest.(check int) "recovery_ns" ns got_ns;
+  Alcotest.(check int) "Load event digest" loads got_loads;
+  Alcotest.(check int) "refused inodes" refused got_refused;
+  Alcotest.(check (list int)) "statfs" statfs got_statfs;
+  Alcotest.(check (pair int int)) "readdir / length and digest" listing got_listing
+
+(* (recovery_ns, Load digest, refused inodes, statfs, (entries, digest)). *)
+let recovery_pins =
+  [
+    ( false,
+      ( 296745,
+        0x4025cee7,
+        0,
+        [ 27262976; 2097152; 25165824; 12; 2097152; 12 ],
+        (512, 0xe6af2b7f) ) );
+    ( true,
+      ( 314994,
+        0xd42387e1,
+        2,
+        [ 27262976; 2088960; 25174016; 14; 2097152; 12 ],
+        (512, 0xe6af2b7f) ) );
+  ]
+
 let suite =
   Alcotest.test_case "golden image CRC" `Quick test_image_crc
   :: Alcotest.test_case "golden counter totals" `Quick test_counter_totals
@@ -315,3 +393,10 @@ let suite =
         Alcotest.test_case ("golden " ^ factory.Registry.fs_name ^ " mmap pins") `Quick
           (test_mmap factory pins))
       mmap_pins
+  @ List.map
+      (fun (damaged, pins) ->
+        Alcotest.test_case
+          (if damaged then "golden recovery mount, damaged tables" else "golden recovery mount")
+          `Quick
+          (test_recovery_mount ~damaged pins))
+      recovery_pins

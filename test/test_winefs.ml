@@ -151,10 +151,18 @@ let test_mount_without_clean_unmount () =
     ignore (Fs.pwrite fs c fd ~off:0 ~src:(String.make (i * 100) 'x'));
     Fs.close fs c fd
   done;
+  (* Aligned-pool extents carry the provenance bit in their stored
+     length; the scan must strip it. *)
+  let fd = Fs.create fs c "/big" in
+  Fs.fallocate fs c fd ~off:0 ~len:(4 * mib);
+  Fs.close fs c fd;
+  let big_extents = Fs.file_extents fs c "/big" in
   let free_before = (Fs.statfs fs).free in
   (* No unmount: mount must rebuild allocator state by scanning. *)
   let fs2 = Fs.mount dev cfg in
   Alcotest.(check int) "free space rebuilt by scan" free_before (Fs.statfs fs2).free;
+  Alcotest.(check (list (triple int int int))) "aligned extents reloaded" big_extents
+    (Fs.file_extents fs2 c "/big");
   for i = 1 to 20 do
     Alcotest.(check bool) "file present" true (Fs.exists fs2 c (Printf.sprintf "/f%d" i))
   done;
