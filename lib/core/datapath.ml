@@ -6,7 +6,7 @@ module Types = Repro_vfs.Types
 module Vmem = Repro_memsim.Vmem
 module Degraded = Repro_vfs.Degraded
 module Alloc = Repro_alloc.Aligned_alloc
-module Int_map = Repro_rbtree.Rbtree.Int_map
+module Int_map = Repro_rbtree.Ordmap.Int_map
 
 let block = Units.base_page
 let huge = Units.huge_page

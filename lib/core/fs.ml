@@ -21,7 +21,7 @@ module Degraded = Repro_vfs.Degraded
 module Cost = Repro_vfs.Fs_intf.Cost
 module Alloc = Repro_alloc.Aligned_alloc
 module Extent_tree = Repro_rbtree.Extent_tree
-module Int_map = Repro_rbtree.Rbtree.Int_map
+module Int_map = Repro_rbtree.Ordmap.Int_map
 module Stats = Repro_stats.Stats
 
 let name = "WineFS"

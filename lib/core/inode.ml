@@ -4,7 +4,7 @@ module Site = Repro_pmem.Site
 module Sched = Repro_sched.Sched
 module Types = Repro_vfs.Types
 module Dir_index = Repro_vfs.Dir_index
-module Int_map = Repro_rbtree.Rbtree.Int_map
+module Int_map = Repro_rbtree.Ordmap.Int_map
 
 let block = Units.base_page
 let site_inode_init = Site.v "core" "inode-init"

@@ -12,7 +12,7 @@ open Repro_util
 module Types = Repro_vfs.Types
 module Dir_index = Repro_vfs.Dir_index
 module Sched = Repro_sched.Sched
-module Int_map = Repro_rbtree.Rbtree.Int_map
+module Int_map = Repro_rbtree.Ordmap.Int_map
 
 (** One live extent record: a slot in the inode's persistent extent list
     (inline slots, then overflow blocks) plus its mapping.  [asrc]

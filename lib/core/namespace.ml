@@ -4,7 +4,7 @@ module Sched = Repro_sched.Sched
 module Types = Repro_vfs.Types
 module Path = Repro_vfs.Path
 module Dir_index = Repro_vfs.Dir_index
-module Int_map = Repro_rbtree.Rbtree.Int_map
+module Int_map = Repro_rbtree.Ordmap.Int_map
 
 let block = Units.base_page
 

@@ -1,4 +1,4 @@
-module M = Repro_rbtree.Rbtree.Int_map
+module M = Repro_rbtree.Ordmap.Int_map
 
 type ext = { phys : int; len : int }
 
@@ -119,18 +119,15 @@ let extent_count t = M.size t.map
 let mapped_bytes t = t.bytes
 
 let check_invariants t =
-  match M.check_invariants t.map with
-  | Error _ as e -> e
-  | Ok () ->
-      let exception Bad of string in
-      let prev_end = ref (-1) in
-      let sum = ref 0 in
-      (try
-         M.iter t.map (fun o e ->
-             if e.len <= 0 then raise (Bad "non-positive extent");
-             if o < !prev_end then raise (Bad "overlapping extents");
-             prev_end := o + e.len;
-             sum := !sum + e.len);
-         if !sum <> t.bytes then raise (Bad "mapped_bytes mismatch");
-         Ok ()
-       with Bad m -> Error m)
+  let exception Bad of string in
+  let prev_end = ref (-1) in
+  let sum = ref 0 in
+  try
+    M.iter t.map (fun o e ->
+        if e.len <= 0 then raise (Bad "non-positive extent");
+        if o < !prev_end then raise (Bad "overlapping extents");
+        prev_end := o + e.len;
+        sum := !sum + e.len);
+    if !sum <> t.bytes then raise (Bad "mapped_bytes mismatch");
+    Ok ()
+  with Bad m -> Error m

@@ -1,5 +1,5 @@
 open Repro_util
-module M = Repro_rbtree.Rbtree.String_map
+module M = Repro_rbtree.Ordmap.String_map
 
 type policy = Dram_rbtree | Pm_linear_scan of float
 

@@ -1,7 +1,7 @@
 open Repro_util
 open Repro_vfs
 module Vmem = Repro_memsim.Vmem
-module M = Repro_rbtree.Rbtree.Int_map
+module M = Repro_rbtree.Ordmap.Int_map
 
 type segment = { region : Vmem.region; mutable tail : int }
 

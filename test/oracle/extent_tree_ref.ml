@@ -1,7 +1,7 @@
-module Rbtree = Repro_rbtree.Rbtree
-module By_off = Rbtree.Int_map
+module Ordmap = Repro_rbtree.Ordmap
+module By_off = Ordmap.Int_map
 
-module By_size = Rbtree.Make (struct
+module By_size = Ordmap.Make (struct
   type t = int * int (* length, offset *)
 
   let compare (l1, o1) (l2, o2) =
@@ -223,32 +223,24 @@ let aligned_region_count t ~align =
         acc + max 0 ((last - first) / align))
 
 let check_invariants t =
-  match By_off.check_invariants t.by_off with
-  | Error _ as e -> e
-  | Ok () -> (
-      match By_size.check_invariants t.by_size with
-      | Error _ as e -> e
-      | Ok () ->
-          (* Extents disjoint, non-adjacent (fully coalesced), totals agree,
-             and the two indexes are consistent. *)
-          let exception Bad of string in
-          let prev_end = ref (-1) in
-          let sum = ref 0 in
-          (try
-             By_off.iter t.by_off (fun off len ->
-                 if len <= 0 then raise (Bad "non-positive extent length");
-                 if off < !prev_end then raise (Bad "overlapping extents");
-                 if off = !prev_end then raise (Bad "uncoalesced adjacent extents");
-                 if not (By_size.mem t.by_size (len, off)) then
-                   raise (Bad "size index missing entry");
-                 prev_end := off + len;
-                 sum := !sum + len);
-             if !sum <> t.total then raise (Bad "total mismatch");
-             let want_aligned =
-               By_off.fold t.by_off ~init:0 ~f:(fun acc off len -> acc + aligned_in ~off ~len)
-             in
-             if want_aligned <> t.aligned_2m then raise (Bad "aligned census mismatch");
-             if By_size.size t.by_size <> By_off.size t.by_off then
-               raise (Bad "index size mismatch");
-             Ok ()
-           with Bad m -> Error m))
+  (* Extents disjoint, non-adjacent (fully coalesced), totals agree, and
+     the two indexes are consistent. *)
+  let exception Bad of string in
+  let prev_end = ref (-1) in
+  let sum = ref 0 in
+  try
+    By_off.iter t.by_off (fun off len ->
+        if len <= 0 then raise (Bad "non-positive extent length");
+        if off < !prev_end then raise (Bad "overlapping extents");
+        if off = !prev_end then raise (Bad "uncoalesced adjacent extents");
+        if not (By_size.mem t.by_size (len, off)) then raise (Bad "size index missing entry");
+        prev_end := off + len;
+        sum := !sum + len);
+    if !sum <> t.total then raise (Bad "total mismatch");
+    let want_aligned =
+      By_off.fold t.by_off ~init:0 ~f:(fun acc off len -> acc + aligned_in ~off ~len)
+    in
+    if want_aligned <> t.aligned_2m then raise (Bad "aligned census mismatch");
+    if By_size.size t.by_size <> By_off.size t.by_off then raise (Bad "index size mismatch");
+    Ok ()
+  with Bad m -> Error m
