@@ -23,7 +23,6 @@ let zero_extents dev cpu exts =
 
 type pool = {
   stripe_off : int;
-  stripe_len : int;
   aligned : int Queue.t; (* bases of free 2MB aligned extents *)
   aligned_set : unit Flat_table.t; (* mirror of [aligned] for O(1) overlap checks *)
   holes : Extent_tree.t;
@@ -54,19 +53,24 @@ let aligned_pop pool =
       Flat_table.remove pool.aligned_set base;
       Some base
 
-type t = { pools : pool array }
+type t = { regions : (int * int) array; pools : pool array }
 
 let cpus t = Array.length t.pools
 
-let cpu_of_offset t off =
-  let n = Array.length t.pools in
+let region_of regions off =
+  let n = Array.length regions in
   let rec find i =
-    if i >= n then invalid_arg (Printf.sprintf "Aligned_alloc: offset %d outside data area" off)
+    if i >= n then None
     else
-      let p = t.pools.(i) in
-      if off >= p.stripe_off && off < p.stripe_off + p.stripe_len then i else find (i + 1)
+      let roff, rlen = regions.(i) in
+      if off >= roff && off < roff + rlen then Some i else find (i + 1)
   in
   find 0
+
+let cpu_of_offset t off =
+  match region_of t.regions off with
+  | Some i -> i
+  | None -> invalid_arg (Printf.sprintf "Aligned_alloc: offset %d outside data area" off)
 
 let free_bytes t =
   Array.fold_left
@@ -130,17 +134,16 @@ let restore ~cpus ~regions ~free:free_list =
     invalid_arg "Aligned_alloc.restore: bad region count";
   let pools =
     Array.map
-      (fun (off, len) ->
+      (fun (off, _) ->
         {
           stripe_off = off;
-          stripe_len = len;
           aligned = Queue.create ();
           aligned_set = Flat_table.create ~capacity:64 ~dummy:() ();
           holes = Extent_tree.create ();
         })
       regions
   in
-  let t = { pools } in
+  let t = { regions; pools } in
   List.iter (fun (off, len) -> free t ~off ~len) free_list;
   t
 
@@ -354,15 +357,6 @@ let alloc ?contig_after t ~cpu ~len ~prefer_aligned =
    overlap is an extent that starts before its region's cursor. *)
 let free_lists_of_used ~regions ~used =
   let n = Array.length regions in
-  let region_of off =
-    let rec find i =
-      if i >= n then None
-      else
-        let roff, rlen = regions.(i) in
-        if off >= roff && off < roff + rlen then Some i else find (i + 1)
-    in
-    find 0
-  in
   let cursor = Array.map fst regions in
   let gaps = Array.make n [] in
   let rec sweep = function
@@ -371,7 +365,7 @@ let free_lists_of_used ~regions ~used =
         if len <= 0 then
           Error (Printf.sprintf "extent [%d,%d): non-positive length" off (off + len))
         else
-          match region_of off with
+          match region_of regions off with
           | None -> Error (Printf.sprintf "extent [%d,%d) outside every region" off (off + len))
           | Some i ->
               let roff, rlen = regions.(i) in
@@ -412,6 +406,7 @@ let check_invariants t =
     let shadow = Extent_tree.create () in
     Array.iteri
       (fun i p ->
+        let stripe_off, stripe_len = t.regions.(i) in
         if Queue.length p.aligned <> Flat_table.length p.aligned_set then
           raise
             (Bad
@@ -422,7 +417,7 @@ let check_invariants t =
           (fun off ->
             if not (Units.is_aligned off huge) then
               raise (Bad (Printf.sprintf "cpu %d: unaligned extent %d in aligned pool" i off));
-            if off < p.stripe_off || off + huge > p.stripe_off + p.stripe_len then
+            if off < stripe_off || off + huge > stripe_off + stripe_len then
               raise (Bad (Printf.sprintf "cpu %d: aligned extent %d outside stripe" i off));
             if not (Flat_table.mem p.aligned_set off) then
               raise (Bad (Printf.sprintf "cpu %d: aligned extent %d missing from set" i off));
@@ -432,7 +427,7 @@ let check_invariants t =
         | Ok () -> ()
         | Error m -> raise (Bad (Printf.sprintf "cpu %d holes: %s" i m)));
         Extent_tree.iter p.holes (fun ~off ~len ->
-            if off < p.stripe_off || off + len > p.stripe_off + p.stripe_len then
+            if off < stripe_off || off + len > stripe_off + stripe_len then
               raise (Bad (Printf.sprintf "cpu %d: hole %d outside stripe" i off));
             Extent_tree.insert_free shadow ~off ~len))
       t.pools;

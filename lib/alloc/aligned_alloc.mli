@@ -59,7 +59,16 @@ val aligned_region_count : t -> int
 (** Figure 3 metric: aligned pool plus aligned 2MB regions inside holes
     (the latter is normally zero thanks to promotion). *)
 
+val region_of : (int * int) array -> int -> int option
+(** [region_of regions off]: index of the [(off, len)] region (per-CPU
+    stripe) holding offset [off], or [None] outside every region.  The
+    one stripe-membership test: the allocator, the extent map's merge
+    guard and fsck all decide through it. *)
+
 val cpu_of_offset : t -> int -> int
+(** {!region_of} over the allocator's stripes; raises [Invalid_argument]
+    outside the data area. *)
+
 val hole_stats : t -> cpu:int -> int * int
 (** [(hole_bytes, hole_extents)] of one CPU. *)
 

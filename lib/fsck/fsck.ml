@@ -14,6 +14,7 @@ module Layout = Winefs.Layout
 module Codec = Winefs.Codec
 module Journal = Repro_journal.Undo_journal
 module Extent_tree = Repro_rbtree.Extent_tree
+module Alloc = Repro_alloc.Aligned_alloc
 module Stats = Repro_stats.Stats
 module Json = Repro_stats.Json
 
@@ -130,11 +131,6 @@ let phase_time (c : ctx) name f =
   c.phase_ns <- (name, dt) :: c.phase_ns;
   if Stats.enabled () then Stats.counter_add ~labels:[ ("phase", name) ] "fsck.phase_ns" dt;
   r
-
-let region_of stripes off =
-  let r = ref None in
-  Array.iteri (fun i (o, l) -> if !r = None && off >= o && off < o + l then r := Some i) stripes;
-  !r
 
 (* ------------------------------------------------------------------ *)
 (* Phase 1: superblock + replica reconcile                             *)
@@ -394,7 +390,7 @@ let slot_capacity inf =
 let release (layout : Layout.t) meta_tree data_trees ~off ~len =
   if Layout.in_meta_pool layout ~off ~len then Extent_tree.insert_free meta_tree ~off ~len
   else
-    match region_of layout.stripes off with
+    match Alloc.region_of layout.stripes off with
     | Some i -> Extent_tree.insert_free data_trees.(i) ~off ~len
     | None -> ()
 
@@ -418,7 +414,7 @@ let phase4 (c : ctx) (layout : Layout.t) sb table =
     if Layout.in_meta_pool layout ~off ~len then
       if Extent_tree.alloc_exact meta_tree ~off ~len then `Ok else `Conflict
     else
-      match region_of stripes off with
+      match Alloc.region_of stripes off with
       | Some i when off + len <= fst stripes.(i) + snd stripes.(i) ->
           if Extent_tree.alloc_exact data_trees.(i) ~off ~len then `Ok else `Conflict
       | Some _ | None -> `Bounds
@@ -467,7 +463,7 @@ let phase4 (c : ctx) (layout : Layout.t) sb table =
           let obj = inode_obj inf.i_ino in
           let pool =
             if Layout.in_meta_pool layout ~off:r.x_read_phys ~len:r.x_len then Some meta_tree
-            else Option.map (fun i -> data_trees.(i)) (region_of stripes r.x_read_phys)
+            else Option.map (fun i -> data_trees.(i)) (Alloc.region_of stripes r.x_read_phys)
           in
           match Option.map (fun t -> Extent_tree.alloc_first_fit t ~len:r.x_len) pool with
           | Some (Some clone) ->
@@ -540,7 +536,7 @@ let phase4 (c : ctx) (layout : Layout.t) sb table =
               try
                 List.iter
                   (fun (off, len) ->
-                    match region_of stripes off with
+                    match Alloc.region_of stripes off with
                     | Some i when len > 0 && off + len <= fst stripes.(i) + snd stripes.(i) ->
                         Extent_tree.insert_free norm.(i) ~off ~len
                     | Some _ | None -> raise Exit)
