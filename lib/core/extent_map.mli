@@ -51,7 +51,7 @@ val add_record :
   t -> Cpu.t -> Txn.txn -> Inode.file -> file_off:int -> phys:int -> len:int ->
   asrc:bool -> unit
 (** Add a live extent, tail-merging with a contiguous same-provenance
-    predecessor (common for appends). *)
+    predecessor in the same per-CPU stripe (common for appends). *)
 
 val remove_records :
   ?budget:int -> t -> Cpu.t -> Txn.txn -> Inode.file -> file_off:int -> len:int ->
