@@ -189,7 +189,7 @@ let substrate_tests () =
            Repro_pmem.Device.set_tracking dev true;
            let cl = Units.cacheline in
            for i = 0 to 999 do
-             Repro_pmem.Device.write_string dev cpu ~off:(i * cl) "d"
+             Repro_pmem.Device.write_string dev cpu ~off:(i * cl) ~src:"d" ~src_off:0 ~len:1
            done;
            (* Many fences over a large pending set: O(flushed) sweeps. *)
            for f = 0 to 9 do

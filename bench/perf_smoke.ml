@@ -5,8 +5,10 @@
    hash-probe work per table operation, pending-entries visited per
    fence, minor-heap words allocated per device access and per
    zeroed-field CRC, major-heap words allocated by a fresh device and its
-   crash image, heap words allocated by a recovery mount, and minor words
-   per DRAM-index predecessor search and directory-index insertion.  A
+   crash image and by chunks a uniform store displaced, minor words per
+   whole-chunk uniform store, heap words a recovery mount keeps live,
+   and minor words per DRAM-index predecessor search and
+   directory-index insertion.  A
    regression that reintroduces O(all-pending) fence sweeps, degenerate
    probe chains or a per-access allocation fails these budgets on any
    machine, loaded or not. *)
@@ -70,7 +72,7 @@ let fence_sweep_budget () =
   let cl = Units.cacheline in
   let dirty = 10_000 and flushed = 100 in
   for i = 0 to dirty - 1 do
-    Device.write_string dev cpu ~off:(i * cl) "d"
+    Device.write_string dev cpu ~off:(i * cl) ~src:"d" ~src_off:0 ~len:1
   done;
   Device.flush dev cpu ~off:0 ~len:(flushed * cl);
   let v0 = Device.fence_sweep_visits dev in
@@ -145,6 +147,39 @@ let image_alloc_budget () =
   budget "major words / 256MiB image" ~actual:words ~limit:1_000_000;
   ignore (Sys.opaque_identity img)
 
+(* Uniform payload sharing over an owned 4 MiB range (64 chunks).  A
+   whole-chunk store from a uniform string displaces each owned chunk to
+   the device's spare pool, so a partial store into each chunk right
+   after copies into a spare instead of allocating a fresh 64 KiB block
+   (8 Kwords of major heap apiece).  In steady state a whole-chunk store
+   from a warm string costs its memo probe and the spare-list cell of
+   the chunk it displaces. *)
+let uniform_store_budget () =
+  let chunk = 64 * Units.kib and len = 4 * Units.mib in
+  let chunks = len / chunk in
+  let dev = Device.create ~cost:Device.Cost.free ~size:len () in
+  let cpu = Cpu.make ~id:0 () in
+  let was = Stats.enabled () in
+  Stats.set_enabled false;
+  Device.write dev cpu ~off:0 ~src:(Bytes.make len 'o') ~src_off:0 ~len;
+  let payload = String.make len 'g' in
+  Device.write_string_nt dev cpu ~off:0 ~src:payload ~src_off:0 ~len;
+  let w0 = (Gc.quick_stat ()).major_words in
+  for i = 0 to chunks - 1 do
+    Device.write_u64 dev cpu ~off:((i * chunk) + 64) 1L
+  done;
+  let words = int_of_float ((Gc.quick_stat ()).major_words -. w0) in
+  budget "major words / re-owned chunk" ~actual:(words / chunks) ~limit:0;
+  let piece = String.make chunk 'u' in
+  let per_store =
+    words_per_call 10_000 (fun i ->
+        let off = i mod chunks * chunk in
+        Device.write_u64 dev cpu ~off 2L;
+        Device.write_string_nt dev cpu ~off ~src:piece ~src_off:0 ~len:chunk)
+  in
+  budget "minor words / uniform chunk store" ~actual:per_store ~limit:5;
+  Stats.set_enabled was
+
 (* The crash workload's recovery probe: a 32 MiB, 4-CPU, 1024-inodes-
    per-CPU WineFS image crashed (remounted without unmount) over and
    over.  The mount's rebuild sweeps every inode-table slot in place and
@@ -166,23 +201,34 @@ let mount_alloc_budget () =
     done;
     dev
   in
-  (* Words per mount over a few crash mounts, after one that settles the
-     image into its crashed (dirty superblock) state. *)
-  let per_mount dev =
+  (* Heap words one crash mount keeps live after a full major
+     collection, measured after a mount that settles the image into its
+     crashed (dirty superblock) state.  Live words do not depend on
+     where minor collections fall, as words allocated to the major heap
+     do. *)
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  let live_per_mount dev =
     ignore (Sys.opaque_identity (Winefs.Fs.mount dev cfg));
-    let mounts = 4 in
-    let minor0 = Gc.minor_words () and major0 = (Gc.quick_stat ()).major_words in
-    for _ = 1 to mounts do
-      ignore (Sys.opaque_identity (Winefs.Fs.mount dev cfg))
-    done;
-    let minor1 = Gc.minor_words () and major1 = (Gc.quick_stat ()).major_words in
-    let per w = int_of_float (w /. float_of_int mounts) in
-    (per (minor1 -. minor0), per (major1 -. major0))
+    let w0 = live_words () in
+    let fs = Winefs.Fs.mount dev cfg in
+    let w1 = live_words () in
+    ignore (Sys.opaque_identity fs);
+    w1 - w0
   in
   let files = 512 in
-  let _, major = per_mount (image files) in
-  budget "major words / mount / live file" ~actual:(major / files) ~limit:250;
-  let minor_empty, _ = per_mount (image 0) in
+  let full = image files in
+  let empty = image 0 in
+  let per_file = (live_per_mount full - live_per_mount empty) / files in
+  budget "live words / mount / live file" ~actual:per_file ~limit:150;
+  (* Minor words per mount over a few crash mounts of the empty image. *)
+  ignore (Sys.opaque_identity (Winefs.Fs.mount empty cfg));
+  let mounts = 4 in
+  let minor_empty =
+    words_per_call mounts (fun _ -> ignore (Sys.opaque_identity (Winefs.Fs.mount empty cfg)))
+  in
   budget "minor words / empty-image mount" ~actual:minor_empty ~limit:45_000
 
 let crc_alloc_budget () =
@@ -232,6 +278,7 @@ let () =
   fence_sweep_budget ();
   access_alloc_budget ();
   image_alloc_budget ();
+  uniform_store_budget ();
   crc_alloc_budget ();
   mount_alloc_budget ();
   index_alloc_budget ();

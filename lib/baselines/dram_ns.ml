@@ -224,13 +224,12 @@ let zero_extent dev cpu ~site ~off ~len =
       Device.fence dev cpu)
 
 let write_mapped dev cpu ~site f ~off ~src ~src_off ~len =
-  let src_b = Bytes.unsafe_of_string src in
   Device.with_site dev site (fun () ->
       let cur = ref off in
       while !cur < off + len do
         let phys, run = Option.get (Block_map.lookup f.bmap ~file_off:!cur) in
         let n = min (off + len - !cur) run in
-        Device.write_nt dev cpu ~off:phys ~src:src_b ~src_off:(src_off + (!cur - off)) ~len:n;
+        Device.write_string_nt dev cpu ~off:phys ~src ~src_off:(src_off + (!cur - off)) ~len:n;
         cur := !cur + n
       done)
 

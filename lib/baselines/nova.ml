@@ -240,7 +240,6 @@ let strict t = t.cfg.mode = Types.Strict
 let write_cow t cpu (f : file) ~off ~src ~src_off ~len =
   let blo = Units.round_down off block and bhi = Units.round_up (off + len) block in
   let exts = allocate t cpu ~len:(bhi - blo) in
-  let src_b = Bytes.unsafe_of_string src in
   let pf = ref blo in
   List.iter
     (fun (e : Alloc.extent) ->
@@ -255,7 +254,7 @@ let write_cow t cpu (f : file) ~off ~src ~src_off ~len =
       if copied > 0 then Counters.add t.ns.counters "fs.cow_copy_bytes" copied;
       Device.with_site t.dev site_cow (fun () ->
           if ov_hi > ov_lo then
-            Device.write_nt t.dev cpu ~off:(e.off + (ov_lo - !pf)) ~src:src_b
+            Device.write_string_nt t.dev cpu ~off:(e.off + (ov_lo - !pf)) ~src
               ~src_off:(src_off + (ov_lo - off)) ~len:(ov_hi - ov_lo);
           Device.fence t.dev cpu);
       pf := !pf + e.len)

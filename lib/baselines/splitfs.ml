@@ -114,14 +114,13 @@ let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
        relink happens at fsync. *)
     let s = staged_for t f.ino in
     let exts = Dram_ns.alloc t.inner.ns ~cpu:0 ~len:(Units.round_up len Units.base_page) in
-    let src_b = Bytes.unsafe_of_string src in
     let fo = ref off and written = ref 0 in
     Device.with_site (dev_of t) site_staging (fun () ->
         List.iter
           (fun (ext : Alloc.extent) ->
             let n = min ext.len (len - !written) in
             if n > 0 then
-              Device.write_nt (dev_of t) cpu ~off:ext.off ~src:src_b
+              Device.write_string_nt (dev_of t) cpu ~off:ext.off ~src
                 ~src_off:(src_off + !written) ~len:n;
             (* Staged map may overlap an earlier staged write; replace. *)
             let _ = Block_map.remove_range s.smap ~file_off:!fo ~len:ext.len in

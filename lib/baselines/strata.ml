@@ -198,8 +198,7 @@ let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
       if lg.head + n + 64 > lg.size then digest t cpu lg;
       let phys = lg.base + lg.head in
       Device.with_site t.dev site_data (fun () ->
-          Device.write_nt t.dev cpu ~off:phys ~src:(Bytes.unsafe_of_string src)
-            ~src_off:(src_off + !cur) ~len:n;
+          Device.write_string_nt t.dev cpu ~off:phys ~src ~src_off:(src_off + !cur) ~len:n;
           Device.fence t.dev cpu);
       lg.head <- lg.head + Units.round_up n 64;
       lg.entries <-

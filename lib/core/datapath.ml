@@ -133,7 +133,7 @@ let overwrite_in_txn t cpu txn (f : Inode.file) ~off ~src ~src_off ~len =
       (* Data journaling: undo-log the old data, then write in place. *)
       Device.with_site t.dev site_data_journal (fun () ->
           Txn.log_range t.txns cpu txn ~addr:phys ~len:n;
-          Device.write_nt t.dev cpu ~off:phys ~src ~src_off:(src_off + !cur) ~len:n;
+          Device.write_string_nt t.dev cpu ~off:phys ~src ~src_off:(src_off + !cur) ~len:n;
           Device.fence t.dev cpu);
       Counters.add t.counters "fs.data_journal_bytes" n
     end
@@ -173,7 +173,7 @@ let overwrite_in_txn t cpu txn (f : Inode.file) ~off ~src ~src_off ~len =
         preserve piece_file_off (min ov_lo (piece_file_off + e.len));
         preserve (max ov_hi piece_file_off) (piece_file_off + e.len);
         if ov_hi > ov_lo then
-          Device.write_nt t.dev cpu ~off:(e.off + (ov_lo - piece_file_off)) ~src
+          Device.write_string_nt t.dev cpu ~off:(e.off + (ov_lo - piece_file_off)) ~src
             ~src_off:(src_off + !cur + (ov_lo - file_off)) ~len:(ov_hi - ov_lo);
         Device.fence t.dev cpu
       in
@@ -267,7 +267,6 @@ let pwrite t cpu (f : Inode.file) ~off ~src ~src_off ~len =
     if off < 0 then Types.err EINVAL "negative offset";
     Sched.with_lock f.lock (fun () ->
         let pre_holes = holes_in f ~off ~len in
-        let src_b = Bytes.unsafe_of_string src in
         let write_extension () =
           Device.with_site t.dev site_data @@ fun () ->
           (* Pure extension data: no old contents to protect; data lands
@@ -278,7 +277,7 @@ let pwrite t cpu (f : Inode.file) ~off ~src ~src_off ~len =
           while !cur < off + len do
             let phys, run = Option.get (lookup_run f ~file_off:!cur) in
             let n = min (off + len - !cur) run in
-            Device.write_nt t.dev cpu ~off:phys ~src:src_b
+            Device.write_string_nt t.dev cpu ~off:phys ~src
               ~src_off:(src_off + (!cur - off)) ~len:n;
             cur := !cur + n
           done;
@@ -295,7 +294,7 @@ let pwrite t cpu (f : Inode.file) ~off ~src ~src_off ~len =
               zero_uncovered t cpu f pre_holes ~off ~len;
               if overlap_hi > off then
                 freed :=
-                  overwrite_in_txn t cpu txn f ~off ~src:src_b ~src_off
+                  overwrite_in_txn t cpu txn f ~off ~src ~src_off
                     ~len:(overlap_hi - off);
               write_extension ();
               if off + len > f.size then begin
@@ -318,7 +317,7 @@ let pwrite t cpu (f : Inode.file) ~off ~src ~src_off ~len =
                     while !cur < overlap_hi do
                       let phys, run = Option.get (lookup_run f ~file_off:!cur) in
                       let n = min (overlap_hi - !cur) run in
-                      Device.write_nt t.dev cpu ~off:phys ~src:src_b
+                      Device.write_string_nt t.dev cpu ~off:phys ~src
                         ~src_off:(src_off + (!cur - off)) ~len:n;
                       f.dirty_bytes <- f.dirty_bytes + n;
                       cur := !cur + n
@@ -342,7 +341,7 @@ let pwrite t cpu (f : Inode.file) ~off ~src ~src_off ~len =
               let freed = ref [] in
               Txn.with_txn t.txns cpu ~reserve:200 (fun txn ->
                   freed :=
-                    overwrite_in_txn t cpu txn f ~off:!cur ~src:src_b
+                    overwrite_in_txn t cpu txn f ~off:!cur ~src
                       ~src_off:(src_off + (!cur - off)) ~len:piece);
               List.iter (fun (o, l) -> Alloc.free t.alloc ~off:o ~len:l) !freed;
               cur := !cur + piece
@@ -355,7 +354,7 @@ let pwrite t cpu (f : Inode.file) ~off ~src ~src_off ~len =
                 while !cur < overlap_hi do
                   let phys, run = Option.get (lookup_run f ~file_off:!cur) in
                   let n = min (overlap_hi - !cur) run in
-                  Device.write_nt t.dev cpu ~off:phys ~src:src_b
+                  Device.write_string_nt t.dev cpu ~off:phys ~src
                     ~src_off:(src_off + (!cur - off)) ~len:n;
                   f.dirty_bytes <- f.dirty_bytes + n;
                   cur := !cur + n

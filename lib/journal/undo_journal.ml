@@ -230,7 +230,7 @@ let log_range t cpu txn ~addr ~len =
      let dst = copy_off t + txn.copy_used in
      (* Bulk undo data streams with non-temporal stores + fence. *)
      Device.with_site t.dev site_undo_copy (fun () ->
-         Device.write_string_nt t.dev cpu ~off:dst old;
+         Device.write_string_nt t.dev cpu ~off:dst ~src:old ~src_off:0 ~len;
          Device.fence t.dev cpu);
      write_entry t cpu ~ty:Data_extent ~txn_id:txn.id ~addr ~len ~copy:dst ~inline:"";
      txn.copy_used <- txn.copy_used + len
@@ -263,7 +263,7 @@ let abort t cpu txn =
   Device.with_site t.dev site_abort (fun () ->
       List.iter
         (fun (addr, old) ->
-          Device.write_string t.dev cpu ~off:addr old;
+          Device.write_string t.dev cpu ~off:addr ~src:old ~src_off:0 ~len:(String.length old);
           Device.persist t.dev cpu ~off:addr ~len:(String.length old))
         txn.undo);
   (* Aborts reclaim eagerly: the ring must not rescan the dead entries. *)
@@ -385,7 +385,7 @@ let rollback_pending t cpu (p : pending) =
   Device.with_site t.dev site_recovery (fun () ->
       List.iter
         (fun (addr, old) ->
-          Device.write_string t.dev cpu ~off:addr old;
+          Device.write_string t.dev cpu ~off:addr ~src:old ~src_off:0 ~len:(String.length old);
           Device.persist t.dev cpu ~off:addr ~len:(String.length old))
         p.records);
   t.open_txn <- false;

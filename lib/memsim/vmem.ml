@@ -293,8 +293,11 @@ let write_bytes t cpu r ~off ~src ~src_off ~len =
           Device.write_nt t.dev cpu ~off:phys ~src ~src_off:(src_off + cur - off) ~len:n))
 
 let write t cpu r ~off ~src =
-  write_bytes t cpu r ~off ~src:(Bytes.unsafe_of_string src) ~src_off:0
-    ~len:(String.length src)
+  let len = String.length src in
+  check_region r ~off ~len;
+  access t cpu r ~off ~len ~f:(fun ~phys ~n ~off:cur ->
+      Device.with_site t.dev site_store (fun () ->
+          Device.write_string_nt t.dev cpu ~off:phys ~src ~src_off:(cur - off) ~len:n))
 
 let fill t cpu r ~off ~len c =
   check_region r ~off ~len;

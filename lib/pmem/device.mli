@@ -10,7 +10,7 @@
     ("pm.store_bytes", "pm.nt_store_bytes", "pm.load_bytes",
     "pm.flush_lines", "pm.fences").
 
-    {2 Storage}
+    {2:storage Storage}
 
     The image is a table of fixed 64 KiB chunks.  A fresh device points
     every entry at one shared, never-written zero chunk, and a
@@ -19,6 +19,20 @@
     whichever device first stores to it copies that one chunk.  Loads and
     {!peek} read chunks in place and never copy one.  A fresh device or a
     crash image therefore costs O(chunks written), not O(size).
+
+    The zero chunk is one entry of a process-wide table of {e uniform}
+    chunks, one per byte value, made on first use and never stored to.
+    A {!write_string} or {!write_string_nt} piece that covers a whole
+    chunk, from a string whose every byte is [c], points that chunk at
+    [c]'s uniform chunk instead of copying 64 KiB (aging's payloads are
+    [String.make n c]).  Whether a source is uniform is scanned once per
+    distinct string and remembered in a few-slot weak memo keyed on
+    physical equality, made by the device's first whole-chunk string
+    store; a bytes source is mutable and never shares.  An owned chunk
+    that such a store displaces joins the device's spare list, and the
+    next copy-on-write copies into a spare before it allocates, so the
+    device never holds more chunks than it has entries.  Sharing changes
+    no charge, event, stat, tracked line or poison repair.
 
     {2 Crash semantics}
 
@@ -104,7 +118,12 @@ val cost : t -> Cost.t
 val read : t -> Repro_util.Cpu.t -> off:int -> len:int -> dst:bytes -> dst_off:int -> unit
 val write : t -> Repro_util.Cpu.t -> off:int -> src:bytes -> src_off:int -> len:int -> unit
 val read_string : t -> Repro_util.Cpu.t -> off:int -> len:int -> string
-val write_string : t -> Repro_util.Cpu.t -> off:int -> string -> unit
+val write_string :
+  t -> Repro_util.Cpu.t -> off:int -> src:string -> src_off:int -> len:int -> unit
+(** [write] from an immutable source.  A piece of the range that covers
+    a whole chunk, from a string whose every byte is the same, shares
+    that byte's chunk instead of copying it (see {!section-storage}). *)
+
 val memset : t -> Repro_util.Cpu.t -> off:int -> len:int -> char -> unit
 
 val copy_within : t -> Repro_util.Cpu.t -> src:int -> dst:int -> len:int -> unit
@@ -115,7 +134,8 @@ val copy_within : t -> Repro_util.Cpu.t -> src:int -> dst:int -> len:int -> unit
     sfence fast path PM file systems use for data). *)
 
 val write_nt : t -> Repro_util.Cpu.t -> off:int -> src:bytes -> src_off:int -> len:int -> unit
-val write_string_nt : t -> Repro_util.Cpu.t -> off:int -> string -> unit
+val write_string_nt :
+  t -> Repro_util.Cpu.t -> off:int -> src:string -> src_off:int -> len:int -> unit
 val memset_nt : t -> Repro_util.Cpu.t -> off:int -> len:int -> char -> unit
 val copy_within_nt : t -> Repro_util.Cpu.t -> src:int -> dst:int -> len:int -> unit
 

@@ -228,6 +228,22 @@ let test_persist_order_deferred_nt_batch () =
   in
   Alcotest.(check int) "batched NT stores drained by one fence" 0 (List.length (flow_fixture src))
 
+let test_persist_order_unfenced_string_nt () =
+  (* A non-temporal store from a sub-range of an immutable source is
+     classified like [write_nt]: durable only at the next fence. *)
+  let src =
+    "let f dev cpu src =\n\
+    \  Device.with_site dev site (fun () ->\n\
+    \      Device.write_string_nt dev cpu ~off:0 ~src ~src_off:64 ~len:64);\n\
+    \  Device.annotate dev (Txn_commit { txn = 1 })\n"
+  in
+  match flow_fixture src with
+  | [ d ] ->
+      Alcotest.(check bool) "names the store" true
+        (contains_sub ~sub:"Device.write_string_nt" d.Diag.msg);
+      Alcotest.(check bool) "flushed but unfenced" true (contains_sub ~sub:"fence" d.Diag.msg)
+  | ds -> Alcotest.failf "expected exactly one persist-order diag, got %d" (List.length ds)
+
 (* ------------------------------------------------------------------ *)
 (* determinism *)
 
@@ -455,6 +471,8 @@ let suite =
     Alcotest.test_case "persist-order: clean merge" `Quick test_persist_order_clean_merge;
     Alcotest.test_case "persist-order: deferred NT batch" `Quick
       test_persist_order_deferred_nt_batch;
+    Alcotest.test_case "persist-order: unfenced NT string sub-range" `Quick
+      test_persist_order_unfenced_string_nt;
     Alcotest.test_case "determinism: wall clock" `Quick test_determinism_wall_clock;
     Alcotest.test_case "determinism: hash-order traversal" `Quick
       test_determinism_hash_order_flagged;

@@ -114,7 +114,7 @@ let test_zero_on_fault () =
   let dev = Device.create ~cost:Device.Cost.free ~size:(16 * Units.mib) () in
   let c = cpu () in
   (* Pre-dirty the physical page, then fault with zero_on_fault. *)
-  Device.write_string dev c ~off:(4 * Units.mib) "dirty";
+  Device.write_string dev c ~off:(4 * Units.mib) ~src:"dirty" ~src_off:0 ~len:5;
   let vm = Vmem.create dev in
   let r =
     Vmem.mmap vm ~len:Units.base_page

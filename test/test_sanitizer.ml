@@ -213,7 +213,7 @@ let nt_store_conforming () =
     with_dev (fun dev ->
         Device.annotate dev (Txn_begin { txn = 1 });
         Device.annotate dev (Covered { txn = 1; addr = 0; len = 128 });
-        Device.write_string_nt dev cpu ~off:0 (String.make 128 'z');
+        Device.write_string_nt dev cpu ~off:0 ~src:(String.make 128 'z') ~src_off:0 ~len:128;
         Device.fence dev cpu;
         Device.annotate dev (Txn_commit { txn = 1 }))
   in
