@@ -202,6 +202,26 @@ let substrate_tests () =
            for i = 1 to 4096 do
              ignore (Repro_memsim.Lru_sets.access l (i * 37))
            done));
+    (* Streaming 64 KiB reads over a base-page mapping twice the LLC's
+       size: 16 translations (mostly TLB misses with page walks) and
+       1024 LLC lookups per run, all misses (a sequential scan of twice
+       an LRU cache's capacity). *)
+    (let module Vmem = Repro_memsim.Vmem in
+     let len = 16 * Units.mib and stream = 64 * Units.kib in
+     let dev = Repro_pmem.Device.create ~cost:Repro_pmem.Device.Cost.free ~size:len () in
+     let vm = Vmem.create dev in
+     let cpu = Cpu.make ~id:0 () in
+     let r =
+       Vmem.mmap vm ~len ~huge_ok:false
+         ~backing:(fun _ ~file_off ~huge_ok:_ -> Vmem.Base file_off)
+         ()
+     in
+     Vmem.prefault vm cpu r;
+     let off = ref 0 in
+     Test.make ~name:"vmem-stream-64k"
+       (Staged.stage (fun () ->
+            Vmem.read vm cpu r ~off:!off ~len:stream;
+            off := (!off + stream) mod len)));
     Test.make ~name:"winefs-create-write-unlink-32"
       (Staged.stage (fun () ->
            let dev =

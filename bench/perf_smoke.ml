@@ -7,8 +7,9 @@
    zeroed-field CRC, major-heap words allocated by a fresh device and its
    crash image and by chunks a uniform store displaced, minor words per
    whole-chunk uniform store, heap words a recovery mount keeps live,
-   and minor words per DRAM-index predecessor search and
-   directory-index insertion.  A
+   minor words per DRAM-index predecessor search and
+   directory-index insertion, and minor words per LRU-directory access
+   and per mapped read through the memsim TLB/LLC model.  A
    regression that reintroduces O(all-pending) fence sweeps, degenerate
    probe chains or a per-access allocation fails these budgets on any
    machine, loaded or not. *)
@@ -272,6 +273,42 @@ let index_alloc_budget () =
   in
   budget "minor words / Dir_index.add (512)" ~actual:(per_build / n) ~limit:72
 
+(* The memsim per-line and per-translation path: the LLC directory is
+   consulted once per simulated cache line and the TLBs once per
+   translation, so neither may allocate.  A 64 KiB read of a mapped,
+   base-page region (16 translations, 1024 lines) allocates only its
+   per-call closure, so words growing with the line count show a
+   per-line allocation.  [read_u64] allocates only its boxed int64
+   result. *)
+let memsim_alloc_budget () =
+  let module Lru = Repro_memsim.Lru_sets in
+  let module Vmem = Repro_memsim.Vmem in
+  let l = Lru.create ~sets:64 ~ways:16 in
+  budget "minor words / Lru_sets.access"
+    ~actual:(words_per_call 100_000 (fun i -> ignore (Sys.opaque_identity (Lru.access l (i * 37 land 4095)))))
+    ~limit:0;
+  let was = Stats.enabled () in
+  Stats.set_enabled false;
+  let len = 16 * Units.mib in
+  let dev = Device.create ~cost:Device.Cost.free ~size:len () in
+  let vm = Vmem.create dev in
+  let cpu = Cpu.make ~id:0 () in
+  let r =
+    Vmem.mmap vm ~len ~huge_ok:false ~backing:(fun _ ~file_off ~huge_ok:_ -> Vmem.Base file_off) ()
+  in
+  Vmem.prefault vm cpu r;
+  let stream = 64 * Units.kib in
+  let per_read =
+    words_per_call 2_000 (fun i -> Vmem.read vm cpu r ~off:(i * stream mod len) ~len:stream)
+  in
+  budget "minor words / Vmem.read 64KiB" ~actual:per_read ~limit:6;
+  let per_u64 =
+    words_per_call 100_000 (fun i ->
+        ignore (Sys.opaque_identity (Vmem.read_u64 vm cpu r ~off:(i * 4104 mod (len - 8)))))
+  in
+  budget "minor words / Vmem.read_u64" ~actual:per_u64 ~limit:3;
+  Stats.set_enabled was
+
 let () =
   table_probe_budget ();
   table_tombstone_budget ();
@@ -282,6 +319,7 @@ let () =
   crc_alloc_budget ();
   mount_alloc_budget ();
   index_alloc_budget ();
+  memsim_alloc_budget ();
   if !failures > 0 then begin
     Printf.printf "%d perf budget(s) exceeded\n" !failures;
     exit 1

@@ -24,7 +24,7 @@
    [lib/util/], polymorphic [=]/[<>] against a variant constructor and
    the bare polymorphic [compare] are flagged: they cost an indirect
    call per node on the extent-map paths and silently compare abstract
-   representations (ROADMAP item 2's perf direction).  [lib/util/] is in
+   representations (the flat substrate of DESIGN §14).  [lib/util/] is in
    scope because the flat substrate (Flat_table/Flat_vec) lives there:
    its probe sequences must come from explicit int hashing
    (multiplicative mixing), never the runtime's polymorphic hash, and

@@ -1,6 +1,8 @@
 (* Each set is a small array scanned linearly; position encodes recency
    (slot 0 = MRU).  Associativities are small (<= 16) so the scan is
-   cheap and allocation-free. *)
+   cheap.  Every operation is a plain loop over the set's slots: no
+   closure, no allocation, since the LLC model calls [access] once per
+   simulated cache line. *)
 
 type t = { sets : int; ways : int; mask : int; slots : int array (* -1 = empty *) }
 
@@ -13,28 +15,38 @@ let create ~sets ~ways =
 (* Multiplicative hash to spread line indexes across sets. *)
 let set_of t key = (key * 0x9E3779B1) lsr 7 land t.mask
 
-let access t key =
-  let base = set_of t key * t.ways in
-  let rec find i = if i >= t.ways then -1 else if t.slots.(base + i) = key then i else find (i + 1) in
-  let pos = find 0 in
-  let hit = pos >= 0 in
-  let last = if hit then pos else t.ways - 1 in
-  (* Shift entries down; install key as MRU. *)
-  for i = last downto 1 do
-    t.slots.(base + i) <- t.slots.(base + i - 1)
+(* Position of [key] in the set starting at [base], or [ways] when absent.
+   [base + ways] never exceeds the slot array (see [set_of]). *)
+let find (slots : int array) ~base ~ways (key : int) =
+  let i = ref 0 in
+  while !i < ways && Array.unsafe_get slots (base + !i) <> key do
+    incr i
   done;
-  t.slots.(base) <- key;
+  !i
+
+let access t key =
+  let slots = t.slots and ways = t.ways in
+  let base = set_of t key * ways in
+  let pos = find slots ~base ~ways key in
+  let hit = pos < ways in
+  (* A miss evicts the last position, even when an invalidated hole sits
+     earlier in the set: the hole only moves down one slot. *)
+  let last = if hit then pos else ways - 1 in
+  (* Shift entries down; install key as MRU. *)
+  for i = base + last downto base + 1 do
+    Array.unsafe_set slots i (Array.unsafe_get slots (i - 1))
+  done;
+  Array.unsafe_set slots base key;
   hit
 
 let probe t key =
   let base = set_of t key * t.ways in
-  let rec find i = i < t.ways && (t.slots.(base + i) = key || find (i + 1)) in
-  find 0
+  find t.slots ~base ~ways:t.ways key < t.ways
 
 let invalidate t key =
   let base = set_of t key * t.ways in
-  for i = 0 to t.ways - 1 do
-    if t.slots.(base + i) = key then t.slots.(base + i) <- -1
+  for i = base to base + t.ways - 1 do
+    if t.slots.(i) = key then t.slots.(i) <- -1
   done
 
 let clear t = Array.fill t.slots 0 (Array.length t.slots) (-1)

@@ -16,7 +16,12 @@
 
     Counters (in the space's counter set): "mm.page_faults",
     "mm.huge_faults", "mm.tlb_hits", "mm.tlb_misses", "mm.llc_hits",
-    "mm.llc_misses", "mm.fault_ns". *)
+    "mm.llc_misses", "mm.fault_ns".  Each appears in a snapshot from its
+    first bump on (a fresh space snapshots empty) and is bumped through a
+    cell resolved once, so the per-line and per-translation path does no
+    name lookup; {!Counters.reset} zeroes the cells in place.  The TLBs
+    and the LLC are {!Lru_sets} directories: a miss evicts the last slot
+    of its set, even when an invalidated hole sits earlier. *)
 
 open Repro_util
 

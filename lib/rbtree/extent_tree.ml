@@ -1,4 +1,4 @@
-(* Chunked sorted-run extent index (ROADMAP item 2).
+(* Chunked sorted-run extent index (DESIGN §14).
 
    Two sorted runs replace the red-black trees of the original
    implementation (preserved as [Repro_oracle.Extent_tree_ref] under

@@ -53,7 +53,7 @@ let mutex_name m = match m.name with Some n -> n | None -> "m" ^ string_of_int m
 
 module Lock_order = struct
   (* This recorder sits on every lock/unlock — millions of times per aged
-     image — so the structures are flat (ROADMAP item 2): per-thread held
+     image — so the structures are flat (DESIGN §14): per-thread held
      stacks are plain int arrays (slot = thread id + 1, covering the
      outside pseudo-thread -1), the edge relation is a {!Flat_table} set
      keyed [(held lsl mid_bits) lor acquired], and mutex names live in a

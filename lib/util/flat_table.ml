@@ -1,6 +1,6 @@
 (* Fixed-stride open-addressing hash table over non-negative int keys.
 
-   The DRAM-index replacement of ROADMAP item 2: a power-of-two slot
+   The DRAM-index replacement of DESIGN §14: a power-of-two slot
    array probed linearly, in the style of a chess engine's transposition
    table — no boxing per binding, no bucket lists, no rehash-on-read.
    Keys hash with a multiplicative (Fibonacci) mix, never the runtime's
@@ -30,6 +30,7 @@ type 'a t = {
   mutable used : int; (* live + tombstones *)
   dummy : 'a;
   mutable probes : int; (* cumulative probe steps across all operations *)
+  mutable ins : int; (* insert slot found by the last [locate] *)
 }
 
 (* Multiplicative hashing: one odd 62-bit constant (2^61 * golden ratio,
@@ -56,6 +57,7 @@ let create ?(capacity = 16) ~dummy () =
     used = 0;
     dummy;
     probes = 0;
+    ins = -1;
   }
 
 let length t = t.live
@@ -64,9 +66,9 @@ let probe_steps t = t.probes
 
 let check_key k = if k < 0 then invalid_arg "Flat_table: negative key"
 
-(* Slot of [k], or the slot where it would be inserted (first tombstone on
-   the probe path if any, else the empty slot that ended the probe).
-   Returns [(slot_of_k, insert_slot)]; [slot_of_k] is -1 when absent. *)
+(* Slot of [k], or -1 when absent.  Also leaves in [t.ins] the slot where
+   [k] would be inserted (first tombstone on the probe path if any, else
+   the empty slot that ended the probe), so a lookup returns no tuple. *)
 let locate t k =
   let keys = t.keys and mask = t.mask in
   let i = ref (hash k land mask) in
@@ -89,7 +91,8 @@ let locate t k =
       i := (!i + 1) land mask
     end
   done;
-  (!found, !ins)
+  t.ins <- !ins;
+  !found
 
 let rehash t new_cap =
   let old_keys = t.keys and old_vals = t.vals in
@@ -119,27 +122,28 @@ let maybe_grow t =
 
 let mem t k =
   check_key k;
-  fst (locate t k) >= 0
+  locate t k >= 0
 
 let find t k =
   check_key k;
-  let slot, _ = locate t k in
+  let slot = locate t k in
   if slot >= 0 then Some t.vals.(slot) else None
 
 let get t k ~default =
   check_key k;
-  let slot, _ = locate t k in
+  let slot = locate t k in
   if slot >= 0 then t.vals.(slot) else default
 
 let set t k v =
   check_key k;
-  let slot, _ = locate t k in
+  let slot = locate t k in
   if slot >= 0 then t.vals.(slot) <- v
   else begin
     maybe_grow t;
     (* Growth may have moved everything: relocate the insert slot. *)
-    let slot, ins = locate t k in
+    let slot = locate t k in
     assert (slot < 0);
+    let ins = t.ins in
     if t.keys.(ins) = empty_key then t.used <- t.used + 1;
     t.keys.(ins) <- k;
     t.vals.(ins) <- v;
@@ -148,7 +152,7 @@ let set t k v =
 
 let remove t k =
   check_key k;
-  let slot, _ = locate t k in
+  let slot = locate t k in
   if slot >= 0 then begin
     t.keys.(slot) <- tomb_key;
     t.vals.(slot) <- t.dummy;
@@ -164,6 +168,7 @@ let copy t =
     used = t.used;
     dummy = t.dummy;
     probes = 0;
+    ins = -1;
   }
 
 let clear t =
@@ -206,7 +211,7 @@ let check_invariants t =
         else if k <> empty_key then dup := Some "slot holds an invalid sentinel")
       t.keys;
     (* Every live key must be findable via its own probe chain. *)
-    Array.iter (fun k -> if k >= 0 && fst (locate t k) < 0 then dup := Some "unreachable key") t.keys;
+    Array.iter (fun k -> if k >= 0 && locate t k < 0 then dup := Some "unreachable key") t.keys;
     match !dup with
     | Some m -> Error m
     | None ->

@@ -1,6 +1,6 @@
 (** Open-addressing hash table over non-negative int keys.
 
-    The flat replacement for hot-path [Hashtbl]s (ROADMAP item 2): a
+    The flat replacement for hot-path [Hashtbl]s (DESIGN §14): a
     power-of-two slot array with linear probing, multiplicative int
     hashing (never the runtime's polymorphic hash), and tombstone
     deletion.  Probe sequences are a pure function of the operation

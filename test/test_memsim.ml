@@ -23,7 +23,17 @@ let test_lru_sets () =
   ignore (Lru.access l 3) (* evicts 1 (LRU) *);
   Alcotest.(check bool) "evicted" false (Lru.access l 1);
   Lru.invalidate l 3;
-  Alcotest.(check bool) "invalidated" false (Lru.probe l 3)
+  Alcotest.(check bool) "invalidated" false (Lru.probe l 3);
+  (* A miss evicts the set's last slot even when an invalidated hole
+     sits earlier: the hole shifts down instead of taking the key. *)
+  let l = Lru.create ~sets:1 ~ways:3 in
+  List.iter (fun k -> ignore (Lru.access l k)) [ 1; 2; 3 ] (* MRU order: 3 2 1 *);
+  Lru.invalidate l 2 (* 3 _ 1 *);
+  Alcotest.(check bool) "miss" false (Lru.access l 4) (* 4 3 _ *);
+  Alcotest.(check bool) "last slot evicted" false (Lru.probe l 1);
+  Alcotest.(check bool) "miss" false (Lru.access l 5) (* 5 4 3 *);
+  Alcotest.(check (list bool)) "hole evicted last" [ true; true; true ]
+    (List.map (Lru.probe l) [ 5; 4; 3 ])
 
 let test_huge_mapping_faults_once () =
   let dev = Device.create ~cost:Device.Cost.free ~size:(16 * Units.mib) () in
@@ -56,6 +66,14 @@ let test_unaligned_backing_rejected () =
   let r = Vmem.mmap vm ~len:huge ~backing:bad () in
   Alcotest.(check bool) "unaligned hugepage rejected" true
     (match Vmem.prefault vm c r with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  (* Page-table entries use -1 for "unmapped": a negative page address
+     is refused at fault time rather than faulting forever. *)
+  let negative : Vmem.backing = fun _ ~file_off:_ ~huge_ok:_ -> Vmem.Base (-Units.base_page) in
+  let r = Vmem.mmap vm ~len:huge ~backing:negative () in
+  Alcotest.(check bool) "negative page address rejected" true
+    (match Vmem.read vm c r ~off:0 ~len:8 with
     | () -> false
     | exception Invalid_argument _ -> true)
 
@@ -171,8 +189,118 @@ let prop_mmap_model =
       Vmem.read_into vm c r ~off:0 ~dst:whole ~dst_off:0 ~len;
       whole = model)
 
+(* Differential: [Lru_sets] against the list reference on seeded
+   streams of access/probe/invalidate/clear.  One set ([sets:1]) takes
+   every key, drawn from a range a little wider than the set so hits,
+   evictions and invalidated holes all occur; every hit result and the
+   final probe set must agree. *)
+let prop_lru_oracle =
+  QCheck.Test.make ~name:"lru sets agree with list reference" ~count:300
+    QCheck.(pair (oneofl [ 1; 4; 16 ]) int)
+    (fun (ways, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let l = Lru.create ~sets:1 ~ways in
+      let r = Repro_oracle.Lru_ref.create ~ways in
+      let keys = (2 * ways) + 2 in
+      let agree what k a b =
+        if a <> b then
+          QCheck.Test.fail_reportf "ways=%d seed=%d: %s %d: lru_sets %b, reference %b" ways
+            seed what k a b
+      in
+      for _ = 1 to 400 do
+        let k = Random.State.int rng keys in
+        match Random.State.int rng 20 with
+        | 0 ->
+            Lru.clear l;
+            Repro_oracle.Lru_ref.clear r
+        | 1 | 2 | 3 | 4 ->
+            Lru.invalidate l k;
+            Repro_oracle.Lru_ref.invalidate r k
+        | 5 | 6 | 7 -> agree "probe" k (Lru.probe l k) (Repro_oracle.Lru_ref.probe r k)
+        | _ -> agree "access" k (Lru.access l k) (Repro_oracle.Lru_ref.access r k)
+      done;
+      for k = 0 to keys - 1 do
+        agree "final probe" k (Lru.probe l k) (Repro_oracle.Lru_ref.probe r k)
+      done;
+      true)
+
+(* Counter cells: a fresh space snapshots empty, and a scripted run of
+   4K and 2M faults, streaming reads, [read_u64] (one straddling a page),
+   munmap/remap and a [Counters.reset] followed by more reads gives a
+   pinned snapshot.  A cell cached before the reset and not re-read
+   after it would show up as a wrong or missing count. *)
+let test_counter_cells () =
+  let dev = Device.create ~cost:Device.Cost.free ~size:(32 * Units.mib) () in
+  let vm = Vmem.create dev in
+  let c = cpu () in
+  let snap () = Counters.snapshot (Vmem.counters vm) in
+  let pp = Alcotest.(list (pair string int)) in
+  Alcotest.check pp "fresh space" [] (snap ());
+  let stream r ~len =
+    let step = 64 * Units.kib in
+    let off = ref 0 in
+    while !off < len do
+      Vmem.read vm c r ~off:!off ~len:(min step (len - !off));
+      off := !off + step
+    done
+  in
+  let huge_len = 2 * huge and mixed_len = huge + (64 * Units.kib) in
+  let a = Vmem.mmap vm ~len:huge_len ~backing:(flat_backing ()) () in
+  let b =
+    Vmem.mmap vm ~len:mixed_len ~backing:(flat_backing ~base:(12 * Units.mib) ()) ()
+  in
+  stream a ~len:huge_len;
+  stream b ~len:mixed_len;
+  List.iter
+    (fun off -> ignore (Vmem.read_u64 vm c b ~off))
+    [ 0; 8; huge + 4092; huge + 8192; 4096 ];
+  Vmem.munmap vm a;
+  let a = Vmem.mmap vm ~len:huge_len ~backing:(flat_backing ~huge_capable:false ()) () in
+  stream a ~len:(huge_len / 2);
+  Alcotest.check pp "before reset"
+    [
+      ("mm.fault_ns", 798600);
+      ("mm.huge_faults", 3);
+      ("mm.llc_hits", 34179);
+      ("mm.llc_misses", 99513);
+      ("mm.page_faults", 531);
+      ("mm.tlb_hits", 100);
+      ("mm.tlb_misses", 531);
+    ]
+    (snap ());
+  Counters.reset (Vmem.counters vm);
+  stream a ~len:huge_len;
+  stream b ~len:mixed_len;
+  ignore (Vmem.read_u64 vm c a ~off:(huge + 4092));
+  Alcotest.check pp "after reset"
+    [
+      ("mm.fault_ns", 768000);
+      ("mm.huge_faults", 0);
+      ("mm.llc_hits", 100508);
+      ("mm.llc_misses", 408);
+      ("mm.page_faults", 512);
+      ("mm.tlb_hits", 546);
+      ("mm.tlb_misses", 529);
+    ]
+    (snap ());
+  (* A first touch lists only the counters it moved: no hit yet. *)
+  let vm = Vmem.create dev in
+  let r = Vmem.mmap vm ~len:huge ~backing:(flat_backing ()) () in
+  ignore (Vmem.read_u64 vm c r ~off:64);
+  Alcotest.check pp "first touch"
+    [
+      ("mm.fault_ns", 2200);
+      ("mm.huge_faults", 1);
+      ("mm.llc_misses", 3);
+      ("mm.page_faults", 1);
+      ("mm.tlb_misses", 1);
+    ]
+    (Counters.snapshot (Vmem.counters vm))
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x1e5 |]) prop_lru_oracle;
+    Alcotest.test_case "counter cells" `Quick test_counter_cells;
     QCheck_alcotest.to_alcotest prop_mmap_model;
     Alcotest.test_case "lru sets" `Quick test_lru_sets;
     Alcotest.test_case "huge mapping faults once per 2MB" `Quick test_huge_mapping_faults_once;
