@@ -6,9 +6,10 @@
    fence, minor-heap words allocated per device access and per
    zeroed-field CRC, major-heap words allocated by a fresh device and its
    crash image and by chunks a uniform store displaced, minor words per
-   whole-chunk uniform store, heap words a recovery mount keeps live,
-   minor words per DRAM-index predecessor search and
-   directory-index insertion, and minor words per LRU-directory access
+   whole-chunk uniform store, heap words a recovery mount keeps live and
+   minor words it allocates per live file, minor words per DRAM-index
+   predecessor search and directory-index insertion and per mutex
+   created, and minor words per LRU-directory access
    and per mapped read through the memsim TLB/LLC model.  A
    regression that reintroduces O(all-pending) fence sweeps, degenerate
    probe chains or a per-access allocation fails these budgets on any
@@ -184,10 +185,12 @@ let uniform_store_budget () =
 (* The crash workload's recovery probe: a 32 MiB, 4-CPU, 1024-inodes-
    per-CPU WineFS image crashed (remounted without unmount) over and
    over.  The mount's rebuild sweeps every inode-table slot in place and
-   reuses one scan buffer per mount, so its major-heap words grow with
-   the live files' DRAM state only (no per-file slot buffer), and an
-   empty image allocates a few words per table slot at most (no closure
-   or header copy per blank slot). *)
+   reuses one scan buffer per mount, so its heap words grow with the
+   live files' DRAM state only, a few flat objects per file (no per-file
+   slot buffer, no list cell per free extent slot, no path-copied map
+   node per dentry), and an empty image allocates no minor words per
+   table slot (the per-CPU free-inode stacks are int arrays, no cons
+   cell per blank slot). *)
 let mount_alloc_budget () =
   let cfg = Types.config ~cpus:4 ~inodes_per_cpu:1024 () in
   let image files =
@@ -223,14 +226,19 @@ let mount_alloc_budget () =
   let full = image files in
   let empty = image 0 in
   let per_file = (live_per_mount full - live_per_mount empty) / files in
-  budget "live words / mount / live file" ~actual:per_file ~limit:150;
-  (* Minor words per mount over a few crash mounts of the empty image. *)
-  ignore (Sys.opaque_identity (Winefs.Fs.mount empty cfg));
+  budget "live words / mount / live file" ~actual:per_file ~limit:50;
+  (* Minor words per mount over a few crash mounts of each image, and
+     what a live file adds to them. *)
   let mounts = 4 in
-  let minor_empty =
-    words_per_call mounts (fun _ -> ignore (Sys.opaque_identity (Winefs.Fs.mount empty cfg)))
+  let minor dev =
+    ignore (Sys.opaque_identity (Winefs.Fs.mount dev cfg));
+    words_per_call mounts (fun _ -> ignore (Sys.opaque_identity (Winefs.Fs.mount dev cfg)))
   in
-  budget "minor words / empty-image mount" ~actual:minor_empty ~limit:45_000
+  let minor_empty = minor empty in
+  budget "minor words / empty-image mount" ~actual:minor_empty ~limit:9_785;
+  budget "minor words / mount / live file"
+    ~actual:((minor full - minor_empty) / files)
+    ~limit:103
 
 let crc_alloc_budget () =
   (* Every inode-header verify and persist, undo entry and redo record
@@ -271,7 +279,16 @@ let index_alloc_budget () =
         let d = Dir_index.create Dir_index.Dram_rbtree in
         Array.iteri (fun i name -> Dir_index.add d cpu ~name ~ino:i ~slot:i) names)
   in
-  budget "minor words / Dir_index.add (512)" ~actual:(per_build / n) ~limit:72
+  budget "minor words / Dir_index.add (512)" ~actual:(per_build / n) ~limit:9
+
+(* Every inode carries a lock, and most are never contended: creating
+   one allocates the mutex record only, no wait queue of its own. *)
+let mutex_alloc_budget () =
+  budget "minor words / Sched.create_mutex"
+    ~actual:
+      (words_per_call 10_000 (fun _ ->
+           ignore (Sys.opaque_identity (Repro_sched.Sched.create_mutex ()))))
+    ~limit:6
 
 (* The memsim per-line and per-translation path: the LLC directory is
    consulted once per simulated cache line and the TLBs once per
@@ -319,6 +336,7 @@ let () =
   crc_alloc_budget ();
   mount_alloc_budget ();
   index_alloc_budget ();
+  mutex_alloc_budget ();
   memsim_alloc_budget ();
   if !failures > 0 then begin
     Printf.printf "%d perf budget(s) exceeded\n" !failures;

@@ -350,36 +350,40 @@ let alloc ?contig_after t ~cpu ~len ~prefer_aligned =
   end
 
 (* Mount's free-list recompute from the used-extent set: sort the used
-   extents once, then take each region's complement in the same linear
-   sweep.  Every region keeps its own cursor and its own gap list, so
-   free space never coalesces across stripe boundaries — restoring such a
-   merged extent could place it in the wrong pool.  In sorted order an
-   overlap is an extent that starts before its region's cursor. *)
+   extents once (a stable sort of an array, so equal offsets keep their
+   order and the first overlap reported stays the same), then take each
+   region's complement in the same linear sweep.  Every region keeps its
+   own cursor and its own gap list, so free space never coalesces across
+   stripe boundaries — restoring such a merged extent could place it in
+   the wrong pool.  In sorted order an overlap is an extent that starts
+   before its region's cursor. *)
 let free_lists_of_used ~regions ~used =
   let n = Array.length regions in
   let cursor = Array.map fst regions in
   let gaps = Array.make n [] in
-  let rec sweep = function
-    | [] -> Ok ()
-    | (off, len) :: rest -> (
-        if len <= 0 then
-          Error (Printf.sprintf "extent [%d,%d): non-positive length" off (off + len))
-        else
-          match region_of regions off with
-          | None -> Error (Printf.sprintf "extent [%d,%d) outside every region" off (off + len))
-          | Some i ->
-              let roff, rlen = regions.(i) in
-              if off + len > roff + rlen then
-                Error (Printf.sprintf "extent [%d,%d) crosses region boundary" off (off + len))
-              else if off < cursor.(i) then
-                Error (Printf.sprintf "extent [%d,%d) double-used" off (off + len))
-              else begin
-                if off > cursor.(i) then gaps.(i) <- (cursor.(i), off - cursor.(i)) :: gaps.(i);
-                cursor.(i) <- off + len;
-                sweep rest
-              end)
+  let sorted = Array.of_list used in
+  Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) sorted;
+  let rec sweep k =
+    if k = Array.length sorted then Ok ()
+    else
+      let off, len = sorted.(k) in
+      if len <= 0 then Error (Printf.sprintf "extent [%d,%d): non-positive length" off (off + len))
+      else
+        match region_of regions off with
+        | None -> Error (Printf.sprintf "extent [%d,%d) outside every region" off (off + len))
+        | Some i ->
+            let roff, rlen = regions.(i) in
+            if off + len > roff + rlen then
+              Error (Printf.sprintf "extent [%d,%d) crosses region boundary" off (off + len))
+            else if off < cursor.(i) then
+              Error (Printf.sprintf "extent [%d,%d) double-used" off (off + len))
+            else begin
+              if off > cursor.(i) then gaps.(i) <- (cursor.(i), off - cursor.(i)) :: gaps.(i);
+              cursor.(i) <- off + len;
+              sweep (k + 1)
+            end
   in
-  match sweep (List.sort (fun (a, _) (b, _) -> Int.compare a b) used) with
+  match sweep 0 with
   | Error _ as e -> e
   | Ok () ->
       let free = ref [] in

@@ -72,33 +72,19 @@ let free_any t ~off ~len =
    (metadata blocks come from the dedicated pool: contained
    fragmentation). *)
 let ensure_slot t cpu txn (f : Inode.file) =
-  match f.free_slots with
-  | s :: rest ->
-      f.free_slots <- rest;
-      s
-  | [] ->
-      if f.slot_cap < Layout.inline_extents then begin
-        (* Inline slots not yet handed out. *)
-        let s = f.slot_cap in
-        f.slot_cap <- f.slot_cap + 1;
-        s
-      end
-      else begin
-        let blk = zeroed_meta_block t cpu in
-        (* Link it at the tail of the chain (journaled pointer update). *)
-        (match List.rev f.overflow with
-        | [] ->
-            f.overflow <- [ blk ];
-            Inode.persist_header t.inodes cpu txn f
-        | last :: _ ->
-            f.overflow <- f.overflow @ [ blk ];
-            Txn.meta_write t.txns cpu txn ~addr:last
-              (Codec.Overflow.encode_header ~next:blk ~count:0));
-        let s = f.slot_cap in
-        f.slot_cap <- f.slot_cap + Codec.Overflow.capacity;
-        f.free_slots <- List.init (Codec.Overflow.capacity - 1) (fun i -> s + 1 + i);
-        s
-      end
+  let s = Inode.take_slot f in
+  if s >= 0 then s
+  else begin
+    let blk = zeroed_meta_block t cpu in
+    let tail = List.rev f.overflow in
+    let s = Inode.add_overflow_block f blk in
+    (* Link it at the tail of the chain (journaled pointer update). *)
+    (match tail with
+    | [] -> Inode.persist_header t.inodes cpu txn f
+    | last :: _ ->
+        Txn.meta_write t.txns cpu txn ~addr:last (Codec.Overflow.encode_header ~next:blk ~count:0));
+    s
+  end
 
 (* A record never crosses a per-CPU stripe boundary (fsck rejects one
    that does), so a merge also needs both runs in the same stripe;
@@ -170,7 +156,7 @@ let remove_records ?(budget = max_int) t cpu txn (f : Inode.file) ~file_off ~len
         else begin
           (* Fully removed: zero the slot. *)
           Inode.clear_slot t.inodes cpu txn f r.slot;
-          f.free_slots <- r.slot :: f.free_slots
+          Inode.release_slot f r.slot
         end;
         incr removed
   done;

@@ -270,47 +270,59 @@ let scan_chain (c : ctx) (layout : Layout.t) hb inf =
   in
   inf.i_overflow <- walk inf.i_hdr.Codec.Inode.overflow []
 
-let scan_slots (c : ctx) (layout : Layout.t) inf =
-  let ino_off = Layout.inode_off layout inf.i_ino in
-  let slot_addrs =
-    List.init Layout.inline_extents (fun i -> ino_off + Codec.Inode.extent_slot_off i)
-    @ List.concat_map
-        (fun blk -> List.init Codec.Overflow.capacity (fun i -> blk + Codec.Overflow.record_off i))
-        inf.i_overflow
-  in
-  let buf = Bytes.create Codec.Inode.extent_bytes in
+(* Each slot region (the inline area, then each overflow block's
+   records) is one bulk read into [buf], decoded in place as the mount
+   does.  A region whose bulk read hits a media error is re-read slot by
+   slot, so [extent-media] findings stay per slot. *)
+let scan_slots (c : ctx) (layout : Layout.t) ~buf inf =
+  let eb = Codec.Inode.extent_bytes in
   let recs = ref [] in
+  let check b off =
+    let file_off = Codec.Inode.extent_file_off_at b off in
+    let phys = Codec.Inode.extent_phys_at b off in
+    let len = Codec.Inode.extent_len_at b off in
+    if len = 0 && phys = 0 && file_off = 0 then () (* free slot *)
+    else if
+      len <= 0 || file_off < 0
+      || not
+           (Layout.in_meta_pool layout ~off:phys ~len || Layout.in_data_area layout ~off:phys ~len)
+    then begin
+      record c ~phase:3 ~rule:"extent-bounds" ~obj:(inode_obj inf.i_ino) ~severity:Repair
+        ~detail:
+          (Printf.sprintf "extent (file_off %d, phys %d, len %d) out of bounds" file_off phys len)
+        ~action:"drop the extent record";
+      inf.i_meta_dirty <- true
+    end
+    else
+      recs :=
+        { x_file_off = file_off; x_phys = phys; x_read_phys = phys; x_len = len;
+          x_asrc = Codec.Inode.extent_asrc_at b off }
+        :: !recs
+  in
+  let region ~addr ~count =
+    match Device.read c.dev c.cpu ~off:addr ~len:(count * eb) ~dst:buf ~dst_off:0 with
+    | () ->
+        for i = 0 to count - 1 do
+          check buf (i * eb)
+        done
+    | exception Device.Media_error _ ->
+        for i = 0 to count - 1 do
+          let addr = addr + (i * eb) in
+          match Device.read c.dev c.cpu ~off:addr ~len:eb ~dst:buf ~dst_off:0 with
+          | () -> check buf 0
+          | exception Device.Media_error _ ->
+              record c ~phase:3 ~rule:"extent-media" ~obj:(inode_obj inf.i_ino) ~severity:Repair
+                ~detail:(Printf.sprintf "media error reading the extent slot at %d" addr)
+                ~action:"drop the extent record";
+              inf.i_meta_dirty <- true
+        done
+  in
+  region
+    ~addr:(Layout.inode_off layout inf.i_ino + Codec.Inode.extent_slot_off 0)
+    ~count:Layout.inline_extents;
   List.iter
-    (fun addr ->
-      match Device.read c.dev c.cpu ~off:addr ~len:Codec.Inode.extent_bytes ~dst:buf ~dst_off:0 with
-      | exception Device.Media_error _ ->
-          record c ~phase:3 ~rule:"extent-media" ~obj:(inode_obj inf.i_ino) ~severity:Repair
-            ~detail:(Printf.sprintf "media error reading the extent slot at %d" addr)
-            ~action:"drop the extent record";
-          inf.i_meta_dirty <- true
-      | () ->
-          let file_off, phys, len_field = Codec.Inode.decode_extent buf in
-          let len, asrc = Codec.Inode.split_len_field len_field in
-          if len = 0 && phys = 0 && file_off = 0 then () (* free slot *)
-          else if
-            len <= 0 || file_off < 0
-            || not
-                 (Layout.in_meta_pool layout ~off:phys ~len
-                 || Layout.in_data_area layout ~off:phys ~len)
-          then begin
-            record c ~phase:3 ~rule:"extent-bounds" ~obj:(inode_obj inf.i_ino) ~severity:Repair
-              ~detail:
-                (Printf.sprintf "extent (file_off %d, phys %d, len %d) out of bounds" file_off
-                   phys len)
-              ~action:"drop the extent record";
-            inf.i_meta_dirty <- true
-          end
-          else
-            recs :=
-              { x_file_off = file_off; x_phys = phys; x_read_phys = phys; x_len = len;
-                x_asrc = asrc }
-              :: !recs)
-    slot_addrs;
+    (fun blk -> region ~addr:(blk + Codec.Overflow.record_off 0) ~count:Codec.Overflow.capacity)
+    inf.i_overflow;
   (* Overlapping file ranges within one inode: keep the first record. *)
   let span = Extent_tree.create () in
   Extent_tree.insert_free span ~off:0 ~len:(max_int / 4);
@@ -334,6 +346,7 @@ let phase3 (c : ctx) (layout : Layout.t) =
   let max_ino = Layout.max_ino layout in
   let table = Array.make (max_ino + 1) None in
   let hb = Bytes.create Codec.Inode.header_bytes in
+  let slots = Bytes.create (Codec.Overflow.capacity * Codec.Inode.extent_bytes) in
   let clear ino rule detail =
     record c ~phase:3 ~rule ~obj:(inode_obj ino) ~severity:Repair ~detail
       ~action:"clear the inode record";
@@ -357,7 +370,7 @@ let phase3 (c : ctx) (layout : Layout.t) =
                 i_cleared = false }
             in
             scan_chain c layout hb inf;
-            scan_slots c layout inf;
+            scan_slots c layout ~buf:slots inf;
             table.(ino) <- Some inf
           end
         end

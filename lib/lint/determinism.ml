@@ -13,7 +13,9 @@
      sources;
    - the polymorphic structural hash ([Hashtbl.hash] and friends),
      whose value is an implementation detail of the runtime;
-   - hash-order traversals ([Hashtbl.fold]/[iter]/[to_seq]): bucket
+   - hash-order traversals ([Hashtbl.fold]/[iter]/[to_seq], and the same
+     functions of a [*_hashtbl] functor instance such as
+     {!Repro_util.Int_hashtbl}): bucket
      order varies with insertion history, so any result built from it is
      traversal-ordered.  Two shapes are exempt: traversals whose result
      is immediately sorted ([... |> List.sort cmp]), and key-insensitive
@@ -52,10 +54,14 @@ let poly_hash comps =
   | fn :: m :: _ -> low m = "hashtbl" && List.mem fn [ "hash"; "hash_param"; "seeded_hash" ]
   | _ -> false
 
+let hashtbl_module m =
+  let m = low m in
+  m = "hashtbl" || Filename.check_suffix m "_hashtbl"
+
 let hash_order comps =
   match List.rev comps with
   | fn :: m :: _ ->
-      low m = "hashtbl" && List.mem fn [ "fold"; "iter"; "to_seq"; "to_seq_keys"; "to_seq_values" ]
+      hashtbl_module m && List.mem fn [ "fold"; "iter"; "to_seq"; "to_seq_keys"; "to_seq_values" ]
   | _ -> false
 
 let sorter comps =

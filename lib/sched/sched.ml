@@ -21,7 +21,7 @@ type mutex = {
   mid : int;
   name : string option; (* lock-class name for order diagnostics *)
   mutable holder : thread option;
-  waiters : thread Queue.t;
+  mutable waiters : thread Queue.t; (* [no_waiters] until first contended *)
   mutable held_outside : bool; (* degraded single-threaded mode *)
 }
 
@@ -35,10 +35,15 @@ type _ Effect.t +=
    deliberately never reset. *)
 let next_mutex_id = ref 0
 
+(* Shared by every mutex that has never had a waiter, and never added to:
+   most locks (one per inode) are never contended, so they need no queue
+   of their own. *)
+let no_waiters : thread Queue.t = Queue.create ()
+
 let create_mutex ?name () =
   let mid = !next_mutex_id in
   incr next_mutex_id;
-  { mid; name; holder = None; waiters = Queue.create (); held_outside = false }
+  { mid; name; holder = None; waiters = no_waiters; held_outside = false }
 
 let mutex_id m = m.mid
 let mutex_name m = match m.name with Some n -> n | None -> "m" ^ string_of_int m.mid
@@ -357,6 +362,7 @@ let run ?(numa_nodes = 1) ?(policy = Earliest_clock) ~threads:nthreads body =
                           else begin
                             t.blocked_since <- Simclock.now t.cpu.clock;
                             t.parked <- Some (fun () -> continue k ());
+                            if m.waiters == no_waiters then m.waiters <- Queue.create ();
                             Queue.add t m.waiters
                           end)
                   | Unlock m ->

@@ -4,7 +4,14 @@
     lookups effectively free next to PM accesses; PMFS scans its directory
     entries sequentially on PM, which the paper blames for its poor
     metadata performance (§3.5, §5.5).  Both behaviours share this one
-    structure — the policy only changes the simulated cost. *)
+    structure — the policy only changes the simulated cost.
+
+    The index itself is a hash table on the name, so an insertion costs
+    a bucket cell, not a path copy; {!entries} sorts by name, so listings
+    come out in the order an ordered map gave.  The cost model does not
+    depend on the representation: [Dram_rbtree] charges
+    [ceil (log n / log 2)] levels for [n = max 2 size] entries (the float
+    formula, memoized per [n]), [Pm_linear_scan] half the entries. *)
 
 open Repro_util
 

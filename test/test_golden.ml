@@ -380,6 +380,112 @@ let recovery_pins =
         (512, 0xe6af2b7f) ) );
   ]
 
+(* Allocation order across a crash mount.  On a 4-CPU image, files are
+   created, some are unlinked (holes in the inode tables and in the
+   directory's dentry slots) and two multi-extent files are shrunk (one
+   frees inline slots only, one inline and overflow slots); the image is
+   then remounted without an unmount, and new files, extents and names
+   take the freed places.  Pinned: the inode number of every new file,
+   the extent slot of every record of the two grown files, the dentry
+   slot address of every new or renamed name, and the final image CRC.
+   The mount rebuilds each of these free sets, so a change in the order
+   it hands them out shows up here. *)
+let order_cfg = Types.config ~cpus:4 ~inodes_per_cpu:64 ()
+
+let run_alloc_order () =
+  let dev = Device.create ~size:(32 * mib) () in
+  let fs = Winefs.Fs.format dev order_cfg in
+  let cpus = Array.init 4 (fun id -> Cpu.make ~id ()) in
+  let page = pattern Units.base_page 5 in
+  let write fs cpu path pages =
+    let fd =
+      if Winefs.Fs.exists fs cpu path then Winefs.Fs.openf fs cpu path Types.o_rdwr
+      else Winefs.Fs.create fs cpu path
+    in
+    (* Every other page: each write is a record of its own. *)
+    List.iter
+      (fun p -> ignore (Winefs.Fs.pwrite fs cpu fd ~off:(p * Units.base_page) ~src:page))
+      pages;
+    Winefs.Fs.close fs cpu fd
+  in
+  let shrink fs cpu path pages =
+    let fd = Winefs.Fs.openf fs cpu path Types.o_rdwr in
+    Winefs.Fs.ftruncate fs cpu fd (pages * Units.base_page);
+    Winefs.Fs.close fs cpu fd
+  in
+  let c0 = cpus.(0) in
+  Winefs.Fs.mkdir fs c0 "/d";
+  for i = 0 to 11 do
+    write fs cpus.(i mod 4) (Printf.sprintf "/d/f%d" i) [ 0 ]
+  done;
+  write fs cpus.(1) "/wide" [ 0; 2; 4; 6; 8; 10 ];
+  write fs cpus.(2) "/long" (List.init 12 (fun i -> 2 * i));
+  List.iter (fun i -> Winefs.Fs.unlink fs c0 (Printf.sprintf "/d/f%d" i)) [ 1; 4; 6; 9 ];
+  shrink fs c0 "/wide" 5;
+  shrink fs c0 "/long" 13;
+  (* Crash: remount without unmount. *)
+  let fs = Winefs.Fs.mount dev order_cfg in
+  let inos =
+    List.init 6 (fun i ->
+        let path = Printf.sprintf "/d/g%d" i in
+        write fs cpus.(i mod 4) path [ 0 ];
+        (Winefs.Fs.stat fs c0 path).st_ino)
+  in
+  write fs cpus.(1) "/wide" [ 12; 14; 16 ];
+  write fs cpus.(2) "/long" [ 30; 32; 34 ];
+  Winefs.Fs.rename fs c0 ~old_path:"/d/f2" ~new_path:"/d/h2";
+  Winefs.Fs.rename fs c0 ~old_path:"/d/f3" ~new_path:"/moved";
+  let ino_of path = (Winefs.Fs.stat fs c0 path).st_ino in
+  let grown = [ ino_of "/wide"; ino_of "/long" ] in
+  (* Read the slots back with the mount's own table scan. *)
+  let layout = Winefs.Layout.compute ~size:(Device.size dev) ~cpus:4 ~inodes_per_cpu:64 in
+  let txns = Winefs.Txn.attach dev layout in
+  let inodes = Winefs.Inode.create ~dev ~layout ~txns in
+  ignore (Winefs.Inode.scan_tables inodes c0 ~on_refuse:(fun _ _ -> ()));
+  let slots =
+    List.map
+      (fun ino ->
+        let f = Winefs.Inode.find inodes ino in
+        Repro_rbtree.Ordmap.Int_map.fold f.records ~init:[]
+          ~f:(fun acc off (r : Winefs.Inode.record) -> (off / Units.base_page, r.slot) :: acc)
+        |> List.rev)
+      grown
+  in
+  let dentry_slot dir name =
+    let d = Winefs.Inode.find inodes (ino_of dir) in
+    let found = ref (-1) in
+    Repro_rbtree.Ordmap.Int_map.iter d.records (fun _ (r : Winefs.Inode.record) ->
+        let buf = Device.read_string dev c0 ~off:r.phys ~len:r.len in
+        let buf = Bytes.unsafe_of_string buf in
+        for i = 0 to (r.len / Winefs.Codec.dentry_bytes) - 1 do
+          match Winefs.Codec.Dentry.decode_at buf (i * Winefs.Codec.dentry_bytes) with
+          | Some e when e.name = name -> found := r.phys + (i * Winefs.Codec.dentry_bytes)
+          | Some _ | None -> ()
+        done);
+    !found
+  in
+  let dentries =
+    List.map (fun i -> dentry_slot "/d" (Printf.sprintf "g%d" i)) [ 0; 1; 2; 3; 4; 5 ]
+    @ [ dentry_slot "/d" "h2"; dentry_slot "/" "moved" ]
+  in
+  (inos, slots, dentries, image_crc dev)
+
+let test_alloc_order () =
+  let inos, slots, dentries, crc = run_alloc_order () in
+  Alcotest.(check (list int)) "new inode numbers" [ 4; 65; 130; 196; 6; 67 ] inos;
+  Alcotest.(check (list (list (pair int int))))
+    "extent slots (page, slot)"
+    [
+      [ (0, 0); (2, 1); (4, 2); (12, 7); (14, 6); (16, 5) ];
+      [ (0, 0); (2, 1); (4, 2); (6, 3); (8, 4); (10, 5); (12, 6); (30, 177); (32, 176); (34, 175) ];
+    ]
+    slots;
+  Alcotest.(check (list int))
+    "dentry slot addresses"
+    [ 2518976; 2518912; 2518848; 2518784; 2518720; 2518656; 2518592; 2514880 ]
+    dentries;
+  Alcotest.(check int) "image CRC32C" 0x71e4de44 crc
+
 let suite =
   Alcotest.test_case "golden image CRC" `Quick test_image_crc
   :: Alcotest.test_case "golden counter totals" `Quick test_counter_totals
@@ -400,3 +506,4 @@ let suite =
           `Quick
           (test_recovery_mount ~damaged pins))
       recovery_pins
+  @ [ Alcotest.test_case "golden allocation order across a crash mount" `Quick test_alloc_order ]

@@ -261,6 +261,12 @@ let test_determinism_hash_order_flagged () =
   | [ d ] -> Alcotest.(check bool) "hash order" true (contains_sub ~sub:"hash order" d.Diag.msg)
   | ds -> Alcotest.failf "expected exactly one determinism diag, got %d" (List.length ds)
 
+let test_determinism_int_hashtbl_order_flagged () =
+  let src = "let f h = Repro_util.Int_hashtbl.fold (fun k v acc -> (k, v) :: acc) h []\n" in
+  match det_fixture src with
+  | [ d ] -> Alcotest.(check bool) "hash order" true (contains_sub ~sub:"hash order" d.Diag.msg)
+  | ds -> Alcotest.failf "expected exactly one determinism diag, got %d" (List.length ds)
+
 let test_determinism_sorted_traversal_exempt () =
   let src = "let f cmp h = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] |> List.sort cmp\n" in
   Alcotest.(check int) "traversal feeding a sort is exempt" 0 (List.length (det_fixture src))
@@ -476,6 +482,8 @@ let suite =
     Alcotest.test_case "determinism: wall clock" `Quick test_determinism_wall_clock;
     Alcotest.test_case "determinism: hash-order traversal" `Quick
       test_determinism_hash_order_flagged;
+    Alcotest.test_case "determinism: Int_hashtbl traversal" `Quick
+      test_determinism_int_hashtbl_order_flagged;
     Alcotest.test_case "determinism: sorted traversal exempt" `Quick
       test_determinism_sorted_traversal_exempt;
     Alcotest.test_case "determinism: wildcard callback exempt" `Quick

@@ -99,6 +99,62 @@ let test_dir_index_costs () =
   Alcotest.(check (option (pair int int))) "lookup works" (Some (100, 0))
     (Dir_index.lookup fast cpu_fast "f100")
 
+(* Differential check of the hash-table directory index against the
+   ordered-map reference it replaced.  Seeded streams of add, remove,
+   lookup, mem, entries and size over a pool of names (re-adds of live
+   names, removes of absent ones, re-adds after removes), under both
+   cost policies; every result and every simulated ns a call charges
+   must agree.  A pool of 300 names takes the index through the powers
+   of two up to 128 and past them, where the [Dram_rbtree] level count
+   must round as the float formula does. *)
+let prop_dir_index_oracle =
+  let module Ref = Repro_oracle.Dir_index_ref in
+  QCheck.Test.make ~name:"dir index agrees with ordered-map reference" ~count:200
+    QCheck.(triple (oneofl [ 1; 3; 17; 70; 300 ]) bool int)
+    (fun (pool, pm, seed) ->
+      let policy = if pm then Dir_index.Pm_linear_scan 130. else Dir_index.Dram_rbtree in
+      let rng = Random.State.make [| seed |] in
+      let d = Dir_index.create policy and r = Ref.create policy in
+      let cd = Cpu.make ~id:0 () and cr = Cpu.make ~id:1 () in
+      let fail what name =
+        QCheck.Test.fail_reportf "pool=%d pm=%b seed=%d: %s %S disagrees (size %d vs %d)" pool
+          pm seed what name (Dir_index.size d) (Ref.size r)
+      in
+      (* Run one call on each side; compare the results and the charges. *)
+      let both what name fd fr eq =
+        let t0 = Cpu.now cd and u0 = Cpu.now cr in
+        let a = fd () and b = fr () in
+        if not (eq a b) then fail what name;
+        if Cpu.now cd - t0 <> Cpu.now cr - u0 then fail (what ^ " charge") name
+      in
+      for step = 1 to 4 * pool + 200 do
+        let name = Printf.sprintf "n%03d" (Random.State.int rng pool) in
+        match Random.State.int rng 10 with
+        | 0 | 1 | 2 | 3 ->
+            both "add" name
+              (fun () -> Dir_index.add d cd ~name ~ino:step ~slot:(step * 64))
+              (fun () -> Ref.add r cr ~name ~ino:step ~slot:(step * 64))
+              ( = )
+        | 4 | 5 ->
+            both "remove" name
+              (fun () -> Dir_index.remove d cd name)
+              (fun () -> Ref.remove r cr name)
+              ( = )
+        | 6 | 7 ->
+            both "lookup" name
+              (fun () -> Dir_index.lookup d cd name)
+              (fun () -> Ref.lookup r cr name)
+              ( = )
+        | 8 ->
+            both "mem" name (fun () -> Dir_index.mem d cd name) (fun () -> Ref.mem r cr name) ( = )
+        | _ ->
+            both "entries" name
+              (fun () -> (Dir_index.entries d, Dir_index.size d))
+              (fun () -> (Ref.entries r, Ref.size r))
+              ( = )
+      done;
+      Dir_index.entries d = Ref.entries r)
+
 let test_fd_table () =
   let t = Fd_table.create () in
   let fd = Fd_table.alloc t ~ino:7 ~flags:Types.o_rdwr in
@@ -186,6 +242,7 @@ let suite =
     Alcotest.test_case "block map huge candidate" `Quick test_block_map_huge_candidate;
     QCheck_alcotest.to_alcotest prop_block_map_remove_inverse;
     Alcotest.test_case "dir index cost models" `Quick test_dir_index_costs;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xd1e |]) prop_dir_index_oracle;
     Alcotest.test_case "fd table" `Quick test_fd_table;
     Alcotest.test_case "winefs codecs" `Quick test_codec_roundtrips;
     Alcotest.test_case "winefs layout" `Quick test_layout;
