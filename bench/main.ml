@@ -276,16 +276,21 @@ let table_json t =
              (Table.rows t)) );
     ]
 
-let bench_doc ~figure ~scale ~wall_s tables =
+(* One experiment run: its tables, the stats it left and the wall time
+   it took.  Experiments that share a runner (fig7 and table2) share one
+   run. *)
+type outcome = { tables : Table.t list; stats : Json.t; makespan_ns : int; wall_s : float }
+
+let bench_doc ~figure ~scale o =
   Json.Obj
     [
       ("schema", Json.String "winefs-bench/1");
       ("figure", Json.String figure);
       ("scale", Json.Int scale);
-      ("wall_s", Json.Float wall_s);
-      ("tables", Json.List (List.map table_json tables));
-      ("stats", Stats.to_json ());
-      ("makespan_ns", Json.Int (Stats.Registry.makespan_ns Stats.global));
+      ("wall_s", Json.Float o.wall_s);
+      ("tables", Json.List (List.map table_json o.tables));
+      ("stats", o.stats);
+      ("makespan_ns", Json.Int o.makespan_ns);
     ]
 
 let write_file path doc =
@@ -372,6 +377,7 @@ let () =
     | None -> false
   in
   let seen = Hashtbl.create 8 in
+  let runs = ref [] in
   Printf.printf "WineFS reproduction benchmark harness (scale %d)\n" !scale;
   Printf.printf "Simulated-time results; shapes, not absolute numbers, are the target.\n\n%!";
   List.iter
@@ -379,18 +385,36 @@ let () =
       if not (Hashtbl.mem seen descr) then begin
         Hashtbl.replace seen descr ();
         Printf.printf "### %s — %s\n%!" name descr;
-        Stats.reset ();
-        Stats.set_enabled true;
-        let t0 = Unix.gettimeofday () in
-        let tables = run ~scale:!scale () in
-        let wall_s = Unix.gettimeofday () -. t0 in
-        Stats.set_enabled false;
-        List.iter Table.print tables;
-        Printf.printf "(%s took %.1fs wall)\n\n%!" name wall_s;
+        let o =
+          match List.assq_opt run !runs with
+          | Some (first, o) ->
+              List.iter Table.print o.tables;
+              Printf.printf "(%s shares %s's run)\n\n%!" name first;
+              o
+          | None ->
+              Stats.reset ();
+              Stats.set_enabled true;
+              let t0 = Unix.gettimeofday () in
+              let tables = run ~scale:!scale () in
+              let wall_s = Unix.gettimeofday () -. t0 in
+              Stats.set_enabled false;
+              let o =
+                {
+                  tables;
+                  stats = Stats.to_json ();
+                  makespan_ns = Stats.Registry.makespan_ns Stats.global;
+                  wall_s;
+                }
+              in
+              runs := (run, (name, o)) :: !runs;
+              List.iter Table.print tables;
+              Printf.printf "(%s took %.1fs wall)\n\n%!" name wall_s;
+              o
+        in
         match !json_path with
         | None -> ()
         | Some p ->
-            let doc = bench_doc ~figure:name ~scale:!scale ~wall_s tables in
+            let doc = bench_doc ~figure:name ~scale:!scale o in
             let path = if json_single then p else Filename.concat p ("BENCH_" ^ name ^ ".json") in
             write_file path doc
       end)

@@ -7,10 +7,12 @@
    zeroed-field CRC, major-heap words allocated by a fresh device and its
    crash image and by chunks a uniform store displaced, minor words per
    whole-chunk uniform store, heap words a recovery mount keeps live and
-   minor words it allocates per live file, minor words per DRAM-index
-   predecessor search and directory-index insertion and per mutex
-   created, and minor words per LRU-directory access
-   and per mapped read through the memsim TLB/LLC model.  A
+   minor words it allocates per live file, minor words per first lookup
+   of a file the mount left pending and per inode-number allocation and
+   release, minor words per DRAM-index predecessor search and
+   directory-index insertion and per mutex created, and minor words per
+   LRU-directory access and per mapped read through the memsim TLB/LLC
+   model.  A
    regression that reintroduces O(all-pending) fence sweeps, degenerate
    probe chains or a per-access allocation fails these budgets on any
    machine, loaded or not. *)
@@ -186,11 +188,11 @@ let uniform_store_budget () =
    per-CPU WineFS image crashed (remounted without unmount) over and
    over.  The mount's rebuild sweeps every inode-table slot in place and
    reuses one scan buffer per mount, so its heap words grow with the
-   live files' DRAM state only, a few flat objects per file (no per-file
-   slot buffer, no list cell per free extent slot, no path-copied map
-   node per dentry), and an empty image allocates no minor words per
-   table slot (the per-CPU free-inode stacks are int arrays, no cons
-   cell per blank slot). *)
+   live files' decoded state only: a run of ints per regular file, whose
+   DRAM inode is built on first lookup (no per-file slot buffer, no list
+   cell per free extent slot, no path-copied map node per dentry), and
+   an empty image allocates no minor words per table slot (the per-CPU
+   free-inode stacks are int arrays, no cons cell per blank slot). *)
 let mount_alloc_budget () =
   let cfg = Types.config ~cpus:4 ~inodes_per_cpu:1024 () in
   let image files =
@@ -226,7 +228,7 @@ let mount_alloc_budget () =
   let full = image files in
   let empty = image 0 in
   let per_file = (live_per_mount full - live_per_mount empty) / files in
-  budget "live words / mount / live file" ~actual:per_file ~limit:50;
+  budget "live words / mount / live file" ~actual:per_file ~limit:41;
   (* Minor words per mount over a few crash mounts of each image, and
      what a live file adds to them. *)
   let mounts = 4 in
@@ -235,10 +237,40 @@ let mount_alloc_budget () =
     words_per_call mounts (fun _ -> ignore (Sys.opaque_identity (Winefs.Fs.mount dev cfg)))
   in
   let minor_empty = minor empty in
-  budget "minor words / empty-image mount" ~actual:minor_empty ~limit:9_785;
+  budget "minor words / empty-image mount" ~actual:minor_empty ~limit:9_780;
   budget "minor words / mount / live file"
     ~actual:((minor full - minor_empty) / files)
-    ~limit:103
+    ~limit:44;
+  (* A regular file's DRAM inode is built on its first lookup: its
+     record, extent map, lock and table cell, nothing per mount. *)
+  let layout =
+    Winefs.Layout.compute ~size:(Device.size full) ~cpus:4 ~inodes_per_cpu:1024
+  in
+  let inodes = Winefs.Inode.create ~dev:full ~layout ~txns:(Winefs.Txn.attach full layout) in
+  ignore (Winefs.Inode.scan_tables inodes (Cpu.make ~id:0 ()) ~on_refuse:(fun _ _ -> ()));
+  (* The files were created in order on CPU 0, as inodes 2 to 513. *)
+  budget "minor words / first lookup of a pending file"
+    ~actual:
+      (words_per_call files (fun i ->
+           ignore (Sys.opaque_identity (Winefs.Inode.find inodes (i + 2)))))
+    ~limit:50
+
+(* Allocating and releasing an inode number touches only the per-CPU
+   free stacks: with no race monitor running, no race-detector object
+   name is built, and the only words are the result's [Some]. *)
+let ino_alloc_budget () =
+  let dev = Device.create ~size:(32 * Units.mib) () in
+  let cpu = Cpu.make ~id:0 () in
+  let layout = Winefs.Layout.compute ~size:(Device.size dev) ~cpus:4 ~inodes_per_cpu:64 in
+  let inodes = Winefs.Inode.create ~dev ~layout ~txns:(Winefs.Txn.format dev cpu layout) in
+  Winefs.Inode.init_free inodes;
+  budget "minor words / alloc_ino+release_ino"
+    ~actual:
+      (words_per_call 10_000 (fun _ ->
+           match Winefs.Inode.alloc_ino inodes cpu with
+           | Some ino -> Winefs.Inode.release_ino inodes ino
+           | None -> ()))
+    ~limit:2
 
 let crc_alloc_budget () =
   (* Every inode-header verify and persist, undo entry and redo record
@@ -335,6 +367,7 @@ let () =
   uniform_store_budget ();
   crc_alloc_budget ();
   mount_alloc_budget ();
+  ino_alloc_budget ();
   index_alloc_budget ();
   mutex_alloc_budget ();
   memsim_alloc_budget ();

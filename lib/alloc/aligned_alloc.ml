@@ -357,16 +357,29 @@ let alloc ?contig_after t ~cpu ~len ~prefer_aligned =
    stripe boundaries — restoring such a merged extent could place it in
    the wrong pool.  In sorted order an overlap is an extent that starts
    before its region's cursor. *)
+let rec fill_used offs lens i = function
+  | [] -> ()
+  | (off, len) :: rest ->
+      offs.(i) <- off;
+      lens.(i) <- len;
+      fill_used offs lens (i + 1) rest
+
 let free_lists_of_used ~regions ~used =
   let n = Array.length regions in
   let cursor = Array.map fst regions in
   let gaps = Array.make n [] in
-  let sorted = Array.of_list used in
-  Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) sorted;
+  (* Sorted as ints, not tuples: an array initialised with a young tuple
+     and too large for the minor heap would force a minor collection.
+     [order] holds list positions by offset, ties in list order. *)
+  let m = List.length used in
+  let offs = Array.make m 0 and lens = Array.make m 0 in
+  fill_used offs lens 0 used;
+  let order = Array.init m Fun.id in
+  if m > 1 then Array.stable_sort (fun a b -> Int.compare offs.(a) offs.(b)) order;
   let rec sweep k =
-    if k = Array.length sorted then Ok ()
+    if k = m then Ok ()
     else
-      let off, len = sorted.(k) in
+      let off = offs.(order.(k)) and len = lens.(order.(k)) in
       if len <= 0 then Error (Printf.sprintf "extent [%d,%d): non-positive length" off (off + len))
       else
         match region_of regions off with

@@ -256,15 +256,14 @@ let mount dev cfg =
      block on a poisoned line refuses the directory (paths through it then
      fail with EIO) but not the mount. *)
   let dentry_buf = ref Bytes.empty in
-  Inode.iter t.inodes (fun f ->
-      if Option.is_some f.dir then
-        try Namespace.load_dir_index t.ns cpu ~buf:dentry_buf f
-        with Device.Media_error _ ->
-          if f.ino = root_ino then Types.err EIO "corrupt image: root directory unreadable";
-          incr detected;
-          incr refused;
-          degraded := true;
-          Inode.refuse t.inodes f.ino "media error reading directory blocks");
+  Inode.iter_dirs t.inodes (fun f ->
+      try Namespace.load_dir_index t.ns cpu ~buf:dentry_buf f
+      with Device.Media_error _ ->
+        if f.ino = root_ino then Types.err EIO "corrupt image: root directory unreadable";
+        incr detected;
+        incr refused;
+        degraded := true;
+        Inode.refuse t.inodes f.ino "media error reading directory blocks");
   Device.annotate dev Recovery_end;
   t.read_only <- !degraded;
   count_fault t "fault.detected" !detected;
@@ -584,5 +583,3 @@ let file_extents t cpu path =
   List.rev
     (Int_map.fold f.records ~init:[] ~f:(fun acc o (r : Inode.record) ->
          (o, r.phys, r.len) :: acc))
-
-let rewrite_queue_length t = List.length t.rewrite_queue

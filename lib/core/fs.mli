@@ -1,9 +1,9 @@
 (** WineFS — the paper's hugepage-aware PM file system (§3).
 
     Implements the common file-system interface ({!Repro_vfs.Fs_intf.S})
-    plus WineFS-specific facilities: the reactive rewriter (§3.6) and its
-    queue.  See the implementation for the design commentary; DESIGN.md
-    maps each mechanism to the paper section it reproduces. *)
+    plus WineFS-specific facilities: the reactive rewriter (§3.6).  See
+    the implementation for the design commentary; DESIGN.md maps each
+    mechanism to the paper section it reproduces. *)
 
 type t
 
@@ -15,10 +15,6 @@ val run_rewriter : t -> Repro_util.Cpu.t -> int
     copied into freshly-allocated aligned extents under a new inode, and
     one journal transaction atomically deletes the old file and re-points
     the directory entry.  Returns the number of files rewritten. *)
-
-val rewrite_queue_length : t -> int
-(** Files queued for rewriting (queued by the fault path when it finds a
-    fragmented memory-mapped file). *)
 
 val read_only : t -> bool
 (** Did the mount-time scrub degrade this mount to read-only?  True when

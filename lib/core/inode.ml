@@ -30,11 +30,21 @@ type file = {
   mutable dirty_bytes : int;
 }
 
+(* Regular files a mount found valid but nobody has asked for yet: each
+   one's decoded on-PM state, waiting in [desc] for its first lookup. *)
+type pending = {
+  at : int array;  (* [ino - 1] -> 1 + its descriptor's offset in [desc]; 0 if not pending *)
+  names : string array;  (* [ino - 1] -> the name the directory pass found for it *)
+  desc : Flat_vec.t;
+  mutable count : int;  (* files still pending *)
+}
+
 type t = {
   dev : Device.t;
   layout : Layout.t;
   txns : Txn.t;
-  files : file Int_hashtbl.t;
+  mutable files : file Int_hashtbl.t;
+  mutable pending : pending option;  (* [None] unless a scan left a file pending *)
   bad_inos : string Int_hashtbl.t; (* ino -> why the scrub refused it *)
   free : int array array;
       (* per-CPU stacks of free inode idx, [free_top.(c)] deep: the top,
@@ -47,12 +57,20 @@ type t = {
    design is supposed to confine. *)
 let note ~obj ~write ~site = if Sched.monitored () then Sched.access ~obj ~write ~site
 
+(* The object name is built only under the monitor. *)
+let note_free_stack c ~site =
+  if Sched.monitored () then
+    Sched.access ~obj:(Printf.sprintf "fs.inodes[%d]" c) ~write:true ~site
+
+let files_buckets = 1024
+
 let create ~dev ~layout ~txns =
   {
     dev;
     layout;
     txns;
-    files = Int_hashtbl.create 1024;
+    files = Int_hashtbl.create files_buckets;
+    pending = None;
     bad_inos = Int_hashtbl.create 8;
     free = Array.init layout.Layout.cpus (fun _ -> Array.make layout.Layout.inodes_per_cpu 0);
     free_top = Array.make layout.Layout.cpus 0;
@@ -120,30 +138,116 @@ let init_slots t cpu ino =
   Device.memset t.dev cpu ~off ~len '\000';
   Device.persist t.dev cpu ~off ~len
 
+let make_file ino kind ~lock =
+  {
+    ino;
+    kind;
+    size = 0;
+    nlink = (if Types.is_dir kind then 2 else 1);
+    xattr_align = false;
+    parent = 0;
+    dname = "";
+    records = Int_map.create ();
+    free_slots = [];
+    free_inline = 0;
+    slot_cap = 0;
+    overflow = [];
+    dir = (if Types.is_dir kind then Some (Dir_index.create Dram_rbtree) else None);
+    free_dentries = [];
+    lock;
+    dirty_bytes = 0;
+  }
+
 let install t ino kind =
-  let f =
-    {
-      ino;
-      kind;
-      size = 0;
-      nlink = (if Types.is_dir kind then 2 else 1);
-      xattr_align = false;
-      parent = 0;
-      dname = "";
-      records = Int_map.create ();
-      free_slots = [];
-      free_inline = 0;
-      slot_cap = 0;
-      overflow = [];
-      dir = (if Types.is_dir kind then Some (Dir_index.create Dram_rbtree) else None);
-      free_dentries = [];
-      lock = Sched.create_mutex ();
-      dirty_bytes = 0;
-    }
-  in
+  let f = make_file ino kind ~lock:(Sched.create_mutex ()) in
   note ~obj:"fs.files" ~write:true ~site:"fs.install_file";
   Int_hashtbl.replace t.files ino f;
   f
+
+(* A descriptor is one valid inode's on-PM state as a run of ints in a
+   [Flat_vec]:
+
+     ino; mutex id; flags; size; nlink; parent; k; blk_1 .. blk_k; r;
+     then r records of four ints: file_off; slot * 2 + asrc; phys; len
+
+   flags has bit 0 for a directory and bit 1 for [xattr_align]; blk_i is
+   the overflow chain in order, and the records are every live extent
+   slot in ascending slot order.  A slot below the file's slot capacity
+   with no record is free, so the free inline mask and free overflow
+   slots need no ints of their own.  [parent] is filled in by the
+   directory pass. *)
+let d_mid = 1
+let d_flags = 2
+let d_size = 3
+let d_nlink = 4
+let d_parent = 5
+let d_chain = 6
+
+let desc_records v o = o + d_chain + Flat_vec.get v (o + d_chain) + 2
+
+(* Build exactly the file the eager loader built: the records inserted in
+   slot order, every other slot below the capacity free, the overflow
+   ones stacked so the highest comes out first.  A cache fill, not a
+   table write: it notes nothing for the race detector. *)
+let materialize t v o ~dname =
+  let flags = Flat_vec.get v (o + d_flags) in
+  let kind = if flags land 1 <> 0 then Types.Directory else Types.Regular in
+  let f =
+    make_file (Flat_vec.get v o) kind
+      ~lock:(Sched.create_reserved_mutex (Flat_vec.get v (o + d_mid)))
+  in
+  f.size <- Flat_vec.get v (o + d_size);
+  f.nlink <- Flat_vec.get v (o + d_nlink);
+  f.xattr_align <- flags land 2 <> 0;
+  f.parent <- Flat_vec.get v (o + d_parent);
+  f.dname <- dname;
+  let k = Flat_vec.get v (o + d_chain) in
+  for b = k downto 1 do
+    f.overflow <- Flat_vec.get v (o + d_chain + b) :: f.overflow
+  done;
+  f.slot_cap <- Layout.inline_extents + (k * Codec.Overflow.capacity);
+  let rb = desc_records v o in
+  let r = Flat_vec.get v (rb - 1) in
+  let next = ref 0 in
+  for s = 0 to f.slot_cap - 1 do
+    let p = rb + (4 * !next) in
+    if !next < r && Flat_vec.get v (p + 1) lsr 1 = s then begin
+      Int_map.insert f.records (Flat_vec.get v p)
+        {
+          slot = s;
+          phys = Flat_vec.get v (p + 2);
+          len = Flat_vec.get v (p + 3);
+          asrc = Flat_vec.get v (p + 1) land 1 <> 0;
+        };
+      incr next
+    end
+    else if s < Layout.inline_extents then f.free_inline <- f.free_inline lor (1 lsl s)
+    else f.free_slots <- s :: f.free_slots
+  done;
+  Int_hashtbl.replace t.files f.ino f;
+  f
+
+(* [1 +] the offset of pending inode [ino]'s descriptor, or 0. *)
+let pending_at t ino =
+  match t.pending with
+  | Some p when ino >= 1 && ino <= Array.length p.at -> p.at.(ino - 1)
+  | _ -> 0
+
+(* Take inode [ino] off the pending table, dropping the table once it
+   holds no file. *)
+let unpend t p ino =
+  p.at.(ino - 1) <- 0;
+  p.names.(ino - 1) <- "";
+  p.count <- p.count - 1;
+  if p.count = 0 then t.pending <- None
+
+let materialize_pending t ino =
+  match t.pending with
+  | Some p when pending_at t ino > 0 ->
+      let o = p.at.(ino - 1) - 1 and dname = p.names.(ino - 1) in
+      unpend t p ino;
+      Some (materialize t p.desc o ~dname)
+  | _ -> None
 
 let find t ino =
   note ~obj:"fs.files" ~write:false ~site:"fs.find_file";
@@ -152,15 +256,34 @@ let find t ino =
   | None -> ());
   match Int_hashtbl.find_opt t.files ino with
   | Some f -> f
-  | None -> Types.err EBADF "stale inode %d" ino
+  | None -> (
+      match materialize_pending t ino with
+      | Some f -> f
+      | None -> Types.err EBADF "stale inode %d" ino)
 
-let find_opt t ino = Int_hashtbl.find_opt t.files ino
+let find_opt t ino =
+  match Int_hashtbl.find_opt t.files ino with
+  | Some _ as found -> found
+  | None -> materialize_pending t ino
+
+let set_name t ino ~parent ~name =
+  match Int_hashtbl.find_opt t.files ino with
+  | Some f ->
+      f.parent <- parent;
+      f.dname <- name
+  | None -> (
+      match t.pending with
+      | Some p when pending_at t ino > 0 ->
+          Flat_vec.set p.desc (p.at.(ino - 1) - 1 + d_parent) parent;
+          p.names.(ino - 1) <- name
+      | _ -> ())
 
 let forget t ~site ino =
   note ~obj:"fs.files" ~write:true ~site;
-  Int_hashtbl.remove t.files ino
+  Int_hashtbl.remove t.files ino;
+  match t.pending with Some p when pending_at t ino > 0 -> unpend t p ino | _ -> ()
 
-let iter t f = Int_hashtbl.iter (fun _ v -> f v) t.files
+let iter_dirs t f = Int_hashtbl.iter (fun _ v -> if Option.is_some v.dir then f v) t.files
 
 (* Free extent slots form one stack per file: [free_slots] on top (slots
    released since the mount, or a fresh overflow block's), then
@@ -199,31 +322,31 @@ let add_overflow_block f blk =
   f.free_slots <- List.init (Codec.Overflow.capacity - 1) (fun i -> s + 1 + i);
   s
 
+(* Pop CPU [c]'s free stack: an inode number, or 0 when it is empty. *)
+let pop_free t c =
+  note_free_stack c ~site:"fs.alloc_ino";
+  let n = t.free_top.(c) in
+  if n = 0 then 0
+  else begin
+    t.free_top.(c) <- n - 1;
+    Layout.ino_of t.layout ~cpu:c ~idx:t.free.(c).(n - 1)
+  end
+
+let rec steal t ~local c =
+  if c >= t.layout.Layout.cpus then None
+  else if c = local then steal t ~local (c + 1)
+  else
+    let ino = pop_free t c in
+    if ino > 0 then Some ino else steal t ~local (c + 1)
+
 let alloc_ino t (cpu : Cpu.t) =
-  let try_cpu c =
-    note ~obj:(Printf.sprintf "fs.inodes[%d]" c) ~write:true ~site:"fs.alloc_ino";
-    let n = t.free_top.(c) in
-    if n = 0 then None
-    else begin
-      t.free_top.(c) <- n - 1;
-      Some (Layout.ino_of t.layout ~cpu:c ~idx:t.free.(c).(n - 1))
-    end
-  in
-  let cpus = t.layout.Layout.cpus in
-  let local = cpu.id mod cpus in
-  match try_cpu local with
-  | Some ino -> Some ino
-  | None ->
-      let rec steal c =
-        if c >= cpus then None
-        else if c = local then steal (c + 1)
-        else match try_cpu c with Some ino -> Some ino | None -> steal (c + 1)
-      in
-      steal 0
+  let local = cpu.id mod t.layout.Layout.cpus in
+  let ino = pop_free t local in
+  if ino > 0 then Some ino else steal t ~local 0
 
 let release_ino t ino =
   let c = Layout.cpu_of_ino t.layout ino in
-  note ~obj:(Printf.sprintf "fs.inodes[%d]" c) ~write:true ~site:"fs.release_ino";
+  note_free_stack c ~site:"fs.release_ino";
   let n = t.free_top.(c) in
   t.free.(c).(n) <- Layout.idx_of_ino t.layout ino;
   t.free_top.(c) <- n + 1
@@ -246,66 +369,118 @@ let refuse t ino why = Int_hashtbl.replace t.bad_inos ino why
 let is_bad t ino = Int_hashtbl.mem t.bad_inos ino
 let refused t = Int_hashtbl.length t.bad_inos
 
-(* Mount-time loading.  One scan owns one [slots] scratch buffer, sized
-   for an overflow block's records, and every file reuses it: the chain
-   walk reads each overflow header into it, and each slot region (the
-   inline area, then each overflow block) is one bulk device read decoded
-   in place.  Nothing here allocates per slot: a free inline slot is a
-   bit of [free_inline], and only a free overflow slot is a list cell. *)
-let rec read_chain t cpu slots blk acc =
-  if blk = 0 then List.rev acc
-  else begin
-    Device.read t.dev cpu ~off:blk ~len:Codec.Overflow.header_bytes ~dst:slots ~dst_off:0;
-    let next, _count = Codec.Overflow.decode_header slots in
-    read_chain t cpu slots next (blk :: acc)
-  end
-
-(* Live records have len > 0; every other slot is free.  Slots are
-   visited in ascending order and each free overflow slot is pushed, so
-   the highest comes out first. *)
-let load_region t cpu slots f ~addr ~first_slot ~count =
+(* Mount-time loading, in two steps.  The scan decodes every valid inode
+   into a descriptor (see above), with the same device reads in the same
+   order as ever: it owns one [slots] scratch buffer, sized for an
+   overflow block's records, into which the chain walk reads each
+   overflow header and each slot region (the inline area, then each
+   overflow block) is read in one bulk access and decoded in place.
+   Directories are then materialized, because the directory pass needs
+   them; a regular file stays pending until {!find} or {!find_opt} first
+   asks for it. *)
+let decode_region t cpu slots v ~addr ~first_slot ~count =
   let eb = Codec.Inode.extent_bytes in
   Device.read t.dev cpu ~off:addr ~len:(count * eb) ~dst:slots ~dst_off:0;
+  let live = ref 0 in
   for i = 0 to count - 1 do
     let off = i * eb in
     let len = Codec.Inode.extent_len_at slots off in
-    if len > 0 then
-      Int_map.insert f.records
-        (Codec.Inode.extent_file_off_at slots off)
-        {
-          slot = first_slot + i;
-          phys = Codec.Inode.extent_phys_at slots off;
-          len;
-          asrc = Codec.Inode.extent_asrc_at slots off;
-        }
-    else begin
-      let slot = first_slot + i in
-      if slot < Layout.inline_extents then f.free_inline <- f.free_inline lor (1 lsl slot)
-      else f.free_slots <- slot :: f.free_slots
+    if len > 0 then begin
+      Flat_vec.push v (Codec.Inode.extent_file_off_at slots off);
+      Flat_vec.push v
+        (((first_slot + i) lsl 1) lor Bool.to_int (Codec.Inode.extent_asrc_at slots off));
+      Flat_vec.push v (Codec.Inode.extent_phys_at slots off);
+      Flat_vec.push v len;
+      incr live
     end
+  done;
+  !live
+
+(* Push the overflow chain from [blk] on, returning its length. *)
+let rec decode_chain t cpu slots v blk k =
+  if blk = 0 then k
+  else begin
+    Device.read t.dev cpu ~off:blk ~len:Codec.Overflow.header_bytes ~dst:slots ~dst_off:0;
+    let next, _count = Codec.Overflow.decode_header slots in
+    Flat_vec.push v blk;
+    decode_chain t cpu slots v next (k + 1)
+  end
+
+let decode t cpu slots v ino ~mid (h : Codec.Inode.header) =
+  let o = Flat_vec.length v in
+  Flat_vec.push v ino;
+  Flat_vec.push v mid;
+  Flat_vec.push v (Bool.to_int h.is_dir lor (Bool.to_int h.xattr_align lsl 1));
+  Flat_vec.push v h.size;
+  Flat_vec.push v h.nlink;
+  Flat_vec.push v 0;
+  Flat_vec.push v 0;
+  let k = decode_chain t cpu slots v h.overflow 0 in
+  Flat_vec.set v (o + d_chain) k;
+  let r_at = Flat_vec.length v in
+  Flat_vec.push v 0;
+  let r =
+    ref
+      (decode_region t cpu slots v
+         ~addr:(inode_addr t ino + Codec.Inode.extent_slot_off 0)
+         ~first_slot:0 ~count:Layout.inline_extents)
+  in
+  for b = 0 to k - 1 do
+    r :=
+      !r
+      + decode_region t cpu slots v
+          ~addr:(Flat_vec.get v (o + d_chain + 1 + b) + Codec.Overflow.record_off 0)
+          ~first_slot:(Layout.inline_extents + (b * Codec.Overflow.capacity))
+          ~count:Codec.Overflow.capacity
+  done;
+  Flat_vec.set v r_at !r
+
+let used_of v rb i = (Flat_vec.get v (rb + (4 * i) + 2), Flat_vec.get v (rb + (4 * i) + 3))
+
+(* Prepend a descriptor's extents to [used] in the order the eager
+   loader walked its record map: ascending file offset, where a repeated
+   offset keeps only its highest slot (the map's last insertion), then
+   the overflow blocks.  Records already in strictly ascending offset
+   order, the common case, need no sort. *)
+let add_used v o used =
+  let k = Flat_vec.get v (o + d_chain) in
+  let rb = desc_records v o in
+  let r = Flat_vec.get v (rb - 1) in
+  let ascending = ref true in
+  for i = 1 to r - 1 do
+    if Flat_vec.get v (rb + (4 * i)) <= Flat_vec.get v (rb + (4 * (i - 1))) then ascending := false
+  done;
+  if !ascending then
+    for i = 0 to r - 1 do
+      used := used_of v rb i :: !used
+    done
+  else begin
+    let key i = Flat_vec.get v (rb + (4 * i)) in
+    let a = Array.init r Fun.id in
+    Array.stable_sort (fun x y -> Int.compare (key x) (key y)) a;
+    for j = 0 to r - 1 do
+      if j + 1 = r || key a.(j + 1) <> key a.(j) then used := used_of v rb a.(j) :: !used
+    done
+  end;
+  for b = 0 to k - 1 do
+    used := (Flat_vec.get v (o + d_chain + 1 + b), block) :: !used
   done
 
-let rec load_overflow t cpu slots f ~first_slot = function
-  | [] -> ()
-  | blk :: rest ->
-      load_region t cpu slots f
-        ~addr:(blk + Codec.Overflow.record_off 0)
-        ~first_slot ~count:Codec.Overflow.capacity;
-      load_overflow t cpu slots f ~first_slot:(first_slot + Codec.Overflow.capacity) rest
-
-let load_file t cpu slots ino (h : Codec.Inode.header) =
-  let kind = if h.is_dir then Types.Directory else Types.Regular in
-  let f = install t ino kind in
-  f.size <- h.size;
-  f.nlink <- h.nlink;
-  f.xattr_align <- h.xattr_align;
-  f.overflow <- read_chain t cpu slots h.overflow [];
-  f.slot_cap <- Layout.inline_extents + (List.length f.overflow * Codec.Overflow.capacity);
-  load_region t cpu slots f
-    ~addr:(inode_addr t f.ino + Codec.Inode.extent_slot_off 0)
-    ~first_slot:0 ~count:Layout.inline_extents;
-  load_overflow t cpu slots f ~first_slot:Layout.inline_extents f.overflow;
-  f
+let pending_of t =
+  match t.pending with
+  | Some p -> p
+  | None ->
+      let n = Layout.max_ino t.layout in
+      let p =
+        {
+          at = Array.make n 0;
+          names = Array.make n "";
+          desc = Flat_vec.create ~capacity:(2 * n) ();
+          count = 0;
+        }
+      in
+      t.pending <- Some p;
+      p
 
 let scan_tables t cpu ~on_refuse =
   let layout = t.layout in
@@ -321,6 +496,14 @@ let scan_tables t cpu ~on_refuse =
   let cbuf = Bytes.create (chunk_inodes * ib) in
   let hb = Bytes.create Codec.Inode.header_bytes in
   let slots = Bytes.create (Codec.Overflow.capacity * Codec.Inode.extent_bytes) in
+  let dirs = Flat_vec.create ~capacity:8 () in
+  t.pending <- None;
+  (* The bucket count a table holding every loaded inode would reach:
+     [Hashtbl] doubles its buckets once it holds more than twice as many
+     bindings.  The table created with that count lists the directories
+     in the same relative order as the full table did, which the
+     directory pass (and so the order of its device reads) follows. *)
+  let loaded = ref 0 and buckets = ref files_buckets in
   let refuse_ino ino why =
     refuse t ino why;
     on_refuse ino why
@@ -343,11 +526,23 @@ let scan_tables t cpu ~on_refuse =
     else begin
       let h = Codec.Inode.decode_header_at b off in
       if h.valid then begin
-        match load_file t cpu slots ino h with
-        | f ->
-            Int_map.iter f.records (fun _ r -> used := (r.phys, r.len) :: !used);
-            List.iter (fun blk -> used := (blk, block) :: !used) f.overflow
+        note ~obj:"fs.files" ~write:true ~site:"fs.install_file";
+        let mid = Sched.reserve_mutex_id () in
+        incr loaded;
+        if !loaded > 2 * !buckets then buckets := 2 * !buckets;
+        let v = if h.is_dir then dirs else (pending_of t).desc in
+        let o = Flat_vec.length v in
+        match decode t cpu slots v ino ~mid h with
+        | () ->
+            add_used v o used;
+            if not h.is_dir then begin
+              let p = pending_of t in
+              p.at.(ino - 1) <- o + 1;
+              p.count <- p.count + 1
+            end
         | exception Device.Media_error _ ->
+            Flat_vec.truncate v o;
+            decr loaded;
             forget t ~site:"fs.scrub" ino;
             refuse_ino ino "media error loading extent metadata"
       end
@@ -386,5 +581,13 @@ let scan_tables t cpu ~on_refuse =
       stack.(i) <- stack.(n - 1 - i);
       stack.(n - 1 - i) <- x
     done
+  done;
+  (match t.pending with Some p when p.count = 0 -> t.pending <- None | _ -> ());
+  if !buckets > files_buckets then t.files <- Int_hashtbl.create !buckets;
+  let o = ref 0 in
+  while !o < Flat_vec.length dirs do
+    ignore (materialize t dirs !o ~dname:"");
+    let rb = desc_records dirs !o in
+    o := rb + (4 * Flat_vec.get dirs (rb - 1))
   done;
   !used

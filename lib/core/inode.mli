@@ -6,7 +6,8 @@
     loading and the mount-time table scan (§3.6, the scrub refuses — never
     reuses — corrupt headers), per-CPU free inode stacks, and the DRAM
     inode cache itself: {!file} is the in-memory inode every other layer
-    operates on. *)
+    operates on.  After a mount, a regular file's {!file} is built on its
+    first lookup. *)
 
 open Repro_util
 module Types = Repro_vfs.Types
@@ -87,14 +88,31 @@ val install : t -> int -> Types.file_kind -> file
 (** Create and register a fresh in-memory inode. *)
 
 val find : t -> int -> file
-(** Raises [EIO] for scrub-refused inodes, [EBADF] for stale ones. *)
+(** Raises [EIO] for scrub-refused inodes, [EBADF] for stale ones.  After
+    a mount, a regular file's DRAM inode is built here (or in
+    {!find_opt}) the first time it is asked for, from the state the scan
+    decoded; the result is the inode an eager load would have built,
+    mutex id included.  Building it is a cache fill behind the read: the
+    race detector sees only this read of [fs.files]. *)
 
 val find_opt : t -> int -> file option
+(** {!find} without the refusal check, the race annotation or the
+    errors: [None] for an inode that is neither loaded nor pending. *)
+
 val forget : t -> site:string -> int -> unit
-val iter : t -> (file -> unit) -> unit
-(** Bucket order of a table keyed by inode number, the order the generic
-    [Hashtbl] gives (see {!Repro_util.Int_hashtbl}); the mount's
-    directory pass, and so its device reads, follow it. *)
+(** Drop an inode from the cache, pending or not. *)
+
+val set_name : t -> int -> parent:int -> name:string -> unit
+(** The directory pass found inode [ino] as [name] in directory [parent]:
+    record both on its DRAM inode, or on its descriptor while it is
+    pending, without building it.  A no-op for unknown inodes. *)
+
+val iter_dirs : t -> (file -> unit) -> unit
+(** The loaded directories, in the bucket order of a table keyed by
+    inode number (see {!Repro_util.Int_hashtbl}).  Only the mount's
+    directory pass uses it, right after {!scan_tables}: the scan sizes
+    the table so this is the order a table holding every loaded inode
+    would give, and the pass's device reads follow it. *)
 
 (* -- Free extent slots -- *)
 
@@ -138,11 +156,13 @@ val refused : t -> int
 (* -- Mount-time loading (§3.6 recovery scan) -- *)
 
 val scan_tables : t -> Cpu.t -> on_refuse:(int -> string -> unit) -> (int * int) list
-(** Scan the per-CPU inode tables (parallel in the paper; the simulated
-    cost model charges the reads), loading every valid inode and
-    rebuilding the per-CPU free stacks.  Corrupt or unreadable headers
-    are refused via [on_refuse] (and recorded, see {!is_bad}).  Each live
-    file's DRAM state is a few flat objects: its record map, its overflow
-    chain and, only when it has overflow blocks, a list of their free
-    slots.  Returns the used physical extents (data runs + overflow
-    blocks) for the allocator rebuild. *)
+(** Scan the per-CPU inode tables of a fresh [t] (parallel in the paper;
+    the simulated cost model charges the reads), rebuilding the per-CPU
+    free stacks and decoding every valid inode's header, overflow chain
+    and extent slots into a flat descriptor.  Directories are built at
+    once; a regular file is built by its first {!find} or {!find_opt}, and
+    its lock keeps the id it would have had if built here (ids are
+    reserved in scan order).  Corrupt or unreadable headers are refused
+    via [on_refuse] (and recorded, see {!is_bad}), as is an inode whose
+    extent metadata cannot be read.  Returns the used physical extents
+    (data runs + overflow blocks) for the allocator rebuild. *)

@@ -252,11 +252,7 @@ let load_dir_index t cpu ~buf (f : Inode.file) =
           match Codec.Dentry.decode_at buf (i * Codec.dentry_bytes) with
           | Some d ->
               Dir_index.add idx cpu ~name:d.name ~ino:d.ino ~slot:phys;
-              (match Inode.find_opt t.inodes d.ino with
-              | Some child ->
-                  child.parent <- f.ino;
-                  child.dname <- d.name
-              | None -> ())
+              Inode.set_name t.inodes d.ino ~parent:f.ino ~name:d.name
           | None -> free := phys :: !free
         done
       end);

@@ -390,9 +390,3 @@ let munmap t r =
 let huge_mapped_bytes _t r = r.huge_chunks * huge
 let base_mapped_pages _t r = r.base_pages
 
-let drop_tlb t =
-  Lru_sets.clear t.tlb_4k;
-  Lru_sets.clear t.tlb_2m;
-  Lru_sets.clear t.tlb_l2
-
-let drop_llc t = Lru_sets.clear t.llc

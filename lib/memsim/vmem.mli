@@ -85,8 +85,3 @@ val huge_mapped_bytes : t -> region -> int
 (** Bytes of the region currently mapped by hugepages. *)
 
 val base_mapped_pages : t -> region -> int
-
-val drop_tlb : t -> unit
-(** Flush all TLBs (e.g. after a context switch in experiments). *)
-
-val drop_llc : t -> unit

@@ -40,10 +40,16 @@ let next_mutex_id = ref 0
    of their own. *)
 let no_waiters : thread Queue.t = Queue.create ()
 
-let create_mutex ?name () =
+let reserve_mutex_id () =
   let mid = !next_mutex_id in
   incr next_mutex_id;
-  { mid; name; holder = None; waiters = no_waiters; held_outside = false }
+  mid
+
+let create_reserved_mutex mid =
+  { mid; name = None; holder = None; waiters = no_waiters; held_outside = false }
+
+let create_mutex ?name () =
+  { mid = reserve_mutex_id (); name; holder = None; waiters = no_waiters; held_outside = false }
 
 let mutex_id m = m.mid
 let mutex_name m = match m.name with Some n -> n | None -> "m" ^ string_of_int m.mid

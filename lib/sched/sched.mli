@@ -31,6 +31,15 @@ val create_mutex : ?name:string -> unit -> mutex
     would make legitimate hierarchical parent→child nesting look like a
     same-class self-cycle. *)
 
+val reserve_mutex_id : unit -> int
+(** Take the id the next {!create_mutex} would have given, without
+    creating the mutex: a scan that builds its objects later still
+    numbers their locks in scan order. *)
+
+val create_reserved_mutex : int -> mutex
+(** An anonymous mutex with an id from {!reserve_mutex_id}; each reserved
+    id is used at most once. *)
+
 val mutex_id : mutex -> int
 (** Process-unique id, stable for the lifetime of the mutex.  Concurrency
     diagnostics use it to name locks ("m3") in lockset reports. *)

@@ -30,6 +30,10 @@ let set t i v =
 
 let clear t = t.len <- 0
 
+let truncate t n =
+  if n < 0 || n > t.len then invalid_arg "Flat_vec.truncate";
+  t.len <- n
+
 let iter t f =
   for i = 0 to t.len - 1 do
     f (Array.unsafe_get t.data i)

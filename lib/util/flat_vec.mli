@@ -13,6 +13,10 @@ val set : t -> int -> int -> unit
 val clear : t -> unit
 (** O(1): resets the length, keeping capacity. *)
 
+val truncate : t -> int -> unit
+(** [truncate t n] drops every element from index [n] on; [n] must be in
+    [0, length t]. *)
+
 val iter : t -> (int -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 val to_list : t -> int list

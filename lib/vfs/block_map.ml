@@ -85,13 +85,6 @@ let remove_range t ~file_off ~len =
   walk ();
   !freed
 
-let truncate_after t size =
-  match M.max_binding t.map with
-  | None -> []
-  | Some (o, e) ->
-      let last_end = o + e.len in
-      if last_end <= size then [] else remove_range t ~file_off:size ~len:(last_end - size)
-
 let covered t ~file_off ~len =
   let rec go off remaining =
     remaining <= 0

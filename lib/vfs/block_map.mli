@@ -25,9 +25,6 @@ val remove_range : t -> file_off:int -> len:int -> (int * int) list
 (** Unmap a logical range, splitting boundary extents; returns the freed
     physical runs [(phys, len)]. *)
 
-val truncate_after : t -> int -> (int * int) list
-(** Drop all mappings at or beyond the given size; returns freed runs. *)
-
 val covered : t -> file_off:int -> len:int -> bool
 (** Entire range mapped (no holes)? *)
 

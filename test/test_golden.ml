@@ -355,6 +355,42 @@ let run_recovery_mount ~damaged =
     [ st.capacity; st.used; st.free; st.free_extents; st.largest_free; st.aligned_free_2m ],
     (List.length names, digest_strings names) )
 
+(* The directory pass visits directories in the inode table's bucket
+   order, and the mount's device reads follow it.  An image with more
+   live inodes (2481) than a 1024-bucket table holds before it doubles
+   (2048): 40 directories of 60 empty files each, spread over the four
+   CPUs' tables.  Pinned: recovery_ns, the [Load {off; len}] digest, and
+   the listing of the last directory. *)
+let run_many_dirs_mount () =
+  let dev = Device.create ~size:(32 * mib) () in
+  let fs = Winefs.Fs.format dev recovery_cfg in
+  let cpus = Array.init 4 (fun id -> Cpu.make ~id ()) in
+  for d = 0 to 39 do
+    Winefs.Fs.mkdir fs cpus.(d mod 4) (Printf.sprintf "/d%d" d);
+    for i = 0 to 59 do
+      let cpu = cpus.((d + i) mod 4) in
+      Winefs.Fs.close fs cpu (Winefs.Fs.create fs cpu (Printf.sprintf "/d%d/f%d" d i))
+    done
+  done;
+  let loads = ref [] in
+  let hook =
+    Device.add_event_hook dev (fun _ _ -> function
+      | Device.Load { off; len } -> loads := Printf.sprintf "%d:%d;" off len :: !loads
+      | _ -> ())
+  in
+  let fs = Winefs.Fs.mount dev recovery_cfg in
+  Device.remove_event_hook dev hook;
+  let names = Winefs.Fs.readdir fs cpus.(0) "/d39" in
+  ( Winefs.Fs.recovery_ns fs,
+    digest_strings (List.rev !loads),
+    (List.length names, digest_strings names) )
+
+let test_many_dirs_mount () =
+  let ns, loads, listing = run_many_dirs_mount () in
+  Alcotest.(check int) "recovery_ns" 663348 ns;
+  Alcotest.(check int) "Load event digest" 0xab36712d loads;
+  Alcotest.(check (pair int int)) "readdir /d39 length and digest" (60, 0x923ee15f) listing
+
 let test_recovery_mount ~damaged (ns, loads, refused, statfs, listing) () =
   let got_ns, got_loads, got_refused, got_statfs, got_listing = run_recovery_mount ~damaged in
   Alcotest.(check int) "recovery_ns" ns got_ns;
@@ -506,4 +542,8 @@ let suite =
           `Quick
           (test_recovery_mount ~damaged pins))
       recovery_pins
-  @ [ Alcotest.test_case "golden allocation order across a crash mount" `Quick test_alloc_order ]
+  @ [
+      Alcotest.test_case "golden recovery mount, 2481 inodes in 40 directories" `Quick
+        test_many_dirs_mount;
+      Alcotest.test_case "golden allocation order across a crash mount" `Quick test_alloc_order;
+    ]

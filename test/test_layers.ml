@@ -1,6 +1,7 @@
 (* Unit tests for the core layer modules behind the Fs facade: the
-   Extent_map record/slot run map (lookup/split/merge, removal budgets)
-   and the Txn reserve/commit/abort protocol. *)
+   Extent_map record/slot run map (lookup/split/merge, removal budgets),
+   the Txn reserve/commit/abort protocol, and the recovery mount's
+   inodes built on first lookup. *)
 
 open Repro_util
 module Device = Repro_pmem.Device
@@ -10,6 +11,10 @@ module Layout = Winefs.Layout
 module Txn = Winefs.Txn
 module Inode = Winefs.Inode
 module Extent_map = Winefs.Extent_map
+module Namespace = Winefs.Namespace
+module Codec = Winefs.Codec
+module Sched = Repro_sched.Sched
+module Int_map = Repro_rbtree.Ordmap.Int_map
 
 let block = Units.base_page
 
@@ -182,6 +187,165 @@ let test_reserve_exhaustion () =
           Txn.meta_write s.txns s.cpu txn ~addr:(data_base s) (Bytes.make 8 'a');
           Txn.meta_write s.txns s.cpu txn ~addr:(data_base s + 64) (Bytes.make 8 'b')))
 
+(* -- Inodes built on first lookup after a crash mount --------------- *)
+
+(* A crashed 4-CPU image with every kind of extent state a mount decodes:
+   an empty file, an inline-only file, a file with holes whose shrink
+   freed an inline slot, a file with an overflow block whose shrink freed
+   inline and overflow slots, files under a directory with [xattr_align]
+   set, a nested directory, an unlinked file, and a record planted in a
+   free inline slot that repeats another record's file offset (the
+   higher slot's record is the one a load keeps). *)
+let lazy_cfg = Types.config ~cpus:4 ~inodes_per_cpu:64 ()
+
+let lazy_image () =
+  let dev = Device.create ~size:(32 * Units.mib) () in
+  let fs = Winefs.Fs.format dev lazy_cfg in
+  let cpus = Array.init 4 (fun id -> Cpu.make ~id ()) in
+  let c0 = cpus.(0) in
+  let page = String.make block 'z' in
+  (* Every other page: each write is a record of its own. *)
+  let write cpu path pages =
+    let fd =
+      if Winefs.Fs.exists fs cpu path then Winefs.Fs.openf fs cpu path Types.o_rdwr
+      else Winefs.Fs.create fs cpu path
+    in
+    List.iter (fun p -> ignore (Winefs.Fs.pwrite fs cpu fd ~off:(p * block) ~src:page)) pages;
+    Winefs.Fs.close fs cpu fd
+  in
+  let shrink path pages =
+    let fd = Winefs.Fs.openf fs c0 path Types.o_rdwr in
+    Winefs.Fs.ftruncate fs c0 fd (pages * block);
+    Winefs.Fs.close fs c0 fd
+  in
+  Winefs.Fs.mkdir fs c0 "/d";
+  Winefs.Fs.set_xattr_align fs c0 "/d" true;
+  Winefs.Fs.mkdir fs c0 "/d/e";
+  write cpus.(1) "/empty" [];
+  write cpus.(2) "/a" [ 0 ];
+  write cpus.(3) "/holes" [ 0; 2; 4; 6 ];
+  write cpus.(1) "/long" (List.init 12 (fun i -> 2 * i));
+  write cpus.(2) "/d/x" [ 0; 2 ];
+  write cpus.(3) "/d/e/y" [ 0 ];
+  write cpus.(0) "/gone" [ 0 ];
+  Winefs.Fs.unlink fs c0 "/gone";
+  shrink "/holes" 5;
+  shrink "/long" 13;
+  (* Plant a copy of /holes' first record in its free inline slot 6. *)
+  let ino = (Winefs.Fs.stat fs c0 "/holes").st_ino in
+  let layout = Layout.compute ~size:(Device.size dev) ~cpus:4 ~inodes_per_cpu:64 in
+  let slot_off s = Layout.inode_off layout ino + Codec.Inode.extent_slot_off s in
+  let first = Device.read_string dev c0 ~off:(slot_off 0) ~len:Codec.Inode.extent_bytes in
+  Device.write_string dev c0 ~off:(slot_off 6) ~src:first ~src_off:0 ~len:Codec.Inode.extent_bytes;
+  Device.persist dev c0 ~off:(slot_off 6) ~len:Codec.Inode.extent_bytes;
+  ignore (Winefs.Fs.mount dev lazy_cfg);
+  (dev, layout)
+
+(* The mount's own scan and directory pass over [dev]. *)
+let lazy_mount dev layout cpu =
+  let txns = Txn.attach dev layout in
+  let inodes = Inode.create ~dev ~layout ~txns in
+  let used =
+    Inode.scan_tables inodes cpu ~on_refuse:(fun ino why ->
+        Alcotest.failf "inode %d refused: %s" ino why)
+  in
+  let alloc = Alloc.create ~cpus:layout.Layout.cpus ~regions:layout.stripes in
+  let map = Extent_map.create ~dev ~layout ~txns ~inodes ~alloc in
+  let ns = Namespace.create ~dev ~txns ~inodes ~map in
+  let buf = ref Bytes.empty in
+  Inode.iter_dirs inodes (Namespace.load_dir_index ns cpu ~buf);
+  (inodes, used)
+
+let records (f : Inode.file) =
+  Int_map.fold f.records ~init:[] ~f:(fun acc off (r : Inode.record) ->
+      (off, r.slot, r.phys, r.len, r.asrc) :: acc)
+  |> List.rev
+
+let rec drain_slots f acc =
+  let s = Inode.take_slot f in
+  if s < 0 then List.rev acc else drain_slots f (s :: acc)
+
+let test_lazy_matches_eager () =
+  let dev, layout = lazy_image () in
+  let cpu = Cpu.make ~id:0 () in
+  let inodes, used = lazy_mount dev layout cpu in
+  let eager = Repro_oracle.Inode_load_ref.load dev layout cpu in
+  let lazy_root = Sched.mutex_id (Inode.find inodes Namespace.root_ino).lock in
+  let eager_root = Sched.mutex_id (List.hd eager).lock in
+  let eager_used =
+    List.fold_left
+      (fun acc (o : Inode.file) ->
+        let acc = Int_map.fold o.records ~init:acc ~f:(fun acc _ (r : Inode.record) -> (r.phys, r.len) :: acc) in
+        List.fold_left (fun acc blk -> (blk, block) :: acc) acc o.overflow)
+      [] eager
+  in
+  Alcotest.(check (list (pair int int))) "used extents, in order" eager_used used;
+  List.iteri
+    (fun rank (o : Inode.file) ->
+      let f = Inode.find inodes o.ino in
+      let what field = Printf.sprintf "ino %d %s" o.ino field in
+      Alcotest.(check bool) (what "is_dir") (Types.is_dir o.kind) (Types.is_dir f.kind);
+      Alcotest.(check int) (what "size") o.size f.size;
+      Alcotest.(check int) (what "nlink") o.nlink f.nlink;
+      Alcotest.(check bool) (what "xattr_align") o.xattr_align f.xattr_align;
+      Alcotest.(check int) (what "parent") o.parent f.parent;
+      Alcotest.(check string) (what "dname") o.dname f.dname;
+      Alcotest.(check (list int)) (what "overflow chain") o.overflow f.overflow;
+      Alcotest.(check int) (what "slot_cap") o.slot_cap f.slot_cap;
+      Alcotest.(check (list (pair int (pair int (pair int (pair int bool))))))
+        (what "records")
+        (List.map (fun (a, b, c, d, e) -> (a, (b, (c, (d, e))))) (records o))
+        (List.map (fun (a, b, c, d, e) -> (a, (b, (c, (d, e))))) (records f));
+      Alcotest.(check int) (what "eager lock id") rank (Sched.mutex_id o.lock - eager_root);
+      Alcotest.(check int) (what "lock id") rank (Sched.mutex_id f.lock - lazy_root);
+      Alcotest.(check string) (what "lock name")
+        (Printf.sprintf "m%d" (lazy_root + rank))
+        (Sched.mutex_name f.lock);
+      (match (o.dir, f.dir) with
+      | Some a, Some b ->
+          Alcotest.(check (list (pair string int)))
+            (what "entries") (Repro_vfs.Dir_index.entries a) (Repro_vfs.Dir_index.entries b)
+      | None, None -> ()
+      | _ -> Alcotest.fail (what "dir index"));
+      Alcotest.(check (list int)) (what "take_slot sequence") (drain_slots o []) (drain_slots f []))
+    eager;
+  (* The image does hold what the test is about. *)
+  let by_name name = List.find (fun (o : Inode.file) -> o.dname = name) eager in
+  Alcotest.(check bool) "an overflow chain" true ((by_name "long").overflow <> []);
+  Alcotest.(check bool) "xattr_align set" true (by_name "x").xattr_align;
+  Alcotest.(check bool) "a repeated file offset" true
+    (Int_map.size (by_name "holes").records = 3 && (Option.get (Int_map.find (by_name "holes").records 0)).slot = 6)
+
+(* Building a pending inode is a cache fill behind a read: two fibers
+   looking up the same pending files in opposite orders, with nothing
+   ordering them, must not race on the inode table. *)
+let test_lazy_lookup_no_race () =
+  let files = 8 in
+  let races =
+    Repro_race.Race.check
+      {
+        Repro_race.Race.sc_name = "lazy-lookup";
+        sc_threads = 2;
+        sc_prepare =
+          (fun () ->
+            let dev = Device.create ~size:(32 * Units.mib) () in
+            let fs = Winefs.Fs.format dev lazy_cfg in
+            let c0 = Cpu.make ~id:0 () in
+            for i = 0 to files - 1 do
+              Winefs.Fs.close fs c0 (Winefs.Fs.create fs c0 (Printf.sprintf "/p%d" i))
+            done;
+            let fs = Winefs.Fs.mount dev lazy_cfg in
+            ( dev,
+              fun cpu ->
+                for i = 0 to files - 1 do
+                  let i = if cpu.Cpu.id = 0 then i else files - 1 - i in
+                  ignore (Winefs.Fs.stat fs cpu (Printf.sprintf "/p%d" i));
+                  Sched.yield ()
+                done ));
+      }
+  in
+  Alcotest.(check int) "no races" 0 (List.length races)
+
 let suite =
   [
     Alcotest.test_case "lookup + tail merge" `Quick test_lookup_and_merge;
@@ -193,4 +357,6 @@ let suite =
     Alcotest.test_case "nested transaction rejected" `Quick test_nested_txn_rejected;
     Alcotest.test_case "reservation exhaustion" `Quick test_reserve_exhaustion;
     Alcotest.test_case "no merge across stripes" `Quick test_no_merge_across_stripes;
+    Alcotest.test_case "lazy inode = eager load" `Quick test_lazy_matches_eager;
+    Alcotest.test_case "lazy inode lookup is race-free" `Quick test_lazy_lookup_no_race;
   ]
