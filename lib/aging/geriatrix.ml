@@ -52,8 +52,6 @@ let census (Fs_intf.Handle ((module F), fs)) =
   in
   (min 1.0 ratio, s.aligned_free_2m)
 
-let utilization_of (Fs_intf.Handle ((module F), fs)) = Types.utilization (F.statfs fs)
-
 (* Growable array of live files for O(1) random deletion. *)
 type live = { mutable paths : string array; mutable n : int }
 

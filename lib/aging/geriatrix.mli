@@ -54,5 +54,3 @@ val age :
 
 val census : Fs_intf.handle -> float * int
 (** [(free_frag_ratio, aligned_free_2m)] of a mounted file system. *)
-
-val utilization_of : Fs_intf.handle -> float

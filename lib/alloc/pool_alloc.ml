@@ -95,11 +95,6 @@ let free_extent_count t =
 
 let largest_free t = Array.fold_left (fun acc p -> max acc (Extent_tree.largest p.tree)) 0 t.pools
 
-let snapshot t =
-  let all = ref [] in
-  Array.iter (fun p -> Extent_tree.iter p.tree (fun ~off ~len -> all := (off, len) :: !all)) t.pools;
-  List.sort compare !all
-
 (* mballoc-style normalisation: round the request up to the next power of
    two, capped at 2MB (requests beyond that already allocate in 2MB
    passes).  The surplus is freed back immediately, which reproduces
@@ -220,13 +215,3 @@ let alloc ?goal t ~cpu ~len =
     in
     go len []
   end
-
-let check_invariants t =
-  let rec all i =
-    if i >= Array.length t.pools then Ok ()
-    else
-      match Extent_tree.check_invariants t.pools.(i).tree with
-      | Ok () -> all (i + 1)
-      | Error m -> Error (Printf.sprintf "pool %d: %s" i m)
-  in
-  all 0

@@ -32,8 +32,6 @@ type t
 val create : config -> cpus:int -> regions:(int * int) array -> t
 (** With [per_cpu = false], regions are merged into one shared pool. *)
 
-val restore : config -> cpus:int -> regions:(int * int) array -> free:(int * int) list -> t
-
 val alloc : ?goal:int -> t -> cpu:int -> len:int -> extent list option
 (** May return multiple extents when free space is fragmented; [None] only
     when total free < len.  [goal] overrides the policy with a one-shot
@@ -46,5 +44,3 @@ val aligned_region_count : t -> int
 
 val free_extent_count : t -> int
 val largest_free : t -> int
-val snapshot : t -> (int * int) list
-val check_invariants : t -> (unit, string) result

@@ -69,12 +69,6 @@ let strata =
   with_mode Types.Strict
     (factory "Strata" (handle (module Strata : Fs_intf.S with type t = Strata.t)))
 
-(* §5.1: the metadata-consistency comparison group... *)
-let metadata_group = [ ext4_dax; xfs_dax; pmfs; nova_relaxed; splitfs; winefs_relaxed ]
-
-(* ...and the data+metadata-consistency group. *)
-let data_group = [ nova; strata; winefs ]
-
 let all =
   [ winefs; winefs_relaxed; ext4_dax; xfs_dax; pmfs; nova; nova_relaxed; splitfs; strata ]
 

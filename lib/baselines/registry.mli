@@ -2,8 +2,7 @@
 
     A {!factory} packs a display name with a constructor returning an
     existential {!Repro_vfs.Fs_intf.handle}; experiments pick from
-    {!all} / {!metadata_group} / {!data_group}, matching the two
-    comparison groups of §5.1.  Each factory pins the consistency
+    {!all}.  Each factory pins the consistency
     contract its system ships with (ext4/xfs/PMFS/SplitFS metadata-only,
     NOVA and Strata full data+metadata). *)
 
@@ -21,12 +20,6 @@ val nova : factory
 val nova_relaxed : factory
 val splitfs : factory
 val strata : factory
-
-val metadata_group : factory list
-(** §5.1 metadata-consistency comparison group. *)
-
-val data_group : factory list
-(** §5.1 data+metadata-consistency comparison group. *)
 
 val all : factory list
 

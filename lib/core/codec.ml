@@ -65,6 +65,17 @@ module Inode = struct
   let header_bytes = 64
   let csum_off = 56
 
+  (* Field offsets and flag bits, for readers that take the fields
+     straight from a buffer instead of building a {!header}. *)
+  let flags_off = 0
+  let size_off = 8
+  let nlink_off = 16
+  let extent_count_off = 24
+  let overflow_off = 32
+  let flag_valid = 1
+  let flag_dir = 2
+  let flag_xattr_align = 4
+
   (* The header is exactly one cache line; the CRC at offset 56 covers all
      64 bytes (csum field zeroed), so a flipped [valid] bit cannot silently
      vanish or resurrect an inode.  Freed inodes keep a valid checksum
@@ -73,52 +84,49 @@ module Inode = struct
   let encode_header h =
     let b = Bytes.make header_bytes '\000' in
     let flags =
-      (if h.valid then 1 else 0)
-      lor (if h.is_dir then 2 else 0)
-      lor if h.xattr_align then 4 else 0
+      (if h.valid then flag_valid else 0)
+      lor (if h.is_dir then flag_dir else 0)
+      lor if h.xattr_align then flag_xattr_align else 0
     in
-    u64 b 0 flags;
-    u64 b 8 h.size;
-    u64 b 16 h.nlink;
-    u64 b 24 h.extent_count;
-    u64 b 32 h.overflow;
+    u64 b flags_off flags;
+    u64 b size_off h.size;
+    u64 b nlink_off h.nlink;
+    u64 b extent_count_off h.extent_count;
+    u64 b overflow_off h.overflow;
     Crc.set_zeroed b ~off:0 ~len:header_bytes ~csum_off;
     b
 
   (* The [_at] forms read a header in place at a byte offset of a larger
-     buffer: the mount-time sweep tests, verifies and decodes each header
-     where the bulk table read left it, with no per-header copy. *)
+     buffer: the mount-time sweep tests and verifies each header where
+     the bulk table read left it, with no per-header copy. *)
   let header_csum_ok_at b off =
     Crc.verify_zeroed b ~off ~len:header_bytes ~csum_off:(off + csum_off)
 
   let header_csum_ok b = header_csum_ok_at b 0
+
   let word_zero b off = Int64.equal (Bytes.get_int64_le b off) 0L
 
-  let header_is_blank_at b off =
-    word_zero b off
-    && word_zero b (off + 8)
-    && word_zero b (off + 16)
-    && word_zero b (off + 24)
-    && word_zero b (off + 32)
-    && word_zero b (off + 40)
-    && word_zero b (off + 48)
-    && word_zero b (off + 56)
+  let header_is_blank b =
+    word_zero b 0
+    && word_zero b 8
+    && word_zero b 16
+    && word_zero b 24
+    && word_zero b 32
+    && word_zero b 40
+    && word_zero b 48
+    && word_zero b 56
 
-  let header_is_blank b = header_is_blank_at b 0
-
-  let decode_header_at b off =
-    let flags = g64 b off in
+  let decode_header b =
+    let flags = g64 b flags_off in
     {
-      valid = flags land 1 <> 0;
-      is_dir = flags land 2 <> 0;
-      xattr_align = flags land 4 <> 0;
-      size = g64 b (off + 8);
-      nlink = g64 b (off + 16);
-      extent_count = g64 b (off + 24);
-      overflow = g64 b (off + 32);
+      valid = flags land flag_valid <> 0;
+      is_dir = flags land flag_dir <> 0;
+      xattr_align = flags land flag_xattr_align <> 0;
+      size = g64 b size_off;
+      nlink = g64 b nlink_off;
+      extent_count = g64 b extent_count_off;
+      overflow = g64 b overflow_off;
     }
-
-  let decode_header b = decode_header_at b 0
 
   let extent_bytes = 24
   let extent_slot_off i = header_bytes + (i * extent_bytes)
@@ -135,44 +143,45 @@ module Inode = struct
     b
 
   let decode_extent b = (g64 b 0, g64 b 8, g64 b 16)
-  let split_len_field lf = (lf land lnot asrc_bit, lf land asrc_bit <> 0)
 
   (* Field readers for a record in a bulk-read slot region: the mount-time
      slot walk reads each region in one device access and takes the
      fields straight from the buffer, with no tuple per slot. *)
-  let extent_file_off_at b off = g64 b off
-  let extent_phys_at b off = g64 b (off + 8)
-  let extent_len_at b off = g64 b (off + 16) land lnot asrc_bit
-  let extent_asrc_at b off = g64 b (off + 16) land asrc_bit <> 0
+  let extent_file_off_off = 0
+  let extent_phys_off = 8
+  let extent_len_off = 16
+  let extent_file_off_at b off = g64 b (off + extent_file_off_off)
+  let extent_phys_at b off = g64 b (off + extent_phys_off)
+  let extent_len_at b off = g64 b (off + extent_len_off) land lnot asrc_bit
+  let extent_asrc_at b off = g64 b (off + extent_len_off) land asrc_bit <> 0
 end
 
 module Dentry = struct
   type t = { ino : int; name : string }
+
+  let ino_off = 0
+  let name_len_off = 8
+  let name_off = 16
 
   let encode t =
     let n = String.length t.name in
     if n > max_name then Repro_vfs.Types.err ENAMETOOLONG "name %S" t.name;
     if n = 0 then Repro_vfs.Types.err EINVAL "empty name";
     let b = Bytes.make dentry_bytes '\000' in
-    u64 b 0 t.ino;
-    Bytes.set b 8 (Char.chr n);
-    Bytes.blit_string t.name 0 b 16 n;
+    u64 b ino_off t.ino;
+    Bytes.set b name_len_off (Char.chr n);
+    Bytes.blit_string t.name 0 b name_off n;
     b
 
-  let decode b =
-    let ino = g64 b 0 in
-    if ino = 0 then None
-    else
-      let n = Char.code (Bytes.get b 8) in
-      Some { ino; name = Bytes.sub_string b 16 n }
-
-  (* In-place variant for bulk-read directory extents. *)
+  (* In place at a byte offset of a bulk-read directory extent. *)
   let decode_at b off =
-    let ino = g64 b off in
+    let ino = g64 b (off + ino_off) in
     if ino = 0 then None
     else
-      let n = Char.code (Bytes.get b (off + 8)) in
-      Some { ino; name = Bytes.sub_string b (off + 16) n }
+      let n = Char.code (Bytes.get b (off + name_len_off)) in
+      Some { ino; name = Bytes.sub_string b (off + name_off) n }
+
+  let decode b = decode_at b 0
 
   let free_slot = Bytes.make dentry_bytes '\000'
 end

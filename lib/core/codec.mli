@@ -66,11 +66,21 @@ module Inode : sig
   val header_is_blank : bytes -> bool
   (** All 64 bytes zero: an inode slot that has never held a header. *)
 
-  val decode_header_at : bytes -> int -> header
   val header_csum_ok_at : bytes -> int -> bool
-  val header_is_blank_at : bytes -> int -> bool
-  (** {!decode_header}, {!header_csum_ok} and {!header_is_blank} for the
-      header at a byte offset of a bulk-read buffer (no copy). *)
+  (** {!header_csum_ok} for the header at a byte offset of a bulk-read
+      buffer (no copy). *)
+
+  val flags_off : int
+  val size_off : int
+  val nlink_off : int
+  val overflow_off : int
+  (** Byte offsets of the header's 64-bit little-endian fields, for a
+      reader that takes them in place instead of decoding a {!header}. *)
+
+  val flag_valid : int
+  val flag_dir : int
+  val flag_xattr_align : int
+  (** The bits of the flags word. *)
 
   val extent_slot_off : int -> int
   (** Byte offset within the 256B inode of inline extent slot [i]. *)
@@ -84,8 +94,11 @@ module Inode : sig
   val asrc_bit : int
   (** Bit 62 of the stored length field marks aligned-pool provenance. *)
 
-  val split_len_field : int -> int * bool
-  (** Decode a raw length field into [(len, asrc)]. *)
+  val extent_file_off_off : int
+  val extent_phys_off : int
+  val extent_len_off : int
+  (** Byte offsets of a record's 64-bit little-endian fields; the stored
+      length carries {!asrc_bit}. *)
 
   val extent_file_off_at : bytes -> int -> int
   val extent_phys_at : bytes -> int -> int
@@ -93,7 +106,7 @@ module Inode : sig
   val extent_asrc_at : bytes -> int -> bool
   (** The fields of the record at a byte offset of a bulk-read buffer,
       read in place: [extent_len_at] is the length with the provenance
-      bit cleared, [extent_asrc_at] that bit (see {!split_len_field}). *)
+      bit cleared, [extent_asrc_at] that bit. *)
 end
 
 module Dentry : sig
@@ -107,6 +120,12 @@ module Dentry : sig
 
   val decode_at : bytes -> int -> t option
   (** {!decode} at a byte offset of a bulk-read buffer. *)
+
+  val ino_off : int
+  val name_len_off : int
+  val name_off : int
+  (** Byte offsets of the 64-bit inode number (0 in a free slot), the
+      one-byte name length and the name. *)
 
   val free_slot : bytes
 end

@@ -26,18 +26,6 @@ val create :
   dev:Repro_pmem.Device.t -> cfg:Types.config -> txns:Txn.t -> inodes:Inode.t ->
   map:Extent_map.t -> alloc:Repro_alloc.Aligned_alloc.t -> counters:Counters.t -> t
 
-val allocate_range :
-  t -> Cpu.t -> Txn.txn -> Inode.file -> file_off:int -> len:int -> zero:bool -> unit
-(** Allocate backing for the hole [file_off, file_off+len),
-    chunk-aligned: whole 2MB file chunks get aligned extents, partial
-    chunks get holes.  [zero] wipes the new extents (fallocate
-    semantics). *)
-
-val ensure_backing_batched :
-  t -> Cpu.t -> Inode.file -> off:int -> len:int -> zero:bool -> unit
-(** Backing for every hole intersecting [off, off+len), block-granular,
-    one bounded journal transaction per ~48MB segment. *)
-
 val pwrite : t -> Cpu.t -> Inode.file -> off:int -> src:string -> src_off:int -> len:int -> int
 val pread : t -> Cpu.t -> Inode.file -> off:int -> len:int -> string
 val fsync : t -> Cpu.t -> Inode.file -> unit

@@ -28,24 +28,13 @@ val add_meta_free : t -> off:int -> len:int -> unit
 (** Mount: return one free run of the metadata region (rebuilt by the
     scan). *)
 
-val in_meta_region : t -> int -> bool
-
-val alloc_meta_block : t -> Cpu.t -> int
-(** One 4K metadata block — from the region, else the hole pool. *)
-
 val zeroed_meta_block : t -> Cpu.t -> int
-(** {!alloc_meta_block} + initialize-then-publish: the fresh block is
+(** One 4K metadata block (from the region, else the hole pool) +
+    initialize-then-publish: the fresh block is
     zeroed and persisted while still unreachable (dentry blocks,
     extent-overflow blocks). *)
 
-val free_any : t -> off:int -> len:int -> unit
-(** Free to whichever pool [off] belongs to. *)
-
 (* -- Record map -- *)
-
-val ensure_slot : t -> Cpu.t -> Txn.txn -> Inode.file -> int
-(** A free extent slot, allocating + journaling-in a new overflow block
-    when the inline slots and existing blocks are full. *)
 
 val add_record :
   t -> Cpu.t -> Txn.txn -> Inode.file -> file_off:int -> phys:int -> len:int ->

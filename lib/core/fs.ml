@@ -230,20 +230,13 @@ let mount dev cfg =
   (* Metadata-region blocks rebuild their own free list; data extents
      rebuild the alignment-aware allocator (one tree per stripe, so free
      space never coalesces across stripe boundaries). *)
-  let in_meta (off, len) = Layout.in_meta_pool layout ~off ~len in
   let meta_shadow = Extent_tree.create () in
   Extent_tree.insert_free meta_shadow ~off:layout.meta_pool_off ~len:layout.meta_pool_len;
-  List.iter
-    (fun (off, len) ->
-      if in_meta (off, len) then
-        if not (Extent_tree.alloc_exact meta_shadow ~off ~len) then
-          Types.err EINVAL "corrupt image: metadata block %d double-used" off)
-    used;
+  let data_used = Inode.split_used inodes used ~meta:meta_shadow in
   let free_list =
     match serial_ok with
     | Some l -> l
     | None -> (
-        let data_used = List.filter (fun e -> not (in_meta e)) used in
         match Alloc.free_lists_of_used ~regions:layout.stripes ~used:data_used with
         | Ok l -> l
         | Error m -> Types.err EINVAL "corrupt image: %s" m)
@@ -255,9 +248,8 @@ let mount dev cfg =
   (* Directory indexes (reads only — safe after layer assembly).  A dentry
      block on a poisoned line refuses the directory (paths through it then
      fail with EIO) but not the mount. *)
-  let dentry_buf = ref Bytes.empty in
   Inode.iter_dirs t.inodes (fun f ->
-      try Namespace.load_dir_index t.ns cpu ~buf:dentry_buf f
+      try Namespace.load_dir_index t.ns cpu f
       with Device.Media_error _ ->
         if f.ino = root_ino then Types.err EIO "corrupt image: root directory unreadable";
         incr detected;

@@ -23,9 +23,6 @@ val root_ino : int
 val resolve : t -> Cpu.t -> string -> int
 (** Walk a path to an inode number ([ENOENT]/[ENOTDIR] on failure). *)
 
-val resolve_parent : t -> Cpu.t -> string -> Inode.file * string
-(** The parent directory and leaf name of a path. *)
-
 val mkdir : t -> Cpu.t -> string -> unit
 val create_file : t -> Cpu.t -> string -> Inode.file
 (** Journaled creation of an inode + dentry under the parent's lock
@@ -36,11 +33,9 @@ val rmdir : t -> Cpu.t -> string -> unit
 val rename : t -> Cpu.t -> old_path:string -> new_path:string -> unit
 val readdir : t -> Cpu.t -> string -> string list
 
-val load_dir_index : t -> Cpu.t -> buf:bytes ref -> Inode.file -> unit
+val load_dir_index : t -> Cpu.t -> Inode.file -> unit
 (** Mount: rebuild a directory's DRAM index (and its children's
-    parent/name backpointers) from its dentry blocks.  [buf] is scratch
-    space the caller shares across directories; it is replaced by a
-    larger buffer when an extent does not fit. *)
+    parent/name backpointers) from its dentry blocks. *)
 
 (* -- Rewriter support (§3.6 atomic swap) -- *)
 

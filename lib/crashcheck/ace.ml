@@ -11,17 +11,6 @@ type op =
   | Fallocate of string * int * int
   | Ftruncate of string * int
 
-let pp_op ppf = function
-  | Mkdir p -> Format.fprintf ppf "mkdir(%s)" p
-  | Create p -> Format.fprintf ppf "create(%s)" p
-  | Write (p, off, data) -> Format.fprintf ppf "write(%s,%d,%dB)" p off (String.length data)
-  | Append (p, data) -> Format.fprintf ppf "append(%s,%dB)" p (String.length data)
-  | Rename (a, b) -> Format.fprintf ppf "rename(%s,%s)" a b
-  | Unlink p -> Format.fprintf ppf "unlink(%s)" p
-  | Rmdir p -> Format.fprintf ppf "rmdir(%s)" p
-  | Fallocate (p, off, len) -> Format.fprintf ppf "fallocate(%s,%d,%d)" p off len
-  | Ftruncate (p, n) -> Format.fprintf ppf "ftruncate(%s,%d)" p n
-
 type workload = { w_name : string; setup : op list; test : op list }
 
 let apply (Fs_intf.Handle ((module F), fs)) cpu op =

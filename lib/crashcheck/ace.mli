@@ -16,8 +16,6 @@ type op =
   | Fallocate of string * int * int
   | Ftruncate of string * int
 
-val pp_op : Format.formatter -> op -> unit
-
 type workload = { w_name : string; setup : op list; test : op list }
 
 val seq1 : workload list

@@ -11,9 +11,6 @@ module Sanitizer = Repro_sanitizer.Sanitizer
 
 type report = { name : string; diags : Sanitizer.diag list }
 
-val errors : report -> int
-(** Error-severity diagnostics in one report (warnings excluded). *)
-
 val total_errors : report list -> int
 
 val run_ace :

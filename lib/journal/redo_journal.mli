@@ -39,7 +39,3 @@ val recover : t -> Cpu.t -> int
     record carries a CRC32C over its header and payload; replay stops at
     the first record that fails to verify, so a corrupt commit block or
     descriptor is refused rather than replayed. *)
-
-val csum_failures : t -> int
-(** Records whose magic and sequence matched but whose CRC32C did not,
-    observed by recovery on this handle. *)

@@ -105,7 +105,6 @@ let note t ~write ~site =
 
 let bytes_needed ~entries ~copy_bytes = header_bytes + (entries * entry_bytes) + copy_bytes
 
-let entries_capacity t = t.slots
 let copy_capacity t = t.copy_bytes
 
 let slot_off t i = t.base + header_bytes + (i * entry_bytes)

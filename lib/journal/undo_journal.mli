@@ -39,9 +39,6 @@ type t
 val bytes_needed : entries:int -> copy_bytes:int -> int
 (** PM footprint of a journal with the given geometry. *)
 
-val entry_bytes : int
-(** 64. *)
-
 val format : Repro_pmem.Device.t -> Cpu.t -> Txn_counter.t -> off:int -> entries:int -> copy_bytes:int -> t
 (** Initialise an empty journal at device offset [off]. *)
 
@@ -68,7 +65,6 @@ val abort : t -> Cpu.t -> txn -> unit
 (** Roll back the in-place updates using the undo records and reclaim. *)
 
 val copy_capacity : t -> int
-val entries_capacity : t -> int
 
 (** Mount-time recovery.  Grouped apart from the transaction API so the
     narrow txn-facing surface (begin/log/commit/abort) is all that normal

@@ -29,9 +29,6 @@ type 'st hooks = {
   setfield : 'st -> Longident.t -> 'st option;
 }
 
-val unreachable : 'st outcome
-(** Both edges dead. *)
-
 val join_outcome :
   'st hooks -> kind:string -> loc:Location.t -> 'st outcome -> 'st outcome -> 'st outcome
 

@@ -10,7 +10,4 @@
     if no result depends on ambient state; see the implementation
     header for the exemption conventions. *)
 
-val rule : string
-(** ["determinism"]. *)
-
 val check : Source.file list -> Diag.t list

@@ -18,5 +18,4 @@
     Cases with a guard, or whose body contains a [raise], are exempt:
     discrimination is happening, just not in the pattern. *)
 
-val in_scope : Source.file -> bool
 val check : Source.file list -> Diag.t list

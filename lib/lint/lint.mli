@@ -29,12 +29,6 @@ val flow_rules : string list
 (** [["persist-order"; "determinism"]] — the subset [pmcheck flowcheck]
     runs. *)
 
-val default_allowlist : allow list
-(** One reviewed entry on HEAD: [bin/agectl.ml]'s operator-facing
-    wall-clock progress line is exempt from the determinism rule (with
-    its reason).  The persist-order allowlist is empty — every violation
-    the dataflow surfaced was fixed, not suppressed. *)
-
 val run : ?allowlist:allow list -> ?only:string list -> Source.file list -> parse:Diag.t list -> report
 (** Run rules over already-loaded files ([only] restricts to a rule-id
     subset; default all).  [parse] diagnostics are folded into the

@@ -27,16 +27,7 @@ val build : Source.file list -> graph * Diag.t list
     immediate diagnostics (same-label self-nesting, i.e. re-acquiring a
     label already held — self-deadlock on these non-reentrant mutexes). *)
 
-val nodes : graph -> string list
 val edges : graph -> (string * string) list
-
-val reaches : graph -> string -> string -> bool
-(** Transitive reachability (a lock ordered before another, possibly
-    through intermediates). *)
-
-val cycle_diags : graph -> Diag.t list
-(** One diagnostic per strongly-connected component with a cycle, naming
-    every label on the cycle and a witness acquisition site. *)
 
 val containment_diags : graph -> observed:(string * string) list -> Diag.t list
 (** Cross-check against runtime-observed acquired-before edges between

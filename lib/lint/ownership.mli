@@ -26,5 +26,4 @@ type rule = {
   why : string;
 }
 
-val rules : rule list
 val check : Source.file list -> Diag.t list

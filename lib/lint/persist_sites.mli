@@ -9,7 +9,4 @@
     durability bugs unattributable.  This rule turns the labelling
     convention into an invariant. *)
 
-val triggers : string list
-(** The [Device] function names that count as persistence-effecting. *)
-
 val check : Source.file list -> Diag.t list

@@ -24,8 +24,6 @@ val parse_string : path:string -> string -> (file, Diag.t) result
     implementation vs interface).  Parse failures come back as a
     ["parse"]-rule diagnostic carrying the syntax-error location. *)
 
-val load_file : string -> (file, Diag.t) result
-
 val load_roots : string list -> file list * Diag.t list
 (** Recursively collect and parse every [.ml]/[.mli] under the given
     directories (files may also be given directly), skipping [_build] and

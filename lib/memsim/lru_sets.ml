@@ -50,5 +50,3 @@ let invalidate t key =
   done
 
 let clear t = Array.fill t.slots 0 (Array.length t.slots) (-1)
-
-let capacity t = t.sets * t.ways

@@ -25,5 +25,3 @@ val invalidate : t -> int -> unit
 
 val clear : t -> unit
 (** Empty every slot of every set. *)
-
-val capacity : t -> int

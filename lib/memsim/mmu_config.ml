@@ -36,5 +36,3 @@ let default =
     fault_base_ns = 1500.; (* paper §1: page-fault handling costs 1-2us *)
     fault_huge_ns = 2200.;
   }
-
-let llc_capacity_bytes t = t.llc_sets * t.llc_ways * Repro_util.Units.cacheline

@@ -25,5 +25,3 @@ type t = {
 }
 
 val default : t
-
-val llc_capacity_bytes : t -> int

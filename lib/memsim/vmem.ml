@@ -88,7 +88,6 @@ let create ?(config = Mmu_config.default) dev =
   }
 
 let counters t = t.counters
-let config t = t.cfg
 
 let mmap t ~len ~backing ?(huge_ok = true) ?(zero_on_fault = false) () =
   if len <= 0 then invalid_arg "Vmem.mmap: non-positive length";
@@ -107,8 +106,6 @@ let mmap t ~len ~backing ?(huge_ok = true) ?(zero_on_fault = false) () =
     huge_chunks = 0;
     base_pages = 0;
   }
-
-let region_len r = r.len
 
 (* TLB key spaces: 4K entries keyed by vpn, 2M entries by chunk index.  The
    shared L2 uses distinct tag bits so the two sizes do not alias. *)

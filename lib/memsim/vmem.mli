@@ -42,7 +42,6 @@ type region
 
 val create : ?config:Mmu_config.t -> Repro_pmem.Device.t -> t
 val counters : t -> Counters.t
-val config : t -> Mmu_config.t
 
 val mmap :
   t ->
@@ -59,15 +58,12 @@ val mmap :
 val munmap : t -> region -> unit
 (** Drop all mappings of the region and flush the TLBs. *)
 
-val region_len : region -> int
-
 val read : t -> Cpu.t -> region -> off:int -> len:int -> unit
 (** Load [len] bytes; charges TLB/fault/cache/PM time.  Use {!read_into}
     to also obtain the data. *)
 
 val read_into : t -> Cpu.t -> region -> off:int -> dst:bytes -> dst_off:int -> len:int -> unit
 val write : t -> Cpu.t -> region -> off:int -> src:string -> unit
-val write_bytes : t -> Cpu.t -> region -> off:int -> src:bytes -> src_off:int -> len:int -> unit
 
 val fill : t -> Cpu.t -> region -> off:int -> len:int -> char -> unit
 (** memset through the mapping. *)

@@ -291,22 +291,23 @@ let charge t (cpu : Cpu.t) ~off ~len ~write =
 (* The memoized per-site stat cells for the ambient site.  Capped: sites
    are module-level constants in practice, but a dynamically-created site
    must not grow the memo without bound — past the cap the uncached entry
-   is returned and instruments resolve per call (the old behavior). *)
+   is returned and instruments resolve per call (the old behavior).  The
+   search is a top-level function: a local closure over the site would
+   be allocated on every access with stats on. *)
+let rec find_cells t site = function
+  | c :: rest -> if c.sc_site == site then c else find_cells t site rest
+  | [] ->
+      let c = { sc_site = site; sc_cells = Array.make (Array.length instruments) None } in
+      if List.length t.stat_cells < 64 then t.stat_cells <- c :: t.stat_cells;
+      c
+
 let site_cells t =
   let gen = Stats.Registry.generation Stats.global in
   if gen <> t.stat_gen then begin
     t.stat_gen <- gen;
     t.stat_cells <- []
   end;
-  let site = t.site in
-  let rec find = function
-    | c :: rest -> if c.sc_site == site then c else find rest
-    | [] ->
-        let c = { sc_site = site; sc_cells = Array.make (Array.length instruments) None } in
-        if List.length t.stat_cells < 64 then t.stat_cells <- c :: t.stat_cells;
-        c
-  in
-  find t.stat_cells
+  find_cells t t.site t.stat_cells
 
 let stat t instrument n =
   if Stats.enabled () then begin
@@ -658,6 +659,19 @@ let read_u64 t cpu ~off =
   in
   load_end t cpu ~off ~len:8;
   v
+
+let read_in_place t cpu ~off ~len f =
+  check_range t off len;
+  load_begin t cpu ~off ~len;
+  load_end t cpu ~off ~len;
+  let pos = ref off and rem = ref len in
+  while !rem > 0 do
+    let o = !pos land chunk_mask in
+    let n = imin !rem (chunk_size - o) in
+    f t.chunks.(!pos lsr chunk_bits) o n;
+    pos := !pos + n;
+    rem := !rem - n
+  done
 
 let touch_read t cpu ~off ~len =
   check_range t off len;

@@ -149,6 +149,16 @@ val peek : t -> off:int -> len:int -> dst:bytes -> dst_off:int -> unit
     counting a stat.  Used by the memory simulator for data whose access
     cost was already accounted to the processor-cache model. *)
 
+val read_in_place :
+  t -> Repro_util.Cpu.t -> off:int -> len:int -> (bytes -> int -> int -> unit) -> unit
+(** {!read} without the copy: the same checks, charge, [Load] event and
+    stat, then [f b o n] for each run of the range that lies in one chunk
+    of the image, in address order, where [b] is the device's own
+    storage and the run is [n] bytes at [o] in it.  Chunks are 64 KiB and
+    aligned, so a run never splits a record aligned to a divisor of
+    that.  [f] reads [b] and returns; it must not store into [b] (it may
+    be shared with other devices) or keep it past the call. *)
+
 val touch_read : t -> Repro_util.Cpu.t -> off:int -> len:int -> unit
 (** Charge the time and stats of a read without copying data. *)
 

@@ -25,4 +25,3 @@ val torn_word : Rng.t -> Device.t -> line:int -> planted option
 val apply : Device.t -> planted -> unit
 
 val to_string : planted -> string
-val fault_to_string : Device.fault -> string

@@ -9,11 +9,4 @@ type t = { layer : string; op : string }
 
 let v layer op = { layer; op }
 let unknown = { layer = "?"; op = "?" }
-let layer t = t.layer
-let op t = t.op
 let to_string t = t.layer ^ "." ^ t.op
-let equal a b = a.layer = b.layer && a.op = b.op
-let compare a b =
-  match String.compare a.layer b.layer with 0 -> String.compare a.op b.op | c -> c
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

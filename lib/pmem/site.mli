@@ -15,12 +15,5 @@ val v : string -> string -> t
 val unknown : t
 (** The default site of unannotated accesses, rendered ["?.?"]. *)
 
-val layer : t -> string
-val op : t -> string
-
 val to_string : t -> string
 (** ["layer.op"]. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

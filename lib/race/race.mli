@@ -45,7 +45,6 @@ type race = {
   r_seed : int option;  (** schedule seed; [None] under [Earliest_clock] *)
 }
 
-val kind_name : kind -> string
 val race_to_string : race -> string
 
 (** {2 Detector lifecycle}
@@ -65,10 +64,6 @@ val detach : t -> unit
 (** Remove both hooks and, when {!Repro_stats.Stats.enabled}, publish
     ["race.accesses_checked"] and ["race.races_found"] counters.
     Accumulated races remain readable. *)
-
-val races : t -> race list
-(** Distinct races in discovery order (deduplicated by location and site
-    pair, capped). *)
 
 val accesses_checked : t -> int
 val races_found : t -> int

@@ -4,16 +4,6 @@
     on and must stay silent under every explored schedule; the {!racy}
     suite plants known violations the detector must flag. *)
 
-val pcpu_journal : Race.scenario
-(** Per-CPU undo journals + private data pages; only the (locked) global
-    transaction counter is shared.  Clean. *)
-
-val pcpu_alloc : Race.scenario
-(** Per-CPU allocator pools sized so no stealing occurs.  Clean. *)
-
-val locked_counter : Race.scenario
-(** Shared DRAM counter always accessed under one mutex.  Clean. *)
-
 val unlocked_alloc : Race.scenario
 (** One shared allocator pool updated from every CPU without a lock.
     Racy: the detector must report it under any schedule. *)

@@ -408,11 +408,6 @@ let extent_at t ~off =
   let p = off_last_leq t off in
   if p >= 0 && off < run_a r p + run_b r p then Some (run_a r p, run_b r p) else None
 
-let contains t ~off ~len =
-  let r = t.by_off in
-  let p = off_last_leq t off in
-  p >= 0 && off + len <= run_a r p + run_b r p
-
 let total_free t = t.total
 let extent_count t = t.by_off.rn
 

@@ -42,9 +42,6 @@ val alloc_aligned_near : t -> goal:int -> window:int -> len:int -> align:int -> 
 val alloc_exact : t -> off:int -> len:int -> bool
 (** Carve a specific range; false when not entirely free. *)
 
-val contains : t -> off:int -> len:int -> bool
-(** Entire range inside one free extent? *)
-
 val extent_at : t -> off:int -> (int * int) option
 (** The free extent containing [off], as [(extent_off, extent_len)]. *)
 

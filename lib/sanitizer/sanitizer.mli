@@ -69,13 +69,7 @@ val finish : t -> diag list
 (** Run end-of-stream checks (R2 unfenced lines, R3 aggregation) and
     return all diagnostics in discovery order. *)
 
-val diags : t -> diag list
-val error_count : t -> int
-
 val with_device :
   ?strict:bool -> ?rules:rule list -> Repro_pmem.Device.t -> (t -> 'a) -> 'a * diag list
 (** [with_device dev f] attaches, runs [f], then {!finish}es and
     {!detach}es (also detaching if [f] raises). *)
-
-val summary : diag list -> (rule * int) list
-(** Total occurrence count per rule, in rule order. *)

@@ -67,12 +67,6 @@ val self : unit -> Cpu.t
 val running : unit -> bool
 (** [true] while inside {!run} (i.e. the caller is a simulated thread). *)
 
-val default_cpu : Cpu.t
-(** The CPU used outside {!run}; its clock keeps advancing across calls. *)
-
-val uncontended_lock_ns : int
-(** Simulated cost charged to every {!lock} attempt. *)
-
 val handoff_ns : int
 (** Simulated cost of transferring a contended mutex to the next waiter
     (FIFO).  A waiter that blocked at [b] and is handed the lock when the

@@ -43,10 +43,6 @@ module Registry = struct
 
   let makespan_ns t = t.makespan_ns
 
-  let observe_clock t (cpu : Cpu.t) =
-    let now = Simclock.now cpu.clock in
-    if now > t.makespan_ns then t.makespan_ns <- now
-
   let find t ~name ~labels ~make =
     let key = key_of ~name ~labels in
     match Hashtbl.find_opt t.instruments key with

@@ -50,8 +50,6 @@ module Registry : sig
       generation point into dropped refs, so per-call-site caches (the
       PM device's per-site counter cells) revalidate against this. *)
 
-  val observe_clock : t -> Cpu.t -> unit
-  (** Fold a CPU clock into the makespan without recording a span. *)
 end
 
 val global : Registry.t

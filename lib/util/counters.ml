@@ -33,6 +33,3 @@ let diff ~before ~after =
   |> List.map (fun (k, _) ->
          (k, (match M.find_opt k a with Some v -> v | None -> 0)
              - (match M.find_opt k b with Some v -> v | None -> 0)))
-
-let pp ppf t =
-  List.iter (fun (k, v) -> Format.fprintf ppf "%s=%d@ " k v) (snapshot t)

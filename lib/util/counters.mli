@@ -23,5 +23,3 @@ val snapshot : t -> (string * int) list
 val diff : before:(string * int) list -> after:(string * int) list -> (string * int) list
 (** Per-name difference of two snapshots (names missing on one side count
     as zero). *)
-
-val pp : Format.formatter -> t -> unit

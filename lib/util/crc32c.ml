@@ -3,62 +3,76 @@
    reflected form; values fit OCaml's native int on 64-bit. *)
 
 let poly = 0x82F63B78
-
-let table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 = 1 then poly lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
-
 let mask32 = 0xFFFFFFFF
 
-(* Slicing-by-8 (Intel's technique): seven derived tables let the fold
-   consume 8 bytes per step instead of one.  [tables.(0)] is the plain
-   byte-at-a-time table; [tables.(k).(n)] advances the CRC of byte [n]
-   through [k] further zero bytes. *)
+(* Slicing-by-8 (Intel's technique): eight 256-entry tables in one flat
+   array let the fold consume 8 bytes per step instead of one.  Entries
+   [0, 256) are the plain byte-at-a-time table; entry [256 * k + n]
+   advances the CRC of byte [n] through [k] further zero bytes. *)
 let tables =
-  let t = Array.make_matrix 8 256 0 in
-  Array.blit table 0 t.(0) 0 256;
-  for k = 1 to 7 do
-    for n = 0 to 255 do
-      let v = t.(k - 1).(n) in
-      t.(k).(n) <- table.(v land 0xFF) lxor (v lsr 8)
-    done
+  let t = Array.make 2048 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then poly lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to 2047 do
+    let v = t.(i - 256) in
+    t.(i) <- t.(v land 0xFF) lxor (v lsr 8)
   done;
   t
 
-let update crc b ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length b then
-    invalid_arg "Crc32c.update: range out of bounds";
+(* The loads below skip their bounds checks: every table index is a byte
+   plus a multiple of 256 under 2048, and every byte position lies in a
+   range checked before the fold starts. *)
+external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] tab i = Array.unsafe_get tables i
+
+let[@inline] get32_le b i =
+  let v = get32u b i in
+  Int32.to_int (if Sys.big_endian then swap32 v else v) land mask32
+
+(* The CRC [c] advanced through the four bytes whose little-endian value
+   is [x], with [k] (0 or 4) more bytes after them in the same step. *)
+let[@inline] step4 c x k =
+  let x = c lxor x and k = k * 256 in
+  tab (k + 768 + (x land 0xFF))
+  lxor tab (k + 512 + ((x lsr 8) land 0xFF))
+  lxor tab (k + 256 + ((x lsr 16) land 0xFF))
+  lxor tab (k + (x lsr 24))
+
+(* Fold [off, off+len) of [b], a range the caller has checked. *)
+let fold crc b ~off ~len =
   let c = ref (crc land mask32) in
   let i = ref off in
   let fin = off + len in
-  let t0 = tables.(0) and t1 = tables.(1) and t2 = tables.(2) and t3 = tables.(3) in
-  let t4 = tables.(4) and t5 = tables.(5) and t6 = tables.(6) and t7 = tables.(7) in
   (* 32-bit halves, not one int64 load: [Int64.to_int] drops bit 63, which
      would lose the top bit of the eighth byte. *)
   while fin - !i >= 8 do
-    let lo = Int32.to_int (Bytes.get_int32_le b !i) land mask32 in
-    let hi = Int32.to_int (Bytes.get_int32_le b (!i + 4)) land mask32 in
-    let x = !c lxor lo in
-    c :=
-      t7.(x land 0xFF)
-      lxor t6.((x lsr 8) land 0xFF)
-      lxor t5.((x lsr 16) land 0xFF)
-      lxor t4.(x lsr 24)
-      lxor t3.(hi land 0xFF)
-      lxor t2.((hi lsr 8) land 0xFF)
-      lxor t1.((hi lsr 16) land 0xFF)
-      lxor t0.(hi lsr 24);
+    c := step4 !c (get32_le b !i) 4 lxor step4 0 (get32_le b (!i + 4)) 0;
     i := !i + 8
   done;
+  if fin - !i >= 4 then begin
+    c := step4 !c (get32_le b !i) 0;
+    i := !i + 4
+  end;
   while !i < fin do
-    c := t0.((!c lxor Char.code (Bytes.unsafe_get b !i)) land 0xFF) lxor (!c lsr 8);
+    c := tab ((!c lxor Char.code (Bytes.unsafe_get b !i)) land 0xFF) lxor (!c lsr 8);
     incr i
   done;
   !c
+
+let check_range b ~off ~len fn =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg ("Crc32c." ^ fn ^ ": range out of bounds")
+
+let update crc b ~off ~len =
+  check_range b ~off ~len "update";
+  fold crc b ~off ~len
 
 (* Same fold over an immutable string, without copying it into bytes
    first: journal record payloads arrive as strings, and a Bytes.of_string
@@ -77,17 +91,16 @@ let digest_string s = digest (Bytes.unsafe_of_string s)
 
 (* Checksum of a structure that embeds its own checksum field: compute
    over the whole [len] bytes with the [csum_off, csum_off+4) field
-   treated as zero, so every other bit is covered. *)
-(* Shared and immutable: every header verify and persist, undo entry and
-   redo record folds these four bytes, so they are not rebuilt per call. *)
-let zero_field = "\000\000\000\000"
-
+   treated as zero, so every other bit is covered.  The field is folded
+   as one 4-byte step of zeros; every header verify and persist, undo
+   entry and redo record goes through here. *)
 let digest_zeroed b ~off ~len ~csum_off =
+  check_range b ~off ~len "digest_zeroed";
   if csum_off < off || csum_off + 4 > off + len then
     invalid_arg "Crc32c.digest_zeroed: csum field outside range";
-  let c = update init b ~off ~len:(csum_off - off) in
-  let c = update_string c zero_field ~off:0 ~len:4 in
-  finish (update c b ~off:(csum_off + 4) ~len:(off + len - csum_off - 4))
+  let c = fold init b ~off ~len:(csum_off - off) in
+  let c = step4 c 0 0 in
+  finish (fold c b ~off:(csum_off + 4) ~len:(off + len - csum_off - 4))
 
 let put b ~csum_off v = Bytes.set_int32_le b csum_off (Int32.of_int (v land mask32))
 let get b ~csum_off = Int32.to_int (Bytes.get_int32_le b csum_off) land mask32

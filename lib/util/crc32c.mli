@@ -14,9 +14,6 @@ val update_string : int -> string -> off:int -> len:int -> int
 val finish : int -> int
 (** Finalise an accumulator into the CRC value. *)
 
-val digest : ?off:int -> ?len:int -> bytes -> int
-(** One-shot CRC of a byte range (defaults to the whole buffer). *)
-
 val digest_string : string -> int
 
 val digest_zeroed : bytes -> off:int -> len:int -> csum_off:int -> int

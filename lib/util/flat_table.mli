@@ -41,12 +41,9 @@ val clear : 'a t -> unit
 val copy : 'a t -> 'a t
 (** Independent snapshot (values shared; probe counter starts at 0). *)
 
-val iter : 'a t -> (int -> 'a -> unit) -> unit
+val fold : 'a t -> init:'b -> f:('b -> int -> 'a -> 'b) -> 'b
 (** Slot order: deterministic given the operation history, but {e not}
     sorted.  Use {!keys_sorted} when a canonical order matters. *)
-
-val fold : 'a t -> init:'b -> f:('b -> int -> 'a -> 'b) -> 'b
-(** Slot order, like {!iter}. *)
 
 val keys_sorted : 'a t -> int list
 (** Live keys in ascending order. *)

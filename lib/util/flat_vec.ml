@@ -20,6 +20,24 @@ let push t v =
   Array.unsafe_set t.data t.len v;
   t.len <- t.len + 1
 
+let append t src ~len =
+  if len < 0 || len > Array.length src then invalid_arg "Flat_vec.append";
+  let need = t.len + len in
+  let cap = Array.length t.data in
+  if need > cap then begin
+    let bigger = Array.make (max need (cap * 2)) 0 in
+    Array.blit t.data 0 bigger 0 t.len;
+    t.data <- bigger
+  end;
+  (* A loop, not [Array.blit]: the runtime's blit cannot know the
+     elements are ints, and into an array in the major heap it goes
+     through the write barrier per element. *)
+  let data = t.data and base = t.len in
+  for i = 0 to len - 1 do
+    Array.unsafe_set data (base + i) (Array.unsafe_get src i)
+  done;
+  t.len <- need
+
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Flat_vec.get";
   Array.unsafe_get t.data i
@@ -30,19 +48,10 @@ let set t i v =
 
 let clear t = t.len <- 0
 
-let truncate t n =
-  if n < 0 || n > t.len then invalid_arg "Flat_vec.truncate";
-  t.len <- n
-
 let iter t f =
   for i = 0 to t.len - 1 do
     f (Array.unsafe_get t.data i)
   done
-
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun v -> acc := f !acc v);
-  !acc
 
 let to_list t = List.init t.len (fun i -> t.data.(i))
 

@@ -129,9 +129,3 @@ let merge a b =
   pour a;
   pour b;
   m
-
-let pp_summary ppf t =
-  if t.n = 0 then Format.fprintf ppf "(empty)"
-  else
-    Format.fprintf ppf "n=%d mean=%.0f p50=%d p90=%d p99=%d max=%d" t.n (mean t)
-      (percentile t 50.) (percentile t 90.) (percentile t 99.) t.max_v

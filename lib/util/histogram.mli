@@ -30,5 +30,3 @@ val cdf : t -> points:int -> (int * float) list
 
 val merge : t -> t -> t
 (** Combine two histograms built with the same [exact] setting. *)
-
-val pp_summary : Format.formatter -> t -> unit

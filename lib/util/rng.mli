@@ -28,8 +28,5 @@ val pick : t -> 'a array -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val gaussian : t -> float
-(** Standard normal deviate (Box–Muller). *)
-
 val lognormal : t -> mu:float -> sigma:float -> float
 (** Log-normal deviate with the given parameters of the underlying normal. *)

@@ -5,19 +5,6 @@ let gib = 1024 * mib
 let base_page = 4 * kib
 let huge_page = 2 * mib
 
-let pp_bytes ppf n =
-  let f = float_of_int n in
-  if n >= gib then Format.fprintf ppf "%.1fGiB" (f /. float_of_int gib)
-  else if n >= mib then Format.fprintf ppf "%.1fMiB" (f /. float_of_int mib)
-  else if n >= kib then Format.fprintf ppf "%.1fKiB" (f /. float_of_int kib)
-  else Format.fprintf ppf "%dB" n
-
-let pp_ns ppf ns =
-  if ns >= 1e9 then Format.fprintf ppf "%.2fs" (ns /. 1e9)
-  else if ns >= 1e6 then Format.fprintf ppf "%.2fms" (ns /. 1e6)
-  else if ns >= 1e3 then Format.fprintf ppf "%.2fus" (ns /. 1e3)
-  else Format.fprintf ppf "%.0fns" ns
-
 let round_up v quantum =
   if quantum <= 0 then invalid_arg "Units.round_up";
   (v + quantum - 1) / quantum * quantum

@@ -7,12 +7,6 @@ val gib : int
 val base_page : int (* 4 KiB *)
 val huge_page : int (* 2 MiB *)
 
-val pp_bytes : Format.formatter -> int -> unit
-(** Human-readable byte count ("12.0MiB"). *)
-
-val pp_ns : Format.formatter -> float -> unit
-(** Human-readable duration from nanoseconds ("3.2us"). *)
-
 val round_up : int -> int -> int
 (** [round_up v quantum] rounds [v] up to a multiple of [quantum]. *)
 

@@ -7,7 +7,11 @@ type entry = { ino : int; slot : int }
 
 type t = { policy : policy; tbl : entry Tbl.t }
 
-let create policy = { policy; tbl = Tbl.create 16 }
+(* [Hashtbl] doubles its buckets once it holds more than twice as many
+   bindings, so [entries] names added one by one end in the smallest
+   power of two (16 at least) of buckets that is at least half of them.
+   Creating the table at that size skips the rehashes on the way. *)
+let create ?(entries = 0) policy = { policy; tbl = Tbl.create ((entries + 1) / 2) }
 
 let dram_level_ns = 4.
 

@@ -23,7 +23,9 @@ type policy =
 
 type t
 
-val create : policy -> t
+val create : ?entries:int -> policy -> t
+(** An empty index, presized for [entries] names (default 0): the size
+    adding them one by one would grow it to, without the rehashes. *)
 
 val add : t -> Cpu.t -> name:string -> ino:int -> slot:int -> unit
 (** [slot] is an FS-private payload (e.g. the PM offset of the dentry). *)

@@ -19,7 +19,5 @@ let close t fd =
   if not (Hashtbl.mem t.table fd) then Types.err EBADF "fd %d" fd;
   Hashtbl.remove t.table fd
 
-let open_count t = Hashtbl.length t.table
-
 let is_open_ino t ino =
   Hashtbl.fold (fun _ e acc -> acc || e.ino = ino) t.table false

@@ -13,7 +13,6 @@ val get : t -> int -> entry
 (** Raises {!Types.Error} [EBADF] on an unknown or closed descriptor. *)
 
 val close : t -> int -> unit
-val open_count : t -> int
 
 val is_open_ino : t -> int -> bool
 (** Any live descriptor referencing this inode? *)

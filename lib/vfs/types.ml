@@ -53,7 +53,6 @@ type open_flags = {
 let o_rdonly = { rd = true; wr = false; creat = false; excl = false; trunc = false; append = false }
 let o_rdwr = { o_rdonly with wr = true }
 let o_creat_rdwr = { o_rdwr with creat = true }
-let o_append = { o_creat_rdwr with append = true }
 
 type mode = Strict | Relaxed
 

@@ -52,7 +52,6 @@ type open_flags = {
 val o_rdonly : open_flags
 val o_rdwr : open_flags
 val o_creat_rdwr : open_flags
-val o_append : open_flags
 
 (** Consistency mode (§3.3): [Strict] makes data and metadata operations
     atomic and synchronous (NOVA/Strata class); [Relaxed] guarantees only

@@ -13,8 +13,6 @@ val all : personality list
 val default_threads : personality -> int
 (** Table 1's thread counts (16/50/100/100). *)
 
-val mean_file_bytes : personality -> int
-
 type result = { ops : int; elapsed_ns : int; kops_per_s : float }
 
 val run :

@@ -140,5 +140,3 @@ let read t cpu ~key =
       Vmem.read t.vm cpu t.region ~off ~len:(16 + t.value_bytes);
       true
   | None -> false
-
-let vm_counters t = Vmem.counters t.vm

@@ -29,4 +29,3 @@ val fillseqbatch : t -> ?batch:int -> keys:int -> unit -> result
     best-performing workload (§5.4). *)
 
 val read : t -> Repro_util.Cpu.t -> key:int -> bool
-val vm_counters : t -> Repro_util.Counters.t

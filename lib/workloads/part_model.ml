@@ -141,4 +141,3 @@ let lookup_latency_cdf t ?(seed = 4242) ~keys ~hot_set ~lookups () =
   }
 
 let vm_counters t = Vmem.counters t.vm
-let node_count t = t.next_node

@@ -28,4 +28,3 @@ val lookup_latency_cdf :
     over a [hot_set]-sized subset. *)
 
 val vm_counters : t -> Repro_util.Counters.t
-val node_count : t -> int

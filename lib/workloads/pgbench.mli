@@ -6,9 +6,6 @@ open Repro_vfs
 
 type result = { txns : int; elapsed_ns : int; tps : float }
 
-val page : int
-(** 8192. *)
-
 val run :
   Fs_intf.handle ->
   ?seed:int ->

@@ -125,5 +125,3 @@ let fillseq t ~threads ~keys =
     page_faults = Counters.get c "mm.page_faults";
     huge_faults = Counters.get c "mm.huge_faults";
   }
-
-let vm_counters t = Vmem.counters t.vm

@@ -10,7 +10,6 @@ type t
 val create :
   Fs_intf.handle -> ?dir:string -> ?pool_bytes:int -> ?value_bytes:int -> unit -> t
 
-val put : t -> Repro_util.Cpu.t -> key:int -> unit
 val get : t -> Repro_util.Cpu.t -> key:int -> bool
 
 type result = {
@@ -22,4 +21,3 @@ type result = {
 }
 
 val fillseq : t -> threads:int -> keys:int -> result
-val vm_counters : t -> Repro_util.Counters.t

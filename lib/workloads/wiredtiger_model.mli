@@ -7,8 +7,6 @@ open Repro_vfs
 
 type result = { ops : int; elapsed_ns : int; kops_per_s : float }
 
-val record_bytes : int
-
 val run :
   Fs_intf.handle ->
   ?seed:int ->

@@ -106,19 +106,21 @@ let test_dir_index_costs () =
    cost policies; every result and every simulated ns a call charges
    must agree.  A pool of 300 names takes the index through the powers
    of two up to 128 and past them, where the [Dram_rbtree] level count
-   must round as the float formula does. *)
+   must round as the float formula does.  The index is also created
+   presized (as the mount creates a directory's), below, at and above
+   the pool, which must change no result and no charge. *)
 let prop_dir_index_oracle =
   let module Ref = Repro_oracle.Dir_index_ref in
   QCheck.Test.make ~name:"dir index agrees with ordered-map reference" ~count:200
-    QCheck.(triple (oneofl [ 1; 3; 17; 70; 300 ]) bool int)
-    (fun (pool, pm, seed) ->
+    QCheck.(quad (oneofl [ 1; 3; 17; 70; 300 ]) bool int (oneofl [ 0; 1; 33; 64; 300; 1000 ]))
+    (fun (pool, pm, seed, entries) ->
       let policy = if pm then Dir_index.Pm_linear_scan 130. else Dir_index.Dram_rbtree in
       let rng = Random.State.make [| seed |] in
-      let d = Dir_index.create policy and r = Ref.create policy in
+      let d = Dir_index.create ~entries policy and r = Ref.create policy in
       let cd = Cpu.make ~id:0 () and cr = Cpu.make ~id:1 () in
       let fail what name =
-        QCheck.Test.fail_reportf "pool=%d pm=%b seed=%d: %s %S disagrees (size %d vs %d)" pool
-          pm seed what name (Dir_index.size d) (Ref.size r)
+        QCheck.Test.fail_reportf "pool=%d pm=%b seed=%d entries=%d: %s %S disagrees (size %d vs %d)"
+          pool pm seed entries what name (Dir_index.size d) (Ref.size r)
       in
       (* Run one call on each side; compare the results and the charges. *)
       let both what name fd fr eq =
