@@ -355,22 +355,22 @@ let alloc ?contig_after t ~cpu ~len ~prefer_aligned =
    extent could place it in the wrong pool.  In sorted order an overlap
    is an extent that starts before its region's cursor.
 
-   The mount hands the extents over in the reverse of its scan order,
-   strictly decreasing on a well-formed image, so that order is only
-   reversed; any other is stable-sorted by offset, as positions in an
-   int array. *)
+   The mount hands the extents over in its scan order, strictly
+   increasing on an image whose files were written in table order, so
+   that order is walked as it is; any other is stable-sorted by offset,
+   as positions in an int array. *)
 type used = { ext : int array; n : int }
 
 let free_lists_of_used ~regions ~used:{ ext; n = m } =
   let n = Array.length regions in
   let cursor = Array.map fst regions in
   let gaps = Array.make n [] in
-  let descending = ref true in
+  let ascending = ref true in
   for j = 1 to m - 1 do
-    if ext.(2 * j) >= ext.(2 * (j - 1)) then descending := false
+    if ext.(2 * j) <= ext.(2 * (j - 1)) then ascending := false
   done;
   let order =
-    if !descending then [||]
+    if !ascending then [||]
     else begin
       let o = Array.init m Fun.id in
       Array.stable_sort (fun a b -> Int.compare ext.(2 * a) ext.(2 * b)) o;
@@ -385,7 +385,7 @@ let free_lists_of_used ~regions ~used:{ ext; n = m } =
     refused := true
   in
   while (not !refused) && !k < m do
-    j := (if !descending then m - 1 - !k else order.(!k));
+    j := (if !ascending then !k else order.(!k));
     let off = ext.(2 * !j) and len = ext.((2 * !j) + 1) in
     let i = if len <= 0 then -1 else region_index regions off 0 in
     if len <= 0 then refuse ": non-positive length"

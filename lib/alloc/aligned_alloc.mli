@@ -88,9 +88,9 @@ val free_lists_of_used :
     [used] extent is claimed, ascending, computed by one sweep over the
     used extents in ascending offset order (equal offsets in their given
     order) with a cursor per region, so free space never coalesces
-    across stripe boundaries.  A strictly decreasing order, the mount's,
-    is walked backwards; any other is stable-sorted.  [Error] names the first overlapping
-    (double-used), out-of-region, region-crossing or empty used extent
-    in that order. *)
+    across stripe boundaries.  A strictly increasing order, the mount's
+    on an image written in table order, is walked as given; any other is
+    stable-sorted.  [Error] names the first overlapping (double-used),
+    out-of-region, region-crossing or empty used extent in that order. *)
 
 val check_invariants : t -> (unit, string) result

@@ -202,7 +202,7 @@ let mount dev cfg =
   (* Phase 2: scan the per-CPU inode tables (parallel in the paper; the
      simulated cost model charges the reads). *)
   let inodes = Inode.create ~dev ~layout ~txns in
-  let used =
+  let dirs, used =
     Inode.scan_tables inodes cpu ~on_refuse:(fun _ino _why ->
         incr detected;
         incr refused;
@@ -212,7 +212,9 @@ let mount dev cfg =
   if Option.is_none (Inode.find_opt inodes root_ino) then
     Types.err EINVAL "corrupt image: no root";
   (* Phase 3: allocator — from the serialized free list when the unmount
-     was clean, otherwise recomputed from the used-extent set. *)
+     was clean, otherwise recomputed from the used-extent set.  The
+     recompute runs on every mount: extent slots carry no checksum, and
+     it refuses one that leaves its region or overlaps another. *)
   let serial_ok =
     if not sb.clean then None
     else begin
@@ -234,12 +236,9 @@ let mount dev cfg =
   Extent_tree.insert_free meta_shadow ~off:layout.meta_pool_off ~len:layout.meta_pool_len;
   let data_used = Inode.split_used inodes used ~meta:meta_shadow in
   let free_list =
-    match serial_ok with
-    | Some l -> l
-    | None -> (
-        match Alloc.free_lists_of_used ~regions:layout.stripes ~used:data_used with
-        | Ok l -> l
-        | Error m -> Types.err EINVAL "corrupt image: %s" m)
+    match Alloc.free_lists_of_used ~regions:layout.stripes ~used:data_used with
+    | Ok l -> Option.value serial_ok ~default:l
+    | Error m -> Types.err EINVAL "corrupt image: %s" m
   in
   let alloc = Alloc.restore ~cpus:sb.cpus ~regions:layout.stripes ~free:free_list in
   (* Layer assembly reuses the scanned inode layer. *)
@@ -247,15 +246,17 @@ let mount dev cfg =
   Extent_tree.iter meta_shadow (fun ~off ~len -> Extent_map.add_meta_free t.map ~off ~len);
   (* Directory indexes (reads only — safe after layer assembly).  A dentry
      block on a poisoned line refuses the directory (paths through it then
-     fail with EIO) but not the mount. *)
-  Inode.iter_dirs t.inodes (fun f ->
+     fail with EIO) but not the mount.  Directories load in table order. *)
+  List.iter
+    (fun (f : Inode.file) ->
       try Namespace.load_dir_index t.ns cpu f
       with Device.Media_error _ ->
         if f.ino = root_ino then Types.err EIO "corrupt image: root directory unreadable";
         incr detected;
         incr refused;
         degraded := true;
-        Inode.refuse t.inodes f.ino "media error reading directory blocks");
+        Inode.refuse t.inodes f.ino "media error reading directory blocks")
+    dirs;
   Device.annotate dev Recovery_end;
   t.read_only <- !degraded;
   count_fault t "fault.detected" !detected;

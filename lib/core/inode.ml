@@ -41,13 +41,24 @@ type pending = {
   mutable count : int;  (* files still pending *)
 }
 
+(* The DRAM inode table and the scrub's refusals are only looked up,
+   never traversed.  Inode numbers are dense, so the identity hash
+   spreads them, and the table's [land (size - 1)] keeps a negative key
+   from a corrupt dentry in range. *)
+module Ino_hashtbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Fun.id
+end)
+
 type t = {
   dev : Device.t;
   layout : Layout.t;
   txns : Txn.t;
-  mutable files : file Int_hashtbl.t;
+  files : file Ino_hashtbl.t;
   mutable pending : pending option;  (* [None] unless a scan left a file pending *)
-  bad_inos : string Int_hashtbl.t; (* ino -> why the scrub refused it *)
+  bad_inos : string Ino_hashtbl.t; (* ino -> why the scrub refused it *)
   free : int array array;
       (* per-CPU stacks of free inode idx, [free_top.(c)] deep: the top,
          at [free_top.(c) - 1], is handed out next *)
@@ -64,16 +75,14 @@ let note_free_stack c ~site =
   if Sched.monitored () then
     Sched.access ~obj:(Printf.sprintf "fs.inodes[%d]" c) ~write:true ~site
 
-let files_buckets = 1024
-
 let create ~dev ~layout ~txns =
   {
     dev;
     layout;
     txns;
-    files = Int_hashtbl.create files_buckets;
+    files = Ino_hashtbl.create 1024;
     pending = None;
-    bad_inos = Int_hashtbl.create 8;
+    bad_inos = Ino_hashtbl.create 8;
     free = Array.init layout.Layout.cpus (fun _ -> Array.make layout.Layout.inodes_per_cpu 0);
     free_top = Array.make layout.Layout.cpus 0;
   }
@@ -163,7 +172,7 @@ let make_file ?(entries = 0) ino kind ~lock =
 let install t ino kind =
   let f = make_file ino kind ~lock:(Sched.create_mutex ()) in
   note ~obj:"fs.files" ~write:true ~site:"fs.install_file";
-  Int_hashtbl.replace t.files ino f;
+  Ino_hashtbl.replace t.files ino f;
   f
 
 (* A descriptor is one valid inode's on-PM state as a run of ints in a
@@ -250,7 +259,7 @@ let materialize t v o ~dname =
     else if s < Layout.inline_extents then f.free_inline <- f.free_inline lor (1 lsl s)
     else f.free_slots <- s :: f.free_slots
   done;
-  Int_hashtbl.replace t.files f.ino f;
+  Ino_hashtbl.replace t.files f.ino f;
   f
 
 (* [1 +] the offset of pending inode [ino]'s descriptor, or 0. *)
@@ -277,10 +286,10 @@ let materialize_pending t ino =
 
 let find t ino =
   note ~obj:"fs.files" ~write:false ~site:"fs.find_file";
-  (match Int_hashtbl.find_opt t.bad_inos ino with
+  (match Ino_hashtbl.find_opt t.bad_inos ino with
   | Some why -> Types.err EIO "inode %d refused by scrub: %s" ino why
   | None -> ());
-  match Int_hashtbl.find_opt t.files ino with
+  match Ino_hashtbl.find_opt t.files ino with
   | Some f -> f
   | None -> (
       match materialize_pending t ino with
@@ -288,7 +297,7 @@ let find t ino =
       | None -> Types.err EBADF "stale inode %d" ino)
 
 let find_opt t ino =
-  match Int_hashtbl.find_opt t.files ino with
+  match Ino_hashtbl.find_opt t.files ino with
   | Some _ as found -> found
   | None -> materialize_pending t ino
 
@@ -300,7 +309,7 @@ let set_name t ino ~parent ~name =
       Flat_vec.set p.desc (p.at.(ino - 1) - 1 + d_parent) parent;
       p.names.(ino - 1) <- name
   | _ -> (
-      match Int_hashtbl.find_opt t.files ino with
+      match Ino_hashtbl.find_opt t.files ino with
       | Some f ->
           f.parent <- parent;
           f.dname <- name
@@ -308,10 +317,8 @@ let set_name t ino ~parent ~name =
 
 let forget t ~site ino =
   note ~obj:"fs.files" ~write:true ~site;
-  Int_hashtbl.remove t.files ino;
+  Ino_hashtbl.remove t.files ino;
   match t.pending with Some p when pending_at t ino > 0 -> unpend t p ino | _ -> ()
-
-let iter_dirs t f = Int_hashtbl.iter (fun _ v -> if Option.is_some v.dir then f v) t.files
 
 (* Free extent slots form one stack per file: [free_slots] on top (slots
    released since the mount, or a fresh overflow block's), then
@@ -393,9 +400,9 @@ let init_free t =
     t.free_top.(c) <- !n
   done
 
-let refuse t ino why = Int_hashtbl.replace t.bad_inos ino why
-let is_bad t ino = Int_hashtbl.mem t.bad_inos ino
-let refused t = Int_hashtbl.length t.bad_inos
+let refuse t ino why = Ino_hashtbl.replace t.bad_inos ino why
+let is_bad t ino = Ino_hashtbl.mem t.bad_inos ino
+let refused t = Ino_hashtbl.length t.bad_inos
 
 (* Mount-time loading, in two steps.  The scan decodes every valid inode
    into a descriptor (see above), with the same device accesses in the
@@ -403,9 +410,10 @@ let refused t = Int_hashtbl.length t.bad_inos
    table chunk that already holds it (the device charges it again as a
    read of its own), and the overflow chain's headers
    and slot regions are read into one [slots] buffer per scan, sized for
-   an overflow block's records.  Directories are then materialized,
-   because the directory pass needs them; a regular file stays pending
-   until {!find} or {!find_opt} first asks for it.
+   an overflow block's records.  Directories are then materialized, in
+   table order, because the directory pass needs them and follows that
+   order; a regular file stays pending until {!find} or {!find_opt}
+   first asks for it.
 
    The scan's hot loops read fields with [Bytes.get_int64_le] at
    {!Codec} offsets and store into per-scan int arrays: library modules
@@ -582,12 +590,6 @@ let scan_tables t cpu ~on_refuse =
   in
   let dirs = Flat_vec.create ~capacity:8 () in
   t.pending <- None;
-  (* The bucket count a table holding every loaded inode would reach:
-     [Hashtbl] doubles its buckets once it holds more than twice as many
-     bindings.  The table created with that count lists the directories
-     in the same relative order as the full table did, which the
-     directory pass (and so the order of its device reads) follows. *)
-  let loaded = ref 0 and buckets = ref files_buckets in
   let refuse_ino ino why =
     refuse t ino why;
     on_refuse ino why
@@ -625,8 +627,6 @@ let scan_tables t cpu ~on_refuse =
       if flags land Codec.Inode.flag_valid <> 0 then begin
         note ~obj:"fs.files" ~write:true ~site:"fs.install_file";
         let mid = Sched.reserve_mutex_id () in
-        incr loaded;
-        if !loaded > 2 * !buckets then buckets := 2 * !buckets;
         match decode t cpu s b at ~in_chunk ~ino ~addr ~mid ~flags with
         | len ->
             if flags land Codec.Inode.flag_dir <> 0 then Flat_vec.append dirs s.d ~len
@@ -637,7 +637,6 @@ let scan_tables t cpu ~on_refuse =
               Flat_vec.append p.desc s.d ~len
             end
         | exception Device.Media_error _ ->
-            decr loaded;
             forget t ~site:"fs.scrub" ino;
             refuse_ino ino "media error loading extent metadata"
       end
@@ -689,30 +688,20 @@ let scan_tables t cpu ~on_refuse =
       stack.(n - 1 - i) <- x
     done
   done;
-  if !buckets > files_buckets then t.files <- Int_hashtbl.create !buckets;
-  let o = ref 0 in
+  let built = ref [] and o = ref 0 in
   while !o < Flat_vec.length dirs do
-    ignore (materialize t dirs !o ~dname:"");
+    built := materialize t dirs !o ~dname:"" :: !built;
     let rb = desc_records dirs !o in
     o := rb + (4 * Flat_vec.get dirs (rb - 1))
   done;
-  { Alloc.ext = s.used; n = s.n_used }
+  (List.rev !built, { Alloc.ext = s.used; n = s.n_used })
 
 (* Claim the used extents in the metadata pool in [meta] and keep the
-   others, both in the reverse of scan order: that order decides which
-   double use is reported first, and which of two data extents at one
-   offset the rebuild names.  The pairs are reversed in place, then the
-   data ones packed to the front. *)
+   others, both in scan order: that order decides which double use is
+   reported first, and which of two data extents at one offset the
+   rebuild names.  The data pairs are packed to the front in place. *)
 let split_used t (used : Alloc.used) ~meta =
   let e = used.ext and n = used.n in
-  for i = 0 to (n / 2) - 1 do
-    let j = n - 1 - i in
-    let off = e.(2 * i) and len = e.((2 * i) + 1) in
-    e.(2 * i) <- e.(2 * j);
-    e.((2 * i) + 1) <- e.((2 * j) + 1);
-    e.(2 * j) <- off;
-    e.((2 * j) + 1) <- len
-  done;
   let m = ref 0 in
   for i = 0 to n - 1 do
     let off = e.(2 * i) and len = e.((2 * i) + 1) in

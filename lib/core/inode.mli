@@ -105,13 +105,6 @@ val set_name : t -> int -> parent:int -> name:string -> unit
     record both on its DRAM inode, or on its descriptor while it is
     pending, without building it.  A no-op for unknown inodes. *)
 
-val iter_dirs : t -> (file -> unit) -> unit
-(** The loaded directories, in the bucket order of a table keyed by
-    inode number (see {!Repro_util.Int_hashtbl}).  Only the mount's
-    directory pass uses it, right after {!scan_tables}: the scan sizes
-    the table so this is the order a table holding every loaded inode
-    would give, and the pass's device reads follow it. *)
-
 (* -- Free extent slots -- *)
 
 (** A file's free extent slots form one stack.  After a mount it holds
@@ -154,7 +147,7 @@ val refused : t -> int
 (* -- Mount-time loading (§3.6 recovery scan) -- *)
 
 val scan_tables :
-  t -> Cpu.t -> on_refuse:(int -> string -> unit) -> Repro_alloc.Aligned_alloc.used
+  t -> Cpu.t -> on_refuse:(int -> string -> unit) -> file list * Repro_alloc.Aligned_alloc.used
 (** Scan the per-CPU inode tables of a fresh [t] (parallel in the paper;
     the simulated cost model charges the reads), rebuilding the per-CPU
     free stacks and decoding every valid inode's header, overflow chain
@@ -163,15 +156,16 @@ val scan_tables :
     its lock keeps the id it would have had if built here (ids are
     reserved in scan order).  Corrupt or unreadable headers are refused
     via [on_refuse] (and recorded, see {!is_bad}), as is an inode whose
-    extent metadata cannot be read.  Returns the used physical extents
-    (data runs + overflow blocks) for the allocator rebuild, in scan
-    order. *)
+    extent metadata cannot be read.  Returns the directories, for the
+    directory pass, and the used physical extents (data runs + overflow
+    blocks), for the allocator rebuild, both in table order: CPU by CPU,
+    ascending table index. *)
 
 val split_used :
   t -> Repro_alloc.Aligned_alloc.used -> meta:Repro_rbtree.Extent_tree.t ->
   Repro_alloc.Aligned_alloc.used
-(** Walk {!scan_tables}' result last extent first: claim each extent in
-    the metadata pool from [meta] (raising [EINVAL] on a block claimed
+(** Walk {!scan_tables}' used extents in table order: claim each extent
+    in the metadata pool from [meta] (raising [EINVAL] on a block claimed
     twice) and return the data extents in that same order, the input of
     {!Repro_alloc.Aligned_alloc.free_lists_of_used}.  Reuses (and so
     consumes) the result's array. *)

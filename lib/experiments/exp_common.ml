@@ -57,5 +57,4 @@ let mb_per_s ~bytes ~ns =
 (* The three file systems Figure 1/3 plot. *)
 let fig1_filesystems = [ Registry.ext4_dax; Registry.nova; Registry.winefs ]
 
-let handle_counters (Fs_intf.Handle ((module F), fs)) = F.counters fs
 let handle_statfs (Fs_intf.Handle ((module F), fs)) = F.statfs fs

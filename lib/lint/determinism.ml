@@ -14,13 +14,13 @@
    - the polymorphic structural hash ([Hashtbl.hash] and friends),
      whose value is an implementation detail of the runtime;
    - hash-order traversals ([Hashtbl.fold]/[iter]/[to_seq], and the same
-     functions of a [*_hashtbl] functor instance such as
-     {!Repro_util.Int_hashtbl}): bucket
-     order varies with insertion history, so any result built from it is
-     traversal-ordered.  Two shapes are exempt: traversals whose result
-     is immediately sorted ([... |> List.sort cmp]), and key-insensitive
-     callbacks [(fun _ v -> ...)] — the convention for commutative
-     per-value effects (resetting counters, closing descriptors).
+     functions of a [*_hashtbl] functor instance such as the inode
+     layer's [Ino_hashtbl]): bucket order varies with insertion history,
+     so any result built from it is traversal-ordered.  Two shapes are
+     exempt: traversals whose result is immediately sorted
+     ([... |> List.sort cmp]), and key-insensitive callbacks
+     [(fun _ v -> ...)] — the convention for commutative per-value
+     effects (resetting counters, closing descriptors).
 
    Additionally, inside the hot-path scope [lib/core/]/[lib/rbtree/]/
    [lib/util/], polymorphic [=]/[<>] against a variant constructor and

@@ -220,26 +220,28 @@ let first_refused ~regions used =
   in
   go sorted
 
-(* The order the rebuild walks backwards without sorting, strictly
-   decreasing, and two it must sort: non-decreasing (ties in list order)
-   and decreasing with ties, whose equal offsets keep their list order. *)
+(* The order the rebuild walks without sorting, strictly increasing,
+   and three it must sort: non-decreasing (ties in list order), strictly
+   decreasing, and decreasing with ties, whose equal offsets keep their
+   list order. *)
 let orderings =
   let by_off cmp = List.stable_sort (fun (a, _) (b, _) -> cmp a b) in
+  let distinct used =
+    List.fold_left
+      (fun acc (off, len) -> if List.mem_assoc off acc then acc else (off, len) :: acc)
+      [] used
+  in
   [
     ("non-decreasing", by_off Int.compare);
-    ( "strictly decreasing",
-      fun used ->
-        by_off (fun a b -> Int.compare b a)
-          (List.fold_left
-             (fun acc (off, len) -> if List.mem_assoc off acc then acc else (off, len) :: acc)
-             [] used) );
+    ("strictly increasing", fun used -> by_off Int.compare (distinct used));
+    ("strictly decreasing", fun used -> by_off (fun a b -> Int.compare b a) (distinct used));
     ("decreasing with ties", by_off (fun a b -> Int.compare b a));
   ]
 
 let prop_free_lists_ordered =
   QCheck.Test.make ~name:"free_lists_of_used on sorted, reversed and tied orders" ~count:500
     QCheck.(
-      pair (int_bound 2)
+      pair (int_bound 3)
         (list_of_size Gen.(int_range 0 60) (pair (int_bound 59) (int_range 0 5))))
     (fun (which, blocks) ->
       let order = snd (List.nth orderings which) in

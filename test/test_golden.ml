@@ -355,12 +355,13 @@ let run_recovery_mount ~damaged =
     [ st.capacity; st.used; st.free; st.free_extents; st.largest_free; st.aligned_free_2m ],
     (List.length names, digest_strings names) )
 
-(* The directory pass visits directories in the inode table's bucket
-   order, and the mount's device reads follow it.  An image with more
-   live inodes (2481) than a 1024-bucket table holds before it doubles
-   (2048): 40 directories of 60 empty files each, spread over the four
-   CPUs' tables.  Pinned: recovery_ns, the [Load {off; len}] digest, and
-   the listing of the last directory. *)
+(* The directory pass visits directories in inode-table order, CPU by
+   CPU and ascending table index, and the mount's device reads follow
+   it.  An image of 2481 live inodes: 40 directories of 60 empty files
+   each, spread over the four CPUs' tables.  Pinned: recovery_ns, the
+   [Load {off; len}] digest, that the dentry reads come one directory
+   after another in ascending (cpu, idx) order, and the listing of the
+   last directory. *)
 let run_many_dirs_mount () =
   let dev = Device.create ~size:(32 * mib) () in
   let fs = Winefs.Fs.format dev recovery_cfg in
@@ -375,20 +376,53 @@ let run_many_dirs_mount () =
   let loads = ref [] in
   let hook =
     Device.add_event_hook dev (fun _ _ -> function
-      | Device.Load { off; len } -> loads := Printf.sprintf "%d:%d;" off len :: !loads
+      | Device.Load { off; len } -> loads := (off, len) :: !loads
       | _ -> ())
   in
   let fs = Winefs.Fs.mount dev recovery_cfg in
   Device.remove_event_hook dev hook;
-  let names = Winefs.Fs.readdir fs cpus.(0) "/d39" in
+  let loads = List.rev !loads in
+  let c0 = cpus.(0) in
+  let names = Winefs.Fs.readdir fs c0 "/d39" in
+  (* Each directory's dentry extents, read back with a scan of its own. *)
+  let layout = Winefs.Layout.compute ~size:(Device.size dev) ~cpus:4 ~inodes_per_cpu:1024 in
+  let inodes = Winefs.Inode.create ~dev ~layout ~txns:(Winefs.Txn.attach dev layout) in
+  ignore (Winefs.Inode.scan_tables inodes c0 ~on_refuse:(fun _ _ -> ()));
+  let dirs =
+    Winefs.Namespace.root_ino
+    :: List.init 40 (fun d -> (Winefs.Fs.stat fs c0 (Printf.sprintf "/d%d" d)).st_ino)
+  in
+  let dir_of off =
+    List.find_opt
+      (fun ino ->
+        Repro_rbtree.Ordmap.Int_map.fold (Winefs.Inode.find inodes ino).records ~init:false
+          ~f:(fun hit _ (r : Winefs.Inode.record) -> hit || (off >= r.phys && off < r.phys + r.len)))
+      dirs
+  in
+  (* The directories whose dentries the mount read, in read order, one
+     entry per run of reads. *)
+  let read_order =
+    List.fold_left
+      (fun acc (off, _) ->
+        match (dir_of off, acc) with
+        | Some ino, last :: _ when ino = last -> acc
+        | Some ino, _ -> ino :: acc
+        | None, _ -> acc)
+      [] loads
+    |> List.rev
+  in
+  let table_pos ino = (Winefs.Layout.cpu_of_ino layout ino, Winefs.Layout.idx_of_ino layout ino) in
+  let table_order = List.sort (fun a b -> compare (table_pos a) (table_pos b)) dirs in
   ( Winefs.Fs.recovery_ns fs,
-    digest_strings (List.rev !loads),
+    digest_strings (List.map (fun (off, len) -> Printf.sprintf "%d:%d;" off len) loads),
+    (read_order, table_order),
     (List.length names, digest_strings names) )
 
 let test_many_dirs_mount () =
-  let ns, loads, listing = run_many_dirs_mount () in
+  let ns, loads, (read_order, table_order), listing = run_many_dirs_mount () in
   Alcotest.(check int) "recovery_ns" 663348 ns;
-  Alcotest.(check int) "Load event digest" 0xab36712d loads;
+  Alcotest.(check (list int)) "dentry reads in inode-table order" table_order read_order;
+  Alcotest.(check int) "Load event digest" 0x90574706 loads;
   Alcotest.(check (pair int int)) "readdir /d39 length and digest" (60, 0x923ee15f) listing
 
 let test_recovery_mount ~damaged (ns, loads, refused, statfs, listing) () =

@@ -1,8 +1,8 @@
 (* Unit tests for the core layer modules behind the Fs facade: the
    Extent_map record/slot run map (lookup/split/merge, removal budgets),
    the Txn reserve/commit/abort protocol, the recovery mount's inodes
-   built on first lookup, and its directory pass on corrupt sizes and
-   extents. *)
+   built on first lookup, its directory pass on corrupt sizes and
+   extents, and its extent-slot check on a clean mount. *)
 
 open Repro_util
 module Device = Repro_pmem.Device
@@ -246,14 +246,14 @@ let lazy_image () =
 let lazy_mount dev layout cpu =
   let txns = Txn.attach dev layout in
   let inodes = Inode.create ~dev ~layout ~txns in
-  let used =
+  let dirs, used =
     Inode.scan_tables inodes cpu ~on_refuse:(fun ino why ->
         Alcotest.failf "inode %d refused: %s" ino why)
   in
   let alloc = Alloc.create ~cpus:layout.Layout.cpus ~regions:layout.stripes in
   let map = Extent_map.create ~dev ~layout ~txns ~inodes ~alloc in
   let ns = Namespace.create ~dev ~txns ~inodes ~map in
-  Inode.iter_dirs inodes (Namespace.load_dir_index ns cpu);
+  List.iter (Namespace.load_dir_index ns cpu) dirs;
   (inodes, used)
 
 let records (f : Inode.file) =
@@ -393,6 +393,29 @@ let test_dir_misaligned_extent () =
   | _ -> Alcotest.fail "mounted a misaligned dentry extent"
   | exception Types.Error (Types.EINVAL, _) -> ()
 
+(* A clean mount seeds the allocator from the serialized free list, but
+   still checks every extent slot against the data regions: a file
+   extent pointed at the superblock is refused, not read back. *)
+let test_clean_mount_checks_extents () =
+  let dev = Device.create ~size:(32 * Units.mib) () in
+  let fs = Winefs.Fs.format dev lazy_cfg in
+  let c0 = Cpu.make ~id:0 () in
+  let fd = Winefs.Fs.create fs c0 "/f" in
+  ignore (Winefs.Fs.pwrite fs c0 fd ~off:0 ~src:(String.make block 'x'));
+  Winefs.Fs.close fs c0 fd;
+  let ino = (Winefs.Fs.stat fs c0 "/f").st_ino in
+  Winefs.Fs.unmount fs c0;
+  let layout = Layout.compute ~size:(Device.size dev) ~cpus:4 ~inodes_per_cpu:64 in
+  let at =
+    Layout.inode_off layout ino + Codec.Inode.extent_slot_off 0 + Codec.Inode.extent_phys_off
+  in
+  Device.write_u64 dev c0 ~off:at 0L;
+  Device.persist dev c0 ~off:at ~len:8;
+  match Winefs.Fs.mount dev lazy_cfg with
+  | _ -> Alcotest.fail "mounted a file extent over the superblock"
+  | exception Types.Error (Types.EINVAL, m) ->
+      Alcotest.(check string) "error" "corrupt image: extent [0,4096) outside every region" m
+
 let suite =
   [
     Alcotest.test_case "lookup + tail merge" `Quick test_lookup_and_merge;
@@ -408,4 +431,6 @@ let suite =
     Alcotest.test_case "lazy inode lookup is race-free" `Quick test_lazy_lookup_no_race;
     Alcotest.test_case "directory with a huge size mounts" `Quick test_dir_huge_size;
     Alcotest.test_case "misaligned dentry extent refused" `Quick test_dir_misaligned_extent;
+    Alcotest.test_case "clean mount refuses an extent outside the regions" `Quick
+      test_clean_mount_checks_extents;
   ]

@@ -217,46 +217,8 @@ let test_cpu_context () =
   Alcotest.check_raises "negative id" (Invalid_argument "Cpu.make: negative id") (fun () ->
       ignore (Cpu.make ~id:(-1) ()))
 
-(* Int_hashtbl must lay keys out as the generic table does: its hash
-   equals the runtime's on every int (extremes, signs, the 31/32-bit
-   boundaries, random 63-bit words), and the same stream of replaces and
-   removes gives the same fold order. *)
-let test_int_hashtbl_hash () =
-  let edge =
-    [ 0; 1; -1; max_int; min_int; max_int - 1; min_int + 1; 1 lsl 31; (1 lsl 31) - 1;
-      -(1 lsl 31); 1 lsl 32; -(1 lsl 32); 1 lsl 61; -(1 lsl 61); 1 lsl 62 ]
-  in
-  let rng = Random.State.make [| 0x1a5 |] in
-  let random = List.init 20_000 (fun _ -> Random.State.bits64 rng |> Int64.to_int) in
-  List.iter
-    (fun k ->
-      Alcotest.(check int) (Printf.sprintf "hash %d" k) (Hashtbl.hash k) (Int_hashtbl.hash k))
-    (edge @ List.init 5000 (fun i -> i - 1000) @ random)
-
-let prop_int_hashtbl_order =
-  QCheck.Test.make ~name:"Int_hashtbl iterates in generic Hashtbl order" ~count:200
-    QCheck.(
-      pair (oneofl [ 1; 16; 1024 ]) (list_of_size Gen.(0 -- 400) (pair bool (int_bound 5000))))
-    (fun (size, ops) ->
-      let g = Hashtbl.create size and t = Int_hashtbl.create size in
-      List.iter
-        (fun (add, k) ->
-          if add then begin
-            Hashtbl.replace g k (k * 3);
-            Int_hashtbl.replace t k (k * 3)
-          end
-          else begin
-            Hashtbl.remove g k;
-            Int_hashtbl.remove t k
-          end)
-        ops;
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) g []
-      = Int_hashtbl.fold (fun k v acc -> (k, v) :: acc) t [])
-
 let suite =
   [
-    Alcotest.test_case "int hashtbl hash" `Quick test_int_hashtbl_hash;
-    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x1b7 |]) prop_int_hashtbl_order;
     Alcotest.test_case "histogram bucketed" `Quick test_histogram_bucketed;
     Alcotest.test_case "rng split and pick" `Quick test_rng_split_pick;
     Alcotest.test_case "dist constants" `Quick test_dist_constants;
