@@ -19,8 +19,9 @@ type runner = ?scale:int -> unit -> Table.t list
 
 (* A small end-to-end WineFS workload that touches every instrumented
    layer — namespace ops, data journaling and CoW overwrites, allocator
-   churn, fsync — so one cheap run populates op latencies, journal and
-   allocator counters, and device flush/fence counts.  Backs @bench-smoke. *)
+   churn, fsync — so one cheap run populates op latencies, journal,
+   allocator and file-system counters, and device flush/fence counts.
+   Backs @bench-smoke. *)
 let smoke_run ?(scale = 1) () =
   let dev =
     Repro_pmem.Device.create ~cost:Repro_pmem.Device.Cost.optane ~size:(96 * Units.mib) ()

@@ -245,7 +245,7 @@ let mount_alloc_budget () =
     words_per_call mounts (fun _ -> ignore (Sys.opaque_identity (Winefs.Fs.mount dev cfg)))
   in
   let minor_empty = minor empty in
-  budget "minor words / empty-image mount" ~actual:minor_empty ~limit:9_765;
+  budget "minor words / empty-image mount" ~actual:minor_empty ~limit:9_727;
   budget "minor words / mount / live file"
     ~actual:((minor full - minor_empty) / files)
     ~limit:10;

@@ -1,6 +1,7 @@
 (* Validates a BENCH_*.json artifact from main.exe --json: strict parse,
    then a shape check of everything the harness promises — per-op latency
-   percentiles, journal and allocator counters, device flush/fence counts.
+   percentiles, journal, allocator and file-system counters, device
+   flush/fence counts.
    Exit 0 and print "ok" on success; exit 1 with a message otherwise.
    Backs the @bench-smoke alias. *)
 
@@ -60,6 +61,7 @@ let () =
     fail "%s: no journal.* counters" path;
   if not (List.exists (has_prefix "alloc.") (counters @ gauges)) then
     fail "%s: no alloc.* instruments" path;
+  if not (List.exists (has_prefix "fs.") counters) then fail "%s: no fs.* counters" path;
   if not (List.exists (has_prefix "pm.fences") counters) then fail "%s: no pm.fences counter" path;
   if not (List.exists (has_prefix "pm.flush") counters) then fail "%s: no pm.flush counter" path;
   if not (List.exists (has_prefix "op.latency_ns") hists) then

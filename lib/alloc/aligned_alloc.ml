@@ -87,8 +87,6 @@ let publish_gauges t =
     Stats.gauge_set "alloc.free_bytes" (free_bytes t)
   end
 
-let stat_incr name = if Stats.enabled () then Stats.counter_add name 1
-
 (* Promote any fully-covered aligned 2MB regions of the hole containing
    [off] into the aligned pool. *)
 let promote pool ~off =
@@ -101,7 +99,7 @@ let promote pool ~off =
       while !base < last do
         if Extent_tree.alloc_exact pool.holes ~off:!base ~len:huge then begin
           aligned_push pool !base;
-          stat_incr "alloc.promotes"
+          Stats.count "alloc.promotes" 1
         end;
         base := !base + huge
       done
@@ -192,7 +190,7 @@ let take_aligned t ~cpu =
       | Some rich -> (
           match aligned_pop t.pools.(rich) with
           | Some off ->
-              stat_incr "alloc.steals";
+              Stats.count "alloc.steals" 1;
               Some off
           | None -> None)
       | None -> None)
@@ -206,7 +204,7 @@ let hole_take t ~cpu ~len acc =
   let carve base =
     (* Use the front of a broken aligned extent; the tail becomes a hole
        in its origin pool. *)
-    stat_incr "alloc.breaks";
+    Stats.count "alloc.breaks" 1;
     if len < huge then free t ~off:(base + len) ~len:(huge - len);
     Some ({ off = base; len } :: acc)
   in
@@ -233,7 +231,7 @@ let hole_take t ~cpu ~len acc =
       in
       match stolen with
       | Some off ->
-          stat_incr "alloc.steals";
+          Stats.count "alloc.steals" 1;
           Some ({ off; len } :: acc)
       | None -> (
           match aligned_pop local with
@@ -244,7 +242,7 @@ let hole_take t ~cpu ~len acc =
               | Some rich -> (
                   match aligned_pop t.pools.(rich) with
                   | Some base ->
-                      stat_incr "alloc.steals";
+                      Stats.count "alloc.steals" 1;
                       carve base
                   | None -> None)
               | _ ->
@@ -424,6 +422,19 @@ let snapshot t =
       Extent_tree.iter p.holes (fun ~off ~len -> all := (off, len) :: !all))
     t.pools;
   List.sort compare !all
+
+let first_not_free ~free exts =
+  let rec go prev_end exts free =
+    match (exts, free) with
+    | [], _ -> None
+    | (off, len) :: rest, (f_off, f_len) :: _
+      when off >= prev_end && len > 0 && f_off <= off && off + len <= f_off + f_len ->
+        go (off + len) rest free
+    | (off, _) :: _, (f_off, f_len) :: free' when off >= prev_end && f_off + f_len <= off ->
+        go prev_end exts free'
+    | e :: _, _ -> Some e
+  in
+  go min_int exts free
 
 let check_invariants t =
   let exception Bad of string in

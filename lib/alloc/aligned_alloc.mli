@@ -93,4 +93,9 @@ val free_lists_of_used :
     stable-sorted.  [Error] names the first overlapping (double-used),
     out-of-region, region-crossing or empty used extent in that order. *)
 
+val first_not_free : free:(int * int) list -> (int * int) list -> (int * int) option
+(** The first extent of an ascending list that is empty, overlaps its
+    predecessor or does not lie inside one extent of the ascending [free]
+    list, found in one merge pass; mount checks the serialized free list. *)
+
 val check_invariants : t -> (unit, string) result

@@ -35,6 +35,7 @@ module Redo = Repro_journal.Redo_journal
 module Undo = Repro_journal.Undo_journal
 module Alloc = Repro_alloc.Pool_alloc
 module Extent_tree = Repro_rbtree.Extent_tree
+module Stats = Repro_stats.Stats
 
 let huge = Units.huge_page
 let block = Units.base_page
@@ -256,7 +257,7 @@ let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
           f.size <- off + len;
           meta_buffered t cpu ~addr:f.p.meta_addr ~bytes:32
         end);
-    Counters.add t.ns.counters "fs.write_bytes" len;
+    Stats.count "fs.write_bytes" len;
     len
   end
 
@@ -295,7 +296,7 @@ let fsync t cpu fd =
   Dram_ns.flush_dirty t.dev cpu ~site:site_fsync f.p.dirty_bytes;
   f.p.dirty_bytes <- 0;
   journal_fsync t cpu;
-  Counters.incr t.ns.counters "fs.fsync"
+  Stats.count "fs.fsync" 1
 
 let fallocate t cpu fd ~off ~len =
   let f = Dram_ns.fallocate_prologue t.ns cpu fd ~off ~len in
@@ -305,7 +306,7 @@ let fallocate t cpu fd ~off ~len =
         f.size <- off + len;
         meta_buffered t cpu ~addr:f.p.meta_addr ~bytes:32
       end);
-  Counters.incr t.ns.counters "fs.fallocate"
+  Stats.count "fs.fallocate" 1
 
 let ftruncate t cpu fd new_size =
   let f = Dram_ns.ftruncate_prologue t.ns cpu fd new_size in
@@ -314,7 +315,7 @@ let ftruncate t cpu fd new_size =
       if new_size < f.size then ignore (clear_unwritten f ~off:new_size ~len:(f.size - new_size));
       f.size <- new_size;
       meta_sync t cpu ~addr:f.p.meta_addr ~bytes:64);
-  Counters.incr t.ns.counters "fs.ftruncate"
+  Stats.count "fs.ftruncate" 1
 
 (* ------------------------------------------------------------------ *)
 (* mmap: hugepages only by accident (§2.5)                             *)

@@ -57,7 +57,7 @@ type t = {
   cfg : Repro_vfs.Types.config;
   preset : preset;
   journal : journal;
-  ns : payload Dram_ns.t;  (** inode table, fd table, allocator, counters *)
+  ns : payload Dram_ns.t;  (** inode table, fd table, allocator *)
 }
 
 (** {2 Lifecycle} *)
@@ -68,7 +68,6 @@ val unmount : t -> Cpu.t -> unit
 val recovery_ns : t -> int
 val device : t -> Repro_pmem.Device.t
 val config : t -> Repro_vfs.Types.config
-val counters : t -> Counters.t
 
 (** {2 Engine internals used by the personalities}
 

@@ -15,6 +15,7 @@ module Block_map = Repro_vfs.Block_map
 module Cost = Repro_vfs.Fs_intf.Cost
 module Alloc = Repro_alloc.Pool_alloc
 module Vmem = Repro_memsim.Vmem
+module Stats = Repro_stats.Stats
 
 let block = Units.base_page
 let huge = Units.huge_page
@@ -33,7 +34,6 @@ type 'p file = {
 type 'p t = {
   files : (int, 'p file) Hashtbl.t;
   fds : Fd_table.t;
-  counters : Counters.t;
   alloc : Alloc.t;
   capacity : int;
   dir_policy : Dir_index.policy;
@@ -50,7 +50,6 @@ let init ~alloc ~capacity ~dir_policy ~root ~payload =
     {
       files = Hashtbl.create 1024;
       fds = Fd_table.create ();
-      counters = Counters.create ();
       alloc;
       capacity;
       dir_policy;
@@ -327,7 +326,6 @@ module Make (E : ENGINE) = struct
     Types.err EINVAL "baseline models do not support mount-from-image (see DESIGN.md)"
 
   let recovery_ns _ = 0
-  let counters t = (E.ns t).counters
 
   (* mkdir and create: a fresh inode linked under its parent. *)
   let link t cpu path kind ~update =
@@ -347,13 +345,13 @@ module Make (E : ENGINE) = struct
     ignore
       (link t cpu path Types.Directory ~update:(fun parent -> parent.nlink <- parent.nlink + 1)
         : E.payload file);
-    Counters.incr (E.ns t).counters "fs.mkdir"
+    Stats.count "fs.mkdir" 1
 
   let create t cpu path =
     Cost.charge_syscall cpu;
     let f = link t cpu path Types.Regular ~update:ignore in
     let ns = E.ns t in
-    Counters.incr ns.counters "fs.create";
+    Stats.count "fs.create" 1;
     Fd_table.alloc ns.fds ~ino:f.ino ~flags:Types.o_creat_rdwr
 
   (* The last link went: free the inode under its lock, so a concurrent
@@ -377,7 +375,7 @@ module Make (E : ENGINE) = struct
             E.persist_unlink t cpu ~parent f (fun () -> Dir_index.remove idx cpu name);
             f.nlink <- f.nlink - 1;
             if f.nlink = 0 then drop t f);
-    Counters.incr ns.counters "fs.unlink"
+    Stats.count "fs.unlink" 1
 
   let rmdir t cpu path =
     Cost.charge_syscall cpu;
@@ -395,7 +393,7 @@ module Make (E : ENGINE) = struct
                 Dir_index.remove idx cpu name;
                 parent.nlink <- parent.nlink - 1);
             Hashtbl.remove ns.files ino);
-    Counters.incr ns.counters "fs.rmdir"
+    Stats.count "fs.rmdir" 1
 
   let rename t cpu ~old_path ~new_path =
     Cost.charge_syscall cpu;
@@ -425,7 +423,7 @@ module Make (E : ENGINE) = struct
             E.persist_rename t cpu ~src:src_parent ~dst:dst_parent (fun () ->
                 Dir_index.remove src_idx cpu src_name;
                 Dir_index.add dst_idx cpu ~name:dst_name ~ino ~slot:0));
-    Counters.incr ns.counters "fs.rename"
+    Stats.count "fs.rename" 1
 
   let readdir t cpu path =
     Cost.charge_syscall cpu;
@@ -491,7 +489,7 @@ module Make (E : ENGINE) = struct
     else begin
       let dst = read_blocks (E.device t) cpu f ~off ~len in
       E.read_overlay t cpu f ~off ~len dst;
-      Counters.add ns.counters "fs.read_bytes" len;
+      Stats.count "fs.read_bytes" len;
       Bytes.unsafe_to_string dst
     end
 

@@ -37,7 +37,6 @@ type 'p file = {
 type 'p t = {
   files : (int, 'p file) Hashtbl.t;
   fds : Repro_vfs.Fd_table.t;
-  counters : Counters.t;
   alloc : Repro_alloc.Pool_alloc.t;  (** the data area's allocator *)
   capacity : int;  (** data-area bytes, as [statfs] reports them *)
   dir_policy : Repro_vfs.Dir_index.policy;
@@ -194,7 +193,6 @@ end
 module Make (E : ENGINE) : sig
   val mount : Repro_pmem.Device.t -> Repro_vfs.Types.config -> E.t
   val recovery_ns : E.t -> int
-  val counters : E.t -> Counters.t
   val mkdir : E.t -> Cpu.t -> string -> unit
   val rmdir : E.t -> Cpu.t -> string -> unit
   val create : E.t -> Cpu.t -> string -> int

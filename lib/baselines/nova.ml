@@ -24,6 +24,7 @@ module Fd_table = Repro_vfs.Fd_table
 module Cost = Repro_vfs.Fs_intf.Cost
 module Alloc = Repro_alloc.Pool_alloc
 module Site = Repro_pmem.Site
+module Stats = Repro_stats.Stats
 
 (* Durability-lint sites: label NOVA's persistence regions so
    sanitizer/faultcheck findings name the layer at fault. *)
@@ -78,7 +79,7 @@ let log_append t cpu (f : file) =
      | [] -> ());
      lg.pages <- lg.pages @ [ page ];
      lg.tail <- 0;
-     Counters.incr t.ns.counters "fs.log_pages"
+     Stats.count "fs.log_pages" 1
    end);
   let page = List.nth lg.pages (List.length lg.pages - 1) in
   let off = page + 16 + (lg.tail * log_entry_bytes) in
@@ -91,7 +92,7 @@ let log_append t cpu (f : file) =
       Device.persist t.dev cpu ~off:page ~len:8);
   lg.tail <- lg.tail + 1;
   lg.live <- lg.live + 1;
-  Counters.incr t.ns.counters "fs.log_appends"
+  Stats.count "fs.log_appends" 1
 
 (* Invalidating superseded entries is a PM write per entry (NOVA sets an
    invalid bit in the old entry and persists it) — part of why overwrites
@@ -108,7 +109,7 @@ let log_invalidate t cpu (f : file) n =
             Device.persist t.dev cpu ~off:(page + 8) ~len:8
           done)
   | [] -> ());
-  Counters.add t.ns.counters "fs.log_invalidations" n
+  Stats.count "fs.log_invalidations" n
 
 (* Fast GC: when a log is mostly dead, copy live entries to fresh pages
    and free the old ones — free-space churn that competes with foreground
@@ -130,7 +131,7 @@ let maybe_gc t cpu (f : file) =
     lg.pages <- fresh;
     lg.tail <- lg.live mod entries_per_page;
     lg.dead <- 0;
-    Counters.incr t.ns.counters "fs.log_gc"
+    Stats.count "fs.log_gc" 1
   end
 
 let free_log t (f : file) =
@@ -251,7 +252,7 @@ let write_cow t cpu (f : file) ~off ~src ~src_off ~len =
       in
       let head = preserve !pf (min ov_lo (!pf + e.len)) in
       let copied = head + preserve (max ov_hi !pf) (!pf + e.len) in
-      if copied > 0 then Counters.add t.ns.counters "fs.cow_copy_bytes" copied;
+      if copied > 0 then Stats.count "fs.cow_copy_bytes" copied;
       Device.with_site t.dev site_cow (fun () ->
           if ov_hi > ov_lo then
             Device.write_string_nt t.dev cpu ~off:(e.off + (ov_lo - !pf)) ~src
@@ -279,7 +280,7 @@ let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
           log_append t cpu f
         end;
         if off + len > f.size then f.size <- off + len);
-    Counters.add t.ns.counters "fs.write_bytes" len;
+    Stats.count "fs.write_bytes" len;
     len
   end
 
@@ -314,7 +315,7 @@ let fsync t cpu fd =
   let f = Dram_ns.file_of_fd t.ns fd in
   Dram_ns.flush_dirty t.dev cpu ~site:site_fsync f.p.dirty_bytes;
   f.p.dirty_bytes <- 0;
-  Counters.incr t.ns.counters "fs.fsync"
+  Stats.count "fs.fsync" 1
 
 let fallocate t cpu fd ~off ~len =
   let f = Dram_ns.fallocate_prologue t.ns cpu fd ~off ~len in
@@ -322,7 +323,7 @@ let fallocate t cpu fd ~off ~len =
       (* NOVA zeroes at fallocate; faults then only build page tables. *)
       ensure_backing t cpu f ~off ~len ~zero:true;
       if off + len > f.size then f.size <- off + len);
-  Counters.incr t.ns.counters "fs.fallocate"
+  Stats.count "fs.fallocate" 1
 
 let ftruncate t cpu fd new_size =
   let f = Dram_ns.ftruncate_prologue t.ns cpu fd new_size in
@@ -332,7 +333,7 @@ let ftruncate t cpu fd new_size =
         (Dram_ns.shrink t.dev cpu ~site:site_zero t.ns f new_size);
       f.size <- new_size;
       log_append t cpu f);
-  Counters.incr t.ns.counters "fs.ftruncate"
+  Stats.count "fs.ftruncate" 1
 
 (* ------------------------------------------------------------------ *)
 (* mmap: hugepage only when an extent happens to be 2MB-aligned        *)

@@ -41,7 +41,6 @@ let unmount t cpu = Basefs.unmount t.inner cpu
 let recovery_ns _ = 0
 let device t = Basefs.device t.inner
 let config t = Basefs.config t.inner
-let counters t = Basefs.counters t.inner
 
 (* Namespace: pure pass-through to ext4-DAX. *)
 let mkdir t = Basefs.mkdir t.inner

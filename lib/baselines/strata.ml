@@ -19,6 +19,7 @@ module Fd_table = Repro_vfs.Fd_table
 module Cost = Repro_vfs.Fs_intf.Cost
 module Alloc = Repro_alloc.Pool_alloc
 module Site = Repro_pmem.Site
+module Stats = Repro_stats.Stats
 
 (* Durability-lint sites: label Strata's persistence regions so
    sanitizer/faultcheck findings name the layer at fault. *)
@@ -89,7 +90,7 @@ let log_meta t cpu =
         ~len:64;
       Device.persist t.dev cpu ~off:(lg.base + lg.head) ~len:64);
   lg.head <- lg.head + 64;
-  Counters.incr t.ns.counters "fs.log_meta"
+  Stats.count "fs.log_meta" 1
 
 (* Digest one process log: copy pending data into the shared area and
    update the block maps — the visible-data copy cost. *)
@@ -136,10 +137,10 @@ let digest t cpu lg =
                       end)
                     exts);
               Device.fence t.dev cpu);
-          Counters.add t.ns.counters "fs.digested_bytes" p.p_len;
+          Stats.count "fs.digested_bytes" p.p_len;
           Dram_ns.remap t.ns f ~file_off:blo ~len:(bhi - blo) exts ~commit:ignore)
     pending;
-  Counters.incr t.ns.counters "fs.digests"
+  Stats.count "fs.digests" 1
 
 let digest_all t cpu = Array.iter (fun lg -> if lg.entries <> [] then digest t cpu lg) t.logs
 
@@ -206,7 +207,7 @@ let pwrite_sub t cpu fd ~off ~src ~src_off ~len =
       cur := !cur + n
     done;
     if off + len > f.size then f.size <- off + len;
-    Counters.add t.ns.counters "fs.write_bytes" len;
+    Stats.count "fs.write_bytes" len;
     len
   end
 
@@ -242,7 +243,7 @@ end)
 let fsync t cpu _fd =
   Cost.charge_syscall cpu;
   Device.with_site t.dev site_fsync (fun () -> Device.fence t.dev cpu);
-  Counters.incr t.ns.counters "fs.fsync"
+  Stats.count "fs.fsync" 1
 
 (* Back the holes of [off, off+len) from the shared area, zeroed, one fence. *)
 let back t cpu (f : file) ~site ~off ~len =
@@ -260,7 +261,7 @@ let fallocate t cpu fd ~off ~len =
   Sched.with_lock f.lock (fun () ->
       back t cpu f ~site:site_zero ~off ~len;
       if off + len > f.size then f.size <- off + len);
-  Counters.incr t.ns.counters "fs.fallocate"
+  Stats.count "fs.fallocate" 1
 
 let ftruncate t cpu fd new_size =
   let f = Dram_ns.ftruncate_prologue t.ns cpu fd new_size in
@@ -270,7 +271,7 @@ let ftruncate t cpu fd new_size =
       ignore (Dram_ns.shrink t.dev cpu ~site:site_zero t.ns f new_size : int option);
       f.size <- new_size;
       log_meta t cpu);
-  Counters.incr t.ns.counters "fs.ftruncate"
+  Stats.count "fs.ftruncate" 1
 
 (* Strata takes the inode lock on every base-page fault, even when the
    page is already mapped. *)

@@ -7,6 +7,7 @@ module Vmem = Repro_memsim.Vmem
 module Degraded = Repro_vfs.Degraded
 module Alloc = Repro_alloc.Aligned_alloc
 module Int_map = Repro_rbtree.Ordmap.Int_map
+module Stats = Repro_stats.Stats
 
 let block = Units.base_page
 let huge = Units.huge_page
@@ -23,11 +24,11 @@ type t = {
   inodes : Inode.t;
   map : Extent_map.t;
   alloc : Alloc.t;
-  counters : Counters.t;
+  faults : Degraded.tally;
 }
 
-let create ~dev ~cfg ~txns ~inodes ~map ~alloc ~counters =
-  { dev; cfg; txns; inodes; map; alloc; counters }
+let create ~dev ~cfg ~txns ~inodes ~map ~alloc ~faults =
+  { dev; cfg; txns; inodes; map; alloc; faults }
 
 let strict t = Types.is_strict t.cfg.Types.mode
 let acpu t (cpu : Cpu.t) = cpu.id mod t.cfg.Types.cpus
@@ -38,7 +39,7 @@ let next_mapped = Extent_map.next_mapped
    whole chunks land on aligned extents and stay hugepage-mappable
    (§3.2).  Records are inserted in one transaction per call. *)
 let allocate_range t cpu txn (f : Inode.file) ~file_off ~len ~zero =
-  Counters.add t.counters "fs.alloc_bytes" len;
+  Stats.count "fs.alloc_bytes" len;
   let cpu_id = acpu t cpu in
   let alloc_one ~file_off ~len =
     (* Alignment-preserving files grow contiguously after their previous
@@ -135,7 +136,7 @@ let overwrite_in_txn t cpu txn (f : Inode.file) ~off ~src ~src_off ~len =
           Txn.log_range t.txns cpu txn ~addr:phys ~len:n;
           Device.write_string_nt t.dev cpu ~off:phys ~src ~src_off:(src_off + !cur) ~len:n;
           Device.fence t.dev cpu);
-      Counters.add t.counters "fs.data_journal_bytes" n
+      Stats.count "fs.data_journal_bytes" n
     end
     else begin
       (* Copy-on-write into fresh holes: block-align the replaced range,
@@ -193,7 +194,7 @@ let overwrite_in_txn t cpu txn (f : Inode.file) ~off ~src ~src_off ~len =
             ~asrc:false;
           pf := !pf + e.len)
         exts;
-      Counters.add t.counters "fs.cow_bytes" cow_len
+      Stats.count "fs.cow_bytes" cow_len
     end;
     cur := !cur + n
   done;
@@ -365,7 +366,7 @@ let pwrite t cpu (f : Inode.file) ~off ~src ~src_off ~len =
             Txn.with_txn t.txns cpu ~reserve:2 (fun txn -> Inode.persist_size t.inodes cpu txn f)
           end
         end);
-    Counters.add t.counters "fs.write_bytes" len;
+    Stats.count "fs.write_bytes" len;
     len
   end
 
@@ -385,8 +386,7 @@ let pread t cpu (f : Inode.file) ~off ~len =
              (* Simulated MCE: never return made-up bytes — the read is
                 refused with EIO, as a DAX read of a poisoned line would
                 be. *)
-             Degraded.count_fault t.counters "fault.detected" 1;
-             Degraded.count_fault t.counters "fault.refused" 1;
+             Degraded.count_fault t.faults ~detected:1 ~repaired:0 ~refused:1;
              Types.err EIO "media error at %#x reading ino %d" bad f.ino);
           cur := !cur + n
       | None ->
@@ -398,7 +398,7 @@ let pread t cpu (f : Inode.file) ~off ~len =
           in
           cur := hole_end
     done;
-    Counters.add t.counters "fs.read_bytes" len;
+    Stats.count "fs.read_bytes" len;
     Bytes.unsafe_to_string dst
   end
 
@@ -484,7 +484,7 @@ let fault t ~read_only ~enqueue ino : Vmem.backing =
                   Txn.with_txn t.txns cpu ~reserve:4 (fun txn ->
                       Extent_map.add_record t.map cpu txn f ~file_off ~phys ~len:huge
                         ~asrc:true));
-              Counters.incr t.counters "fs.fault_huge_allocs";
+              Stats.count "fs.fault_huge_allocs" 1;
               Vmem.Huge phys
           | None -> (
               (* No aligned extents left: 4K on demand. *)

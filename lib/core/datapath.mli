@@ -24,7 +24,8 @@ type t
 
 val create :
   dev:Repro_pmem.Device.t -> cfg:Types.config -> txns:Txn.t -> inodes:Inode.t ->
-  map:Extent_map.t -> alloc:Repro_alloc.Aligned_alloc.t -> counters:Counters.t -> t
+  map:Extent_map.t -> alloc:Repro_alloc.Aligned_alloc.t ->
+  faults:Repro_vfs.Degraded.tally -> t
 
 val pwrite : t -> Cpu.t -> Inode.file -> off:int -> src:string -> src_off:int -> len:int -> int
 val pread : t -> Cpu.t -> Inode.file -> off:int -> len:int -> string

@@ -21,8 +21,11 @@ val read_only : t -> bool
     corruption was detected that could not be repaired from a redundant
     copy (superblock replica, journal rollback); every mutating operation
     then fails with [EROFS], and reads of refused objects fail with
-    [EIO].  Scrub activity is counted under the [fault.detected] /
-    [fault.repaired] / [fault.refused] counters. *)
+    [EIO].  Scrub activity is counted in {!faults}. *)
+
+val faults : t -> Repro_vfs.Degraded.tally
+(** What the mount-time scrub and the read path detected, repaired and
+    refused, also mirrored into the stats registry as [fault.*]. *)
 
 val refused_inodes : t -> int
 (** Inodes the scrub refused (corrupt header, poisoned extent metadata or

@@ -98,7 +98,7 @@ let run ?(seed = 42) ?(workloads = Ace.seq1) ?(torn_fences = 4)
         finding w s_name fault_str
           (Printf.sprintf "mount raised %s" (Printexc.to_string e))
     | fs2 ->
-        let detected = Counters.get (Fs.counters fs2) "fault.detected" in
+        let detected = (Fs.faults fs2).detected in
         if Fs.read_only fs2 then begin
           let safe = ref (detected > 0) in
           if not !safe then

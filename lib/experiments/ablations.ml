@@ -20,6 +20,7 @@ module Vmem = Repro_memsim.Vmem
 module W = Repro_workloads.Micro
 module Fs = Winefs.Fs
 module Site = Repro_pmem.Site
+module Stats = Repro_stats.Stats
 
 (* Durability-lint sites for the benchmark drivers' own PM traffic. *)
 let site_mmap_flush = Site.v "ablation" "mmap_flush"
@@ -67,7 +68,14 @@ let hybrid_atomicity setup =
       ~title:"Ablation B: atomic 64KB overwrites — data journaling (aligned) vs CoW (holes)"
       ~columns:[ "backing"; "MB/s"; "journal-bytes"; "cow-bytes" ]
   in
+  (* Registry deltas over the file system's life, format to last write,
+     with the registry on whatever the caller set. *)
+  let count name = Stats.Counter.get (Stats.Counter.v name) in
   let run label prepare =
+    let was = Stats.enabled () in
+    Stats.set_enabled true;
+    Fun.protect ~finally:(fun () -> Stats.set_enabled was) @@ fun () ->
+    let journal0 = count "fs.data_journal_bytes" and cow0 = count "fs.cow_bytes" in
     let dev = Device.create ~size:setup.Exp_common.device_bytes () in
     let fs = Fs.format dev (Exp_common.cfg setup) in
     let cpu = Cpu.make ~id:0 () in
@@ -82,13 +90,12 @@ let hybrid_atomicity setup =
         (Fs.pwrite fs cpu fd ~off:(Rng.int rng spots * String.length payload) ~src:payload)
     done;
     let ns = Cpu.now cpu - t0 in
-    let c = Fs.counters fs in
     Table.add_row t
       [
         label;
         Printf.sprintf "%.1f" (Exp_common.mb_per_s ~bytes:io ~ns);
-        string_of_int (Counters.get c "fs.data_journal_bytes");
-        string_of_int (Counters.get c "fs.cow_bytes");
+        string_of_int (count "fs.data_journal_bytes" - journal0);
+        string_of_int (count "fs.cow_bytes" - cow0);
       ]
   in
   run "aligned extents (journal)" (fun fs cpu ->

@@ -94,7 +94,7 @@ let record (c : ctx) ~phase ~rule ~obj ~severity ~detail ~action =
       c.repairs <- c.repairs + 1;
       if Stats.enabled () then Stats.counter_add ~labels:[ ("rule", rule) ] "fsck.repairs" 1
   | Fatal -> c.fatal <- true);
-  if Stats.enabled () then Stats.counter_add "fsck.findings" 1
+  Stats.count "fsck.findings" 1
 
 let site_repair = Site.v "fsck" "repair"
 
@@ -965,10 +965,8 @@ let run ?(repair = false) dev =
   phase_time c "connectivity" (fun () -> phase5 c layout table meta_tree data_trees);
   phase_time c "rewrite" (fun () -> phase6 c layout sb table data_trees);
   let findings = List.rev c.findings in
-  if Stats.enabled () then begin
-    Stats.counter_add "fsck.runs" 1;
-    Stats.counter_add "fsck.orphans_reattached" c.orphans
-  end;
+  Stats.count "fsck.runs" 1;
+  Stats.count "fsck.orphans_reattached" c.orphans;
   ({ repair; clean = findings = []; fatal = c.fatal; findings; repairs = c.repairs;
      notes = c.notes; orphans_reattached = c.orphans; phase_ns = List.rev c.phase_ns }
     : report)

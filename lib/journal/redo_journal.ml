@@ -128,7 +128,7 @@ let write_record t cpu ~seq ~ty ~addr ~data =
   let total = record_size dlen in
   if t.head + total > t.size then begin
     t.head <- 0 (* wrap; records never straddle *);
-    if Stats.enabled () then Stats.counter_add "journal.redo.wraps" 1
+    Stats.count "journal.redo.wraps" 1
   end;
   let off = t.base + header_bytes + t.head in
   let buf = Bytes.make rec_header_bytes '\000' in
@@ -271,6 +271,5 @@ let recover t cpu =
     else continue_scan := false
   done;
   if !replayed > 0 then write_header t cpu;
-  if Stats.enabled () && !replayed > 0 then
-    Stats.counter_add "journal.redo.replayed_txns" !replayed;
+  if !replayed > 0 then Stats.count "journal.redo.replayed_txns" !replayed;
   !replayed

@@ -6,7 +6,6 @@ module Stats = Repro_stats.Stats
 (* Registry metrics (global, gated on {!Stats.enabled}): commit/abort/wrap
    counters plus a ring-occupancy gauge, so bench artifacts expose journal
    traffic and pressure without a device event hook. *)
-let stat n = if Stats.enabled () then Stats.counter_add n 1
 
 let site_header = Site.v "journal" "header"
 let site_format = Site.v "journal" "format"
@@ -177,7 +176,7 @@ let write_entry t cpu ~ty ~txn_id ~addr ~len ~copy ~inline =
   if t.head >= t.slots then begin
     t.head <- 0;
     t.wrap <- t.wrap + 1;
-    stat "journal.undo.wraps"
+    Stats.count "journal.undo.wraps" 1
   end
 
 (* Space reclamation runs in the background in WineFS (§5.7): commits
@@ -248,7 +247,7 @@ let commit t cpu txn =
       Device.fence t.dev cpu;
       Device.annotate t.dev (Txn_commit { txn = txn.id }));
   write_entry t cpu ~ty:Commit ~txn_id:txn.id ~addr:0 ~len:0 ~copy:0 ~inline:"";
-  stat "journal.undo.commits";
+  Stats.count "journal.undo.commits" 1;
   t.open_txn <- false;
   t.unreclaimed <- t.unreclaimed + 1;
   if t.unreclaimed >= reclaim_threshold then begin
@@ -268,7 +267,7 @@ let abort t cpu txn =
   (* Aborts reclaim eagerly: the ring must not rescan the dead entries. *)
   invalidate_head_slot_fwd t cpu;
   reclaim t cpu;
-  stat "journal.undo.aborts";
+  Stats.count "journal.undo.aborts" 1;
   Device.annotate t.dev (Txn_abort { txn = txn.id })
 
 type pending = { txn_id : int; records : (int * string) list }

@@ -43,6 +43,11 @@ let rules =
       allowed = [ "lib/util/"; "lib/journal/"; "lib/core/codec.ml"; "lib/core/inode.ml" ];
       why = "checksums live in the codec/journal/inode metadata layers";
     };
+    {
+      target = "Counters";
+      allowed = [ "lib/util/"; "lib/memsim/"; "lib/workloads/"; "lib/experiments/" ];
+      why = "Counters is Vmem's per-mapping-space set; file systems count through Stats";
+    };
   ]
 
 let path_allowed path allowed =

@@ -26,8 +26,8 @@ type region = {
 
 (* A counter of the space's set, bumped through its [Counters.cell].  The
    cell is resolved on the first bump, not at [create], so a snapshot
-   names exactly the counters that have moved, as with [Counters.incr];
-   cells stay valid across [Counters.reset]. *)
+   names exactly the counters that have moved; cells stay valid across
+   [Counters.reset]. *)
 type cell = { set : Counters.t; name : string; mutable cell : int ref }
 
 let unresolved = ref 0 (* placeholder of every cell not yet bumped; never written *)

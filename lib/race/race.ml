@@ -311,10 +311,8 @@ let detach t =
       t.hook <- None
   | None -> ());
   Sched.set_monitor None;
-  if Stats.enabled () then begin
-    Stats.counter_add "race.accesses_checked" t.accesses;
-    Stats.counter_add "race.races_found" t.n_races
-  end
+  Stats.count "race.accesses_checked" t.accesses;
+  Stats.count "race.races_found" t.n_races
 
 let races t = List.rev t.races_rev
 let accesses_checked t = t.accesses
@@ -377,7 +375,7 @@ let explore ?granularity ?track_loads ?(schedules = 50) ~seed sc =
     if races <> [] then failing := s :: !failing;
     add races
   done;
-  if Stats.enabled () then Stats.counter_add "race.schedules_explored" (schedules + 1);
+  Stats.count "race.schedules_explored" (schedules + 1);
   {
     o_name = sc.sc_name;
     o_schedules = schedules + 1;

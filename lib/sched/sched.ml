@@ -135,10 +135,8 @@ module Lock_order = struct
     done;
     arr.(dep) <- m.mid;
     !depths.(slot) <- dep + 1;
-    if Repro_stats.Stats.enabled () then begin
-      Repro_stats.Stats.counter_add "sched.lock_order.acquisitions" 1;
-      if !fresh > 0 then Repro_stats.Stats.counter_add "sched.lock_order.edges" !fresh
-    end
+    Repro_stats.Stats.count "sched.lock_order.acquisitions" 1;
+    if !fresh > 0 then Repro_stats.Stats.count "sched.lock_order.edges" !fresh
 
   (* Drop the innermost occurrence (top-down scan); unknown mids are a
      no-op, matching the old list-drop semantics. *)

@@ -109,6 +109,8 @@ end
 let counter_add ?(registry = global) ?(labels = []) name n =
   Counter.add (Counter.v ~registry ~labels name) n
 
+let count name n = if !enabled_flag then counter_add name n
+
 let gauge_set ?(registry = global) ?(labels = []) name n =
   Gauge.set (Gauge.v ~registry ~labels name) n
 

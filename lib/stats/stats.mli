@@ -97,6 +97,10 @@ val counter_add : ?registry:Registry.t -> ?labels:labels -> string -> int -> uni
 (** One-shot lookup + add, for call sites whose labels vary per call
     (e.g. the ambient device {!Repro_pmem.Site}). *)
 
+val count : string -> int -> unit
+(** [counter_add name n] on the {!global} registry when {!enabled};
+    one boolean test otherwise. *)
+
 val gauge_set : ?registry:Registry.t -> ?labels:labels -> string -> int -> unit
 val observe : ?registry:Registry.t -> ?labels:labels -> string -> int -> unit
 

@@ -10,12 +10,6 @@ let cell t name =
       Hashtbl.add t name r;
       r
 
-let incr t name = Stdlib.incr (cell t name)
-
-let add t name n =
-  let r = cell t name in
-  r := !r + n
-
 let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 
 let reset t = Hashtbl.iter (fun _ r -> r := 0) t

@@ -1,21 +1,21 @@
-(** Named event counters.
+(** Named event counters of one memory-mapping space.
 
-    Each simulated component (device, TLB, journal, FS) owns a counter set;
-    experiments snapshot and diff them to report page faults, TLB misses,
-    bytes written, and so on — the quantities Table 2 and §5.3 report. *)
+    Each {!Repro_memsim.Vmem} space owns one set (page faults, TLB and LLC
+    hits and misses, fault time); experiments and the benchmark read,
+    snapshot and diff a space's own counts — the quantities Table 2 and
+    §5.3 report.  Everything else, the file systems included, counts in
+    the global {!Repro_stats.Stats} registry. *)
 
 type t
 
 val create : unit -> t
-val incr : t -> string -> unit
-val add : t -> string -> int -> unit
 val get : t -> string -> int
 val reset : t -> unit
 
 val cell : t -> string -> int ref
-(** Get-or-create the counter's cell.  Hot paths resolve the cell once
-    and bump the ref directly, skipping the per-call name lookup; cells
-    stay valid across {!reset} (which zeroes them in place). *)
+(** Get-or-create the counter's cell, the one way to count: resolve the
+    cell once and bump the ref directly.  Cells stay valid across
+    {!reset} (which zeroes them in place). *)
 
 val snapshot : t -> (string * int) list
 (** All counters, sorted by name. *)

@@ -1,12 +1,16 @@
 module Stats = Repro_stats.Stats
-module Counters = Repro_util.Counters
 
 let require_writable ~read_only =
   if read_only then
     Types.err EROFS "file system is degraded (mounted read-only after media errors)"
 
-let count_fault counters name n =
-  if n > 0 then begin
-    Counters.add counters name n;
-    if Stats.enabled () then Stats.counter_add name n
-  end
+type tally = { mutable detected : int; mutable repaired : int; mutable refused : int }
+
+let count_fault t ~detected ~repaired ~refused =
+  let mirror name n = if n > 0 then Stats.count name n in
+  t.detected <- t.detected + detected;
+  t.repaired <- t.repaired + repaired;
+  t.refused <- t.refused + refused;
+  mirror "fault.detected" detected;
+  mirror "fault.repaired" repaired;
+  mirror "fault.refused" refused

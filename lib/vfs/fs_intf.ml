@@ -90,8 +90,6 @@ module type S = sig
   val statfs : t -> Types.fs_stats
   val file_extents : t -> Cpu.t -> string -> (int * int * int) list
   (** [(file_off, phys, len)]. *)
-
-  val counters : t -> Counters.t
 end
 
 (** Existential package so experiment code can hold a heterogeneous list of

@@ -18,11 +18,7 @@ type rw_result = {
 }
 
 let mk_result ~bytes ~elapsed_ns ~vm_counters =
-  let get = function
-    | Some c -> fun k -> Counters.get c k
-    | None -> fun _ -> 0
-  in
-  let g = get vm_counters in
+  let g k = match vm_counters with Some c -> Counters.get c k | None -> 0 in
   {
     bytes;
     elapsed_ns;

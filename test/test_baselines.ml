@@ -19,10 +19,9 @@ let mk fmt =
 
 let cpu () = Cpu.make ~id:0 ()
 
-(* Bytes stored to PM while [f] runs (plain and non-temporal), read from
-   the per-site stats counters; the registry's [enabled] flag is restored
-   afterwards. *)
-let stored_bytes f =
+(* The stats counters [f] adds, each summed over its labels; the
+   registry's [enabled] flag is restored afterwards. *)
+let counted f =
   let was = Stats.enabled () in
   Stats.set_enabled true;
   Stats.reset ();
@@ -30,24 +29,29 @@ let stored_bytes f =
     ~finally:(fun () -> Stats.set_enabled was)
     (fun () ->
       f ();
-      List.fold_left
-        (fun acc (name, _, v) ->
-          if name = "pm.store_bytes" || name = "pm.nt_store_bytes" then acc + v else acc)
-        0 (Stats.snapshot ()).s_counters)
+      let counters = (Stats.snapshot ()).s_counters in
+      fun name ->
+        List.fold_left (fun acc (n, _, v) -> if n = name then acc + v else acc) 0 counters)
+
+(* Bytes stored to PM while [f] runs, plain and non-temporal. *)
+let stored_bytes f =
+  let count = counted f in
+  count "pm.store_bytes" + count "pm.nt_store_bytes"
 
 let test_nova_log_pages_fragment () =
-  let fs, _ = mk Nova.format in
-  let c = cpu () in
-  (* Creating files appends to inode logs -> log pages allocated from the
-     data area (the Figure-3 mechanism). *)
-  for i = 1 to 50 do
-    let fd = Nova.create fs c (Printf.sprintf "/f%d" i) in
-    Nova.close fs c fd
-  done;
-  Alcotest.(check bool) "log pages allocated" true
-    (Counters.get (Nova.counters fs) "fs.log_pages" > 0);
-  Alcotest.(check bool) "log appends recorded" true
-    (Counters.get (Nova.counters fs) "fs.log_appends" >= 100)
+  let count =
+    counted (fun () ->
+        let fs, _ = mk Nova.format in
+        let c = cpu () in
+        (* Creating files appends to inode logs -> log pages allocated
+           from the data area (the Figure-3 mechanism). *)
+        for i = 1 to 50 do
+          let fd = Nova.create fs c (Printf.sprintf "/f%d" i) in
+          Nova.close fs c fd
+        done)
+  in
+  Alcotest.(check bool) "log pages allocated" true (count "fs.log_pages" > 0);
+  Alcotest.(check bool) "log appends recorded" true (count "fs.log_appends" >= 100)
 
 let test_nova_append_cow_amplification () =
   (* §5.5 WiredTiger: unaligned appends copy the partial tail block. *)
@@ -103,9 +107,8 @@ let test_strata_digestion () =
   Alcotest.(check int) "no shared-area blocks yet" 0 st.Types.st_blocks;
   (* mmap forces digestion into the shared area. *)
   let backing = Strata.mmap_backing fs fd in
-  ignore (backing c ~file_off:0 ~huge_ok:false);
-  Alcotest.(check bool) "digested" true
-    (Counters.get (Strata.counters fs) "fs.digests" >= 1);
+  let count = counted (fun () -> ignore (backing c ~file_off:0 ~huge_ok:false)) in
+  Alcotest.(check bool) "digested" true (count "fs.digests" >= 1);
   Alcotest.(check string) "read after digest" "ss" (Strata.pread fs c fd ~off:0 ~len:2);
   Strata.close fs c fd
 

@@ -121,14 +121,14 @@ let test_sb_repair_from_replica () =
   Alcotest.(check bool) "mount not degraded" false (Fs.read_only fs2);
   Alcotest.(check bool) "file survived" true (Fs.exists fs2 c "/keep");
   Alcotest.(check bool) "detection counted" true
-    (Counters.get (Fs.counters fs2) "fault.detected" >= 1);
+    ((Fs.faults fs2).detected >= 1);
   Alcotest.(check bool) "repair counted" true
-    (Counters.get (Fs.counters fs2) "fault.repaired" >= 1);
+    ((Fs.faults fs2).repaired >= 1);
   Fs.unmount fs2 c;
   (* The repair rewrote the primary: a second mount is clean. *)
   let fs3 = Fs.mount dev (cfg ()) in
   Alcotest.(check int) "primary healthy after repair" 0
-    (Counters.get (Fs.counters fs3) "fault.detected")
+    ((Fs.faults fs3).detected)
 
 let test_sb_poison_repair () =
   let dev, fs = fresh () in
@@ -170,7 +170,7 @@ let test_degraded_mount_semantics () =
   Alcotest.(check bool) "mount degraded to read-only" true (Fs.read_only fs2);
   Alcotest.(check bool) "refused inodes counted" true (Fs.refused_inodes fs2 >= 1);
   Alcotest.(check bool) "refusal in fault counters" true
-    (Counters.get (Fs.counters fs2) "fault.refused" >= 1);
+    ((Fs.faults fs2).refused >= 1);
   (* Mutations fail with EROFS... *)
   (match Fs.create fs2 c "/new" with
   | _ -> Alcotest.fail "create must fail on a degraded mount"

@@ -1,9 +1,9 @@
 (* Golden-image regression tests.
 
    One fixed, deterministic workload (strict mode, 2 CPUs) is replayed
-   against every file system; the resulting PM image CRC32C, the full
-   operation/byte counter snapshot and both CPUs' final simulated clocks
-   must match values captured before a refactor.  WineFS runs under the
+   against every file system; the resulting PM image CRC32C, the run's
+   operation/byte counters in the stats registry and both CPUs' final
+   simulated clocks must match values captured before a refactor.  WineFS runs under the
    free cost model (its pins predate the Txn/Inode/Extent_map/Datapath/
    Namespace split); the baselines run under the Optane cost model, so
    the clocks pin their charging order too.  Any drift in journal
@@ -17,6 +17,7 @@ module Fs_intf = Repro_vfs.Fs_intf
 module Vmem = Repro_memsim.Vmem
 module Sched = Repro_sched.Sched
 module Registry = Repro_baselines.Registry
+module Stats = Repro_stats.Stats
 
 let mib = Units.mib
 
@@ -25,23 +26,50 @@ let pattern n seed = String.init n (fun i -> Char.chr ((i + (31 * seed)) land 0x
 
 let expected_image_crc = 0x5d8dd747
 
+(* WineFS counts each operation in its stats span ([op.count{op}]); the
+   baselines have no spans and count theirs as [fs.<op>]. *)
 let expected_counters =
   [
     ("fs.alloc_bytes", 4354048);
     ("fs.cow_bytes", 12288);
-    ("fs.create", 22);
     ("fs.data_journal_bytes", 70000);
-    ("fs.fallocate", 1);
-    ("fs.fsync", 21);
-    ("fs.ftruncate", 2);
-    ("fs.mkdir", 2);
     ("fs.read_bytes", 80000);
-    ("fs.rename", 1);
-    ("fs.unlink", 7);
     ("fs.write_bytes", 204808);
+    ("op.count{op=close}", 24);
+    ("op.count{op=create}", 22);
+    ("op.count{op=fallocate}", 1);
+    ("op.count{op=fsync}", 21);
+    ("op.count{op=ftruncate}", 2);
+    ("op.count{op=mkdir}", 2);
+    ("op.count{op=open}", 2);
+    ("op.count{op=pread}", 2);
+    ("op.count{op=pwrite}", 25);
+    ("op.count{op=readdir}", 1);
+    ("op.count{op=rename}", 1);
+    ("op.count{op=set_xattr_align}", 1);
+    ("op.count{op=stat}", 1);
+    ("op.count{op=unlink}", 7);
   ]
 
-let run_workload ~cost (make : Device.t -> Types.config -> Fs_intf.handle) =
+(* The [fs.*] counters and the per-operation span counts [f] adds to the
+   stats registry, by name; the registry's [enabled] flag is restored
+   afterwards. *)
+let counted f =
+  let was = Stats.enabled () in
+  Stats.set_enabled true;
+  Stats.reset ();
+  Fun.protect ~finally:(fun () -> Stats.set_enabled was) @@ fun () ->
+  let r = f () in
+  ( r,
+    List.filter_map
+      (fun (name, labels, v) ->
+        match labels with
+        | [] when String.starts_with ~prefix:"fs." name -> Some (name, v)
+        | [ ("op", op) ] when name = "op.count" -> Some (Printf.sprintf "op.count{op=%s}" op, v)
+        | _ -> None)
+      (Stats.snapshot ()).s_counters )
+
+let workload ~cost (make : Device.t -> Types.config -> Fs_intf.handle) =
   let dev = Device.create ~cost ~size:(64 * mib) () in
   let cfg = Types.config ~cpus:2 ~mode:Types.Strict ~inodes_per_cpu:256 () in
   let (Fs_intf.Handle ((module Fs), fs)) = make dev cfg in
@@ -81,7 +109,11 @@ let run_workload ~cost (make : Device.t -> Types.config -> Fs_intf.handle) =
   ignore (Fs.pread fs c0 fd4 ~off:(2 * mib) ~len:70_000);
   Fs.close fs c0 fd4;
   Fs.unmount fs c0;
-  (dev, Counters.snapshot (Fs.counters fs), (Cpu.now c0, Cpu.now c1))
+  (dev, (Cpu.now c0, Cpu.now c1))
+
+let run_workload ~cost (make : Device.t -> Types.config -> Fs_intf.handle) =
+  let (dev, clocks), counters = counted (fun () -> workload ~cost make) in
+  (dev, counters, clocks)
 
 let image_crc dev =
   let size = Device.size dev in

@@ -393,10 +393,10 @@ let test_dir_misaligned_extent () =
   | _ -> Alcotest.fail "mounted a misaligned dentry extent"
   | exception Types.Error (Types.EINVAL, _) -> ()
 
-(* A clean mount seeds the allocator from the serialized free list, but
-   still checks every extent slot against the data regions: a file
-   extent pointed at the superblock is refused, not read back. *)
-let test_clean_mount_checks_extents () =
+(* A cleanly unmounted image with one one-block file; returns the device,
+   a CPU, the layout, the file's extent-slot [phys] address and the phys
+   it holds. *)
+let clean_file_image () =
   let dev = Device.create ~size:(32 * Units.mib) () in
   let fs = Winefs.Fs.format dev lazy_cfg in
   let c0 = Cpu.make ~id:0 () in
@@ -409,12 +409,44 @@ let test_clean_mount_checks_extents () =
   let at =
     Layout.inode_off layout ino + Codec.Inode.extent_slot_off 0 + Codec.Inode.extent_phys_off
   in
+  (dev, c0, layout, at, Device.read_u64 dev c0 ~off:at)
+
+(* A clean mount seeds the allocator from the serialized free list, but
+   still checks every extent slot against the data regions: a file
+   extent pointed at the superblock is refused, not read back. *)
+let test_clean_mount_checks_extents () =
+  let dev, c0, _, at, _ = clean_file_image () in
   Device.write_u64 dev c0 ~off:at 0L;
   Device.persist dev c0 ~off:at ~len:8;
   match Winefs.Fs.mount dev lazy_cfg with
   | _ -> Alcotest.fail "mounted a file extent over the superblock"
   | exception Types.Error (Types.EINVAL, m) ->
       Alcotest.(check string) "error" "corrupt image: extent [0,4096) outside every region" m
+
+let expect_serial_refused what dev =
+  match Winefs.Fs.mount dev lazy_cfg with
+  | _ -> Alcotest.failf "mounted %s" what
+  | exception Types.Error (Types.EINVAL, m) ->
+      Alcotest.(check bool) ("names the serialized list: " ^ m) true
+        (String.starts_with ~prefix:"corrupt image: serialized free extent" m)
+
+(* A file extent moved into space the serialized free list calls free is
+   refused: seeding the allocator from that list would hand the block out
+   a second time. *)
+let test_clean_mount_extent_in_serial_free () =
+  let dev, c0, _, at, phys = clean_file_image () in
+  Device.write_u64 dev c0 ~off:at (Int64.add phys (Int64.of_int (64 * block)));
+  Device.persist dev c0 ~off:at ~len:8;
+  expect_serial_refused "a file extent inside the serialized free list" dev
+
+(* The serial area carries no checksum: an entry edited to cover the
+   superblock is refused, not handed to the allocator. *)
+let test_clean_mount_serial_entry_at_zero () =
+  let dev, c0, layout, _, _ = clean_file_image () in
+  let at = layout.serial_off + 16 in
+  Device.write_u64 dev c0 ~off:at 0L;
+  Device.persist dev c0 ~off:at ~len:8;
+  expect_serial_refused "a serialized free extent at offset 0" dev
 
 let suite =
   [
@@ -433,4 +465,8 @@ let suite =
     Alcotest.test_case "misaligned dentry extent refused" `Quick test_dir_misaligned_extent;
     Alcotest.test_case "clean mount refuses an extent outside the regions" `Quick
       test_clean_mount_checks_extents;
+    Alcotest.test_case "clean mount refuses an extent in the serialized free list" `Quick
+      test_clean_mount_extent_in_serial_free;
+    Alcotest.test_case "clean mount refuses a serialized extent at offset 0" `Quick
+      test_clean_mount_serial_entry_at_zero;
   ]

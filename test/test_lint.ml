@@ -74,6 +74,19 @@ let test_ownership_allows_owning_layer () =
     "txn layer may use the journal" 0
     (List.length (diags_of_rule "ownership" (Lint.analyze_string ~path:"lib/core/txn.ml" src)))
 
+(* File systems count through the stats registry: a [Counters] set under
+   lib/core is flagged, the Vmem readers' own use is not. *)
+let test_ownership_flags_fs_counters () =
+  let src = "open Repro_util\n\nlet f c = Counters.incr c \"fs.create\"\n" in
+  (match diags_of_rule "ownership" (Lint.analyze_string ~path:"lib/core/fixture.ml" src) with
+  | [ d ] ->
+      Alcotest.(check (triple int int string)) "exact position" (3, 10, "ownership") (diag_triple d);
+      Alcotest.(check bool) "names the target" true (contains_sub ~sub:"Counters" d.Diag.msg)
+  | ds -> Alcotest.failf "expected exactly one ownership diag, got %d" (List.length ds));
+  Alcotest.(check int)
+    "a mapping space's reader may use it" 0
+    (List.length (diags_of_rule "ownership" (Lint.analyze_string ~path:"lib/workloads/fixture.ml" src)))
+
 (* ------------------------------------------------------------------ *)
 (* error-discipline *)
 
@@ -455,6 +468,8 @@ let suite =
     Alcotest.test_case "ownership: stray journal use flagged" `Quick
       test_ownership_flags_stray_journal_use;
     Alcotest.test_case "ownership: owning layer allowed" `Quick test_ownership_allows_owning_layer;
+    Alcotest.test_case "ownership: Counters outside the Vmem readers" `Quick
+      test_ownership_flags_fs_counters;
     Alcotest.test_case "error-discipline: catch-all" `Quick test_error_discipline_catch_all;
     Alcotest.test_case "error-discipline: blanket errno" `Quick
       test_error_discipline_undiscriminated_errno;

@@ -90,14 +90,18 @@ let test_histogram_merge () =
 
 let test_counters () =
   let c = Counters.create () in
-  Counters.incr c "a";
-  Counters.add c "a" 4;
-  Counters.add c "b" 2;
+  let add name n =
+    let r = Counters.cell c name in
+    r := !r + n
+  in
+  add "a" 1;
+  add "a" 4;
+  add "b" 2;
   Alcotest.(check int) "get a" 5 (Counters.get c "a");
   Alcotest.(check int) "missing is 0" 0 (Counters.get c "zzz");
   let before = Counters.snapshot c in
-  Counters.add c "a" 10;
-  Counters.incr c "c";
+  add "a" 10;
+  add "c" 1;
   let after = Counters.snapshot c in
   let d = Counters.diff ~before ~after in
   Alcotest.(check int) "diff a" 10 (List.assoc "a" d);
